@@ -15,7 +15,7 @@ import numpy as np
 
 from .povm import CapExceededError, derive_rng, sic_outcome_distribution
 from .qstate import DensityOperator
-from .shadows import PAIR_TRACE, depolarize
+from .shadows import PAIR_TRACE, depolarize, pattern_codes
 
 EXACT_LINEAR_CAP = 3    # enumerates 4^N outcomes
 EXACT_QUADRATIC_CAP = 2  # enumerates 4^N x 4^N outcome pairs via the kernel
@@ -85,9 +85,7 @@ def exact_linear_variance(rho, obs, frame):
     from .estimators import observable_lut
     probs = sic_outcome_distribution(rho, frame)
     digits = _all_digits(n)
-    support = list(obs.support)
-    shifts = 4 ** np.arange(len(support) - 1, -1, -1, dtype=np.int64)
-    x = observable_lut(obs, frame)[digits[:, support] @ shifts]
+    x = observable_lut(obs, frame)[pattern_codes(digits, obs.support)]
     mean = float(probs @ x)
     return float(probs @ (x * x) - mean * mean)
 

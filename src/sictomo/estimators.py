@@ -1,10 +1,10 @@
 """Property estimators built on classical shadows.
 
 Linear observables use a per-outcome-pattern lookup table. Purity is the
-pair U-statistic kept in streaming form through tr(S^2) - Q, where S is the
-running matrix sum and Q the running sum of tr(shadow^2); the identity
-sum_{m != m'} tr(s_m s_m') = tr(S^2) - Q is exact, so each new batch costs
-one matrix add plus two traces regardless of how many shots came before.
+pair U-statistic kept in streaming form through the exact identity
+sum_{m != m'} tr(s_m s_m') = tr(S^2) - Q, Q the running sum of tr(s^2). S is
+kept as its pattern histogram n, and tr(S^2) = n^T V n (see shadows), so a
+batch costs one histogram update whatever number of shots came before.
 """
 
 import itertools
@@ -15,7 +15,8 @@ import numpy as np
 
 from .povm import derive_rng
 from .qstate import Bipartition
-from .shadows import _SubsetBasis, _check_subset, shadow_matrices
+from .shadows import (_check_subset, apply_pair_trace, hist_zeros,
+                      pattern_codes, shadow_lut, shadow_matrices, shadow_sum)
 
 RENYI_PURITY_FLOOR = 1e-6
 JACKKNIFE_GROUPS = 100
@@ -46,24 +47,14 @@ class ObservableSpec:
 
 def observable_lut(obs, frame):
     """tr(O sigma) for every digit pattern on the support, shape (4^K,)."""
-    basis = _SubsetBasis(tuple(range(len(obs.support))), frame)
-    stack = basis.stack()
-    if stack is not None:
-        return np.einsum("cij,ji->c", stack, obs.operator).real
-    vals = np.empty(4 ** len(obs.support))
-    for code in range(vals.size):
-        vals[code] = np.einsum("ij,ji->", basis.matrix(code),
-                               obs.operator).real
-    return vals
+    return shadow_lut(obs.operator, frame)
 
 
 def linear_values(digits, obs, frame):
     """Per-shot estimates tr(O sigma_m), marginalized to the support."""
     digits = np.asarray(digits)
     support = _check_subset(obs.support, digits.shape[1])
-    shifts = 4 ** np.arange(len(support) - 1, -1, -1, dtype=np.int64)
-    codes = digits[:, list(support)].astype(np.int64) @ shifts
-    return observable_lut(obs, frame)[codes]
+    return observable_lut(obs, frame)[pattern_codes(digits, support)]
 
 
 def estimate_linear(digits, obs, frame):
@@ -118,8 +109,10 @@ class PurityTracker:
 
     Shots arrive as digit rows; every `batch` consecutive shots form one
     batched shadow (trailing partial batch stays pending). Batches are dealt
-    round-robin into at most `jackknife_groups` groups so the delete-one-group
-    jackknife stderr costs O(G * 4^|K|) per call, independent of M.
+    round-robin into `jackknife_groups` groups, each kept as a pattern
+    histogram (shots weighted 1/batch), a self-overlap sum and a batch count.
+    Memory is fixed at construction; the delete-one-group jackknife stderr
+    costs O(G * 4^|K|) per call, independent of M.
     """
 
     def __init__(self, n_qubits, subset, frame, batch=1,
@@ -130,15 +123,15 @@ class PurityTracker:
             raise ValueError("need at least 2 jackknife groups")
         self.n_qubits = n_qubits
         self.batch = int(batch)
-        self._basis = _SubsetBasis(_check_subset(subset, n_qubits), frame)
-        self.subset = self._basis.subset
-        dim = self._basis.dim
+        self.subset = _check_subset(subset, n_qubits)
+        self.frame = frame
         self._groups = int(jackknife_groups)
-        self._slot_s = np.zeros((self._groups, dim, dim), dtype=complex)
+        self._hist = hist_zeros((self._groups, 4 ** len(self.subset)),
+                                f"purity tracker on qubits {self.subset}")
         self._slot_q = np.zeros(self._groups)
         self._slot_m = np.zeros(self._groups, dtype=np.int64)
         self._batches_seen = 0
-        self._pending = np.empty(0, dtype=np.int64)
+        self._pending = np.empty((0, len(self.subset)), dtype=np.uint8)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -148,52 +141,40 @@ class PurityTracker:
             digits = digits[None, :]
         if digits.shape[1] != self.n_qubits:
             raise ValueError("record length does not match tracker")
-        self._push_codes(self._basis.codes(digits))
+        self._push(digits[:, list(self.subset)])
 
-    def _push_codes(self, new_codes):
-        codes = np.concatenate([self._pending, new_codes])
-        n_new = codes.size // self.batch
-        self._pending = codes[n_new * self.batch:]
+    def _push(self, rows):
+        """Ingest subset digit rows; complete batches go to their groups."""
+        rows = np.concatenate([self._pending, rows.astype(np.uint8)])
+        b, n_new = self.batch, rows.shape[0] // self.batch
+        self._pending = rows[n_new * b:]
         if n_new == 0:
             return
-        codes = codes[:n_new * self.batch]
+        rows = rows[:n_new * b]
         slots = (self._batches_seen + np.arange(n_new)) % self._groups
         self._batches_seen += n_new
-        stack = self._basis.stack()
-        if self.batch == 1:
-            # scatter-add of gathered pattern matrices: cost M * 4^|K| per
-            # chunk, independent of how many groups or patterns exist
-            if stack is not None:
-                np.add.at(self._slot_s, slots, stack[codes])
-            else:
-                for g, c in zip(slots, codes):
-                    self._slot_s[g] += self._basis.matrix(int(c))
-            per_slot = np.bincount(slots, minlength=self._groups)
-            self._slot_q += per_slot * 5.0 ** self._basis.k
-            self._slot_m += per_slot
-        else:
-            bidx = np.repeat(np.arange(n_new), self.batch)
-            bmats = np.zeros((n_new, self._basis.dim, self._basis.dim),
-                             dtype=complex)
-            if stack is not None:
-                np.add.at(bmats, bidx, stack[codes])
-            else:
-                for i, c in zip(bidx, codes):
-                    bmats[i] += self._basis.matrix(int(c))
-            bmats /= self.batch
-            q = np.einsum("bij,bji->b", bmats, bmats).real
-            np.add.at(self._slot_s, slots, bmats)
-            np.add.at(self._slot_q, slots, q)
-            np.add.at(self._slot_m, slots, 1)
+        codes = pattern_codes(rows, range(len(self.subset)))
+        np.add.at(self._hist.reshape(-1),
+                  np.repeat(slots, b) * self._hist.shape[1] + codes, 1.0 / b)
+        # tr(B^2): b^-2 times tr(s s') = 5^match (-1)^(K - match) summed over
+        # the ordered pairs of the batch's shots, self-pairs included
+        rows, k = rows.reshape(n_new, b, -1), len(self.subset)
+        q = np.zeros(n_new)
+        for r in range(b):
+            match = (rows[:, r:r + 1] == rows).sum(axis=2)
+            q += (5.0 ** match * (-1.0) ** (k - match)).sum(axis=1)
+        self._slot_q += np.bincount(slots, weights=q / b**2,
+                                    minlength=self._groups)
+        self._slot_m += np.bincount(slots, minlength=self._groups)
 
     def add_batch(self, batched):
         """Feed one externally averaged batch (subset must match)."""
         if tuple(batched.subset) != self.subset:
             raise ValueError("batch subset does not match tracker")
         g = self._batches_seen % self._groups
-        self._slot_s[g] += batched.matrix
-        self._slot_q[g] += float(
-            np.einsum("ij,ji->", batched.matrix, batched.matrix).real)
+        h = batched.counts / batched.count
+        self._hist[g] += h
+        self._slot_q[g] += float(h @ apply_pair_trace(h))
         self._slot_m[g] += 1
         self._batches_seen += 1
 
@@ -201,12 +182,11 @@ class PurityTracker:
         if (other.subset != self.subset or other.batch != self.batch
                 or other._groups != self._groups):
             raise ValueError("incompatible purity trackers")
-        self._slot_s += other._slot_s
+        self._hist += other._hist
         self._slot_q += other._slot_q
         self._slot_m += other._slot_m
         self._batches_seen += other._batches_seen
-        if other._pending.size:
-            self._push_codes(other._pending)
+        self._push(other._pending)
         return self
 
     # -- readout -----------------------------------------------------------
@@ -217,7 +197,7 @@ class PurityTracker:
 
     @property
     def running_sum(self):
-        return self._slot_s.sum(axis=0)
+        return shadow_sum(self._hist.sum(axis=0), self.frame)
 
     @property
     def self_overlap_sum(self):
@@ -227,25 +207,26 @@ class PurityTracker:
         m = self.m_batches
         if m < 2:
             raise ValueError("purity estimate needs at least 2 batches")
-        s = self.running_sum
-        tr2 = float(np.einsum("ij,ji->", s, s).real)
+        n = self._hist.sum(axis=0)
+        tr2 = float(n @ apply_pair_trace(n))
         return (tr2 - self.self_overlap_sum) / (m * (m - 1))
 
     def stderr(self):
         """Delete-one-group jackknife standard error (nan if undefined)."""
-        present = self._slot_m > 0
-        n_present = int(present.sum())
-        m = self.m_batches
-        if n_present < 2 or (m - self._slot_m[present] < 2).any():
+        rows = np.flatnonzero(self._slot_m)
+        loo_m = self.m_batches - self._slot_m[rows]
+        if rows.size < 2 or (loo_m < 2).any():
             return float("nan")
-        s = self.running_sum
-        q = self.self_overlap_sum
-        loo_s = s[None, :, :] - self._slot_s[present]
-        loo_m = (m - self._slot_m[present]).astype(float)
-        tr2 = np.einsum("gij,gji->g", loo_s, loo_s).real
-        vals = (tr2 - (q - self._slot_q[present])) / (loo_m * (loo_m - 1))
-        var = (n_present - 1) / n_present * ((vals - vals.mean()) ** 2).sum()
-        return math.sqrt(max(var, 0.0))
+        n = self._hist.sum(axis=0)
+        tr2 = np.empty(rows.size)
+        # ~512 KiB blocks of groups: temporaries stay cached, off fresh pages
+        step = max(1, 2**16 // n.size)
+        for i in range(0, rows.size, step):
+            loo = n - self._hist[rows[i:i + step]]  # S - S_g
+            tr2[i:i + step] = np.einsum("gc,gc->g", loo, apply_pair_trace(loo))
+        loo_q = self.self_overlap_sum - self._slot_q[rows]
+        vals = (tr2 - loo_q) / (loo_m * (loo_m - 1.0))
+        return math.sqrt(max((rows.size - 1) * vals.var(), 0.0))
 
 
 def estimate_purity(digits, subset, frame, batch=1):

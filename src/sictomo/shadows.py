@@ -2,18 +2,38 @@
 
 Each shot with outcome digits (i_1 .. i_N) defines the single-shot estimator
 sigma = kron_k (3|psi_{i_k}><psi_{i_k}| - I), which reproduces rho in
-expectation. Shadows are kept as digit rows and materialized on demand for a
-qubit subset, so memory stays O(M N) while subsystem queries cost O(4^|K|).
+expectation. A sum of shadows on a qubit subset K is kept as its histogram
+n over the 4^K digit patterns c. The frame is a tensor product, so what is
+built from n is a site-by-site contraction: shadow_sum (sum_c n_c sigma_c),
+shadow_lut (tr(O sigma_c) for all c) and apply_pair_trace (V n, where the
+Gram matrix V = PAIR_TRACE^{kron K} gives tr(S^2) = n^T V n).
 """
 
+import functools
+import math
+
 import numpy as np
+
+from .povm import CapExceededError
 
 # tr(sigma_i sigma_j) factorizes per site into 5 (matching digits) or -1;
 # this holds for every SIC frame since it only uses the 1/3 overlaps
 PAIR_TRACE = np.full((4, 4), -1.0)
 np.fill_diagonal(PAIR_TRACE, 5.0)
+_PAIR_TRACE_POWERS = [functools.reduce(np.kron, [PAIR_TRACE] * s, np.eye(1))
+                      for s in range(4)]
 
-_STACK_CAP = 5  # largest |subset| with a fully precomputed 4^K matrix stack
+HIST_BYTES_CAP = 64 * 2**20  # float64 histogram state per tracker/accumulator
+
+
+def hist_zeros(shape, what):
+    """Zeroed float64 histogram state; CapExceededError above the byte cap."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > HIST_BYTES_CAP:
+        raise CapExceededError(
+            f"{what} needs {nbytes:,} bytes of histogram state; capped at "
+            f"{HIST_BYTES_CAP:,} bytes")
+    return np.zeros(shape)
 
 
 def shadow_matrices(frame):
@@ -62,6 +82,61 @@ def _check_subset(subset, n_qubits):
     return subset
 
 
+def _n_sites(size):
+    k = (size.bit_length() - 1) // 2
+    if 4**k != size:
+        raise ValueError(f"pattern axis of length {size} is not a power of 4")
+    return k
+
+
+def pattern_codes(digits, subset):
+    """Base-4 word of each record's subset digits, first subset qubit leading."""
+    shifts = 4 ** np.arange(len(subset) - 1, -1, -1, dtype=np.int64)
+    return np.asarray(digits)[:, list(subset)].astype(np.int64) @ shifts
+
+
+def shadow_sum(counts, frame):
+    """sum_c counts[..., c] sigma_c, shape (..., 2^K, 2^K)."""
+    counts = np.asarray(counts)
+    lead, k = counts.shape[:-1], _n_sites(counts.shape[-1])
+    t = counts.reshape(lead + (4,) * k)
+    site = shadow_matrices(frame)
+    for _ in range(k):  # leading digit out, its (row, col) pair to the back
+        t = np.tensordot(t, site, axes=([len(lead)], [0]))
+    rows_cols = np.arange(2 * k).reshape(k, 2).T.ravel() + len(lead)
+    t = t.transpose(tuple(range(len(lead))) + tuple(rows_cols))
+    return t.reshape(lead + (2**k, 2**k))
+
+
+def shadow_lut(operator, frame):
+    """tr(O sigma_c) for every pattern code c, shape (4^K,), real part."""
+    operator = np.asarray(operator)
+    k = _n_sites(operator.shape[0] ** 2)
+    t = operator.reshape((2,) * (2 * k))
+    site = shadow_matrices(frame)
+    for done in range(k):  # axes: rows left, columns left, digits done
+        t = np.tensordot(t, site, axes=([0, k - done], [2, 1]))
+    return t.reshape(-1).real
+
+
+def apply_pair_trace(hist):
+    """hist @ V over the last axis, V = PAIR_TRACE^{kron K} (symmetric).
+
+    One matmul per block of at most 3 sites: K <= 3 is one dense matmul and
+    4 <= K <= 6 is W1 X W2, X a row reshaped to 4^floor(K/2) x 4^ceil(K/2).
+    """
+    hist = np.asarray(hist, dtype=float)
+    k = _n_sites(hist.shape[-1])
+    n = max(-(-k // 3), 1)
+    sizes = [k * (i + 1) // n - k * i // n for i in range(n)]
+    out, tail = hist, hist.shape[-1]
+    for s in sizes[:-1]:
+        tail //= 4**s
+        out = _PAIR_TRACE_POWERS[s] @ out.reshape(-1, 4**s, tail)
+    out = out.reshape(-1, 4 ** sizes[-1]) @ _PAIR_TRACE_POWERS[sizes[-1]]
+    return out.reshape(hist.shape)
+
+
 def shadow_expand(digits_row, subset, frame):
     """Materialize the shadow on `subset`, dimension 2^|subset|."""
     digits_row = np.asarray(digits_row)
@@ -82,63 +157,21 @@ def pair_trace(digits_a, digits_b, subset=None):
     return float(np.prod(np.where(a == b, 5.0, -1.0)))
 
 
-class _SubsetBasis:
-    """Cached shadow matrices for every digit pattern on a fixed subset."""
-
-    def __init__(self, subset, frame):
-        self.subset = subset
-        self.k = len(subset)
-        self.dim = 2**self.k
-        self.frame = frame
-        self._site = shadow_matrices(frame)
-        self._shifts = 4 ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
-        self._stack = None
-        self._cache = {}
-
-    def codes(self, digits):
-        """Pattern code per record: base-4 word of the subset digits."""
-        return np.asarray(digits)[:, list(self.subset)].astype(np.int64) @ self._shifts
-
-    def matrix(self, code):
-        mat = self._cache.get(code)
-        if mat is None:
-            out = np.ones((1, 1), dtype=complex)
-            for pos in range(self.k):
-                out = np.kron(out, self._site[(code // self._shifts[pos]) % 4])
-            mat = self._cache[code] = out
-        return mat
-
-    def stack(self):
-        """(4^K, dim, dim) array of all pattern matrices; None above the cap."""
-        if self.k > _STACK_CAP:
-            return None
-        if self._stack is None:
-            s = np.empty((4**self.k, self.dim, self.dim), dtype=complex)
-            for code in range(4**self.k):
-                s[code] = self.matrix(code)
-            self._stack = s
-        return self._stack
-
-    def weighted_sum(self, counts):
-        """sum_code counts[code] * matrix(code)."""
-        stack = self.stack()
-        if stack is not None:
-            return np.tensordot(counts, stack, axes=1)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for code in np.nonzero(counts)[0]:
-            out += counts[code] * self.matrix(int(code))
-        return out
-
-
 class BatchedShadow:
-    """Average of `count` consecutive shadows on a qubit subset."""
+    """Average of `count` consecutive shadows on a qubit subset, kept as the
+    pattern counts of its shots."""
 
-    __slots__ = ("subset", "matrix", "count")
+    __slots__ = ("subset", "counts", "frame", "count")
 
-    def __init__(self, subset, matrix, count):
+    def __init__(self, subset, counts, frame):
         self.subset = tuple(subset)
-        self.matrix = matrix
-        self.count = int(count)
+        self.counts = np.asarray(counts)
+        self.frame = frame
+        self.count = int(self.counts.sum())
+
+    @property
+    def matrix(self):
+        return shadow_sum(self.counts, self.frame) / self.count
 
 
 def batch_shadows(digits, subset, frame, b):
@@ -149,18 +182,16 @@ def batch_shadows(digits, subset, frame, b):
     if b < 1:
         raise ValueError("batch size must be >= 1")
     digits = np.asarray(digits)
-    basis = _SubsetBasis(_check_subset(subset, digits.shape[1]), frame)
+    subset = _check_subset(subset, digits.shape[1])
     n_batches = digits.shape[0] // b
-    codes = basis.codes(digits[:n_batches * b]).reshape(n_batches, b)
-    out = []
-    for row in codes:
-        counts = np.bincount(row, minlength=4**basis.k)
-        out.append(BatchedShadow(basis.subset, basis.weighted_sum(counts) / b, b))
-    return out
+    codes = pattern_codes(digits[:n_batches * b], subset).reshape(n_batches, b)
+    size = 4 ** len(subset)
+    return [BatchedShadow(subset, np.bincount(row, minlength=size), frame)
+            for row in codes]
 
 
 class ShadowAccumulator:
-    """Running sums for the shadow mean and the self-overlap bookkeeping.
+    """Running shadow sum, kept as a pattern histogram, and self-overlaps.
 
     Single writer; merge() lets parallel accumulators fan in. For unbatched
     SIC shadows self_overlap_sum is exactly count * 5^|subset|.
@@ -170,28 +201,35 @@ class ShadowAccumulator:
         self.n_qubits = n_qubits
         self.subset = _check_subset(subset, n_qubits)
         self.frame = frame
-        self._basis = _SubsetBasis(self.subset, frame)
-        self.running_sum = np.zeros((self._basis.dim,) * 2, dtype=complex)
+        self.histogram = hist_zeros(
+            (4 ** len(self.subset),), f"shadow accumulator on {self.subset}")
         self.self_overlap_sum = 0.0
         self.count = 0
 
+    @property
+    def running_sum(self):
+        return shadow_sum(self.histogram, self.frame)
+
     def add_records(self, digits, weights=None):
+        """Add records; `weights` are non-negative integer repetition counts."""
         digits = np.asarray(digits)
         if digits.ndim == 1:
             digits = digits[None, :]
         if digits.shape[1] != self.n_qubits:
             raise ValueError("record length does not match accumulator")
-        codes = self._basis.codes(digits)
+        codes = pattern_codes(digits, self.subset)
         if weights is None:
-            counts = np.bincount(codes, minlength=4**self._basis.k)
-            total = digits.shape[0]
+            weights, total = 1.0, digits.shape[0]
         else:
             weights = np.asarray(weights, dtype=float)
-            counts = np.bincount(codes, weights=weights, minlength=4**self._basis.k)
-            total = weights.sum()
-        self.running_sum += self._basis.weighted_sum(counts)
-        self.self_overlap_sum += total * 5.0 ** self._basis.k
-        self.count += int(total)
+            if (weights.shape != codes.shape or (weights < 0).any()
+                    or (weights % 1).any()):
+                raise ValueError("weights are repetition counts: one "
+                                 "non-negative integer per record")
+            total = int(weights.sum())
+        np.add.at(self.histogram, codes, weights)
+        self.self_overlap_sum += total * 5.0 ** len(self.subset)
+        self.count += total
 
     def add_record(self, digits_row, weight=1):
         self.add_records(np.asarray(digits_row)[None, :],
@@ -200,20 +238,20 @@ class ShadowAccumulator:
     def add_batch(self, batched):
         if tuple(batched.subset) != self.subset:
             raise ValueError("batch subset does not match accumulator")
-        self.running_sum += batched.matrix
-        self.self_overlap_sum += float(
-            np.einsum("ij,ji->", batched.matrix, batched.matrix).real)
+        h = batched.counts / batched.count
+        self.histogram += h
+        self.self_overlap_sum += float(h @ apply_pair_trace(h))
         self.count += 1
 
     def mean(self):
         if self.count == 0:
             raise ValueError("empty accumulator")
-        return self.running_sum / self.count
+        return shadow_sum(self.histogram / self.count, self.frame)
 
     def merge(self, other):
         if other.subset != self.subset or other.n_qubits != self.n_qubits:
             raise ValueError("incompatible accumulators")
-        self.running_sum += other.running_sum
+        self.histogram += other.histogram
         self.self_overlap_sum += other.self_overlap_sum
         self.count += other.count
         return self

@@ -26,7 +26,7 @@ from .povm import derive_rng, sample_pauli_shots, sample_sic_shots, sic_frame, \
     sic_outcome_distribution, FrameSuperoperator
 from .qstate import PureState, fidelity_pure, make_linear_cluster, purity_exact
 from .reconstruct import FrequencyVector, reconstruct
-from .shadows import _check_subset
+from .shadows import _check_subset, pattern_codes
 
 MAGIC = "#TOMO v1"
 DEFAULT_INTERVAL = 100
@@ -288,19 +288,17 @@ class TrackerConfig:
 
 
 class _LinearTracker:
-    __slots__ = ("quantity", "subset_label", "cols", "shifts", "lut", "moments")
+    __slots__ = ("quantity", "subset_label", "cols", "lut", "moments")
 
     def __init__(self, quantity, subset_label, support, lut):
         self.quantity = quantity
         self.subset_label = subset_label
         self.cols = list(support)
-        self.shifts = 4 ** np.arange(len(self.cols) - 1, -1, -1, dtype=np.int64)
         self.lut = lut
         self.moments = RunningMoments()
 
     def update(self, digits):
-        codes = digits[:, self.cols].astype(np.int64) @ self.shifts
-        self.moments.add_values(self.lut[codes])
+        self.moments.add_values(self.lut[pattern_codes(digits, self.cols)])
 
     def report(self):
         return self.moments.mean, self.moments.stderr()

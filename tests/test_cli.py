@@ -244,6 +244,19 @@ def test_reconstruct_mle_cap_exit_code(tmp_path, capsys):
     assert "5" in err and "mle" in err
 
 
+def test_estimate_purity_cap_exit_code(tmp_path, capsys):
+    # a 10-qubit purity tracker needs 100 * 4^10 * 8 bytes of histograms
+    path = tmp_path / "wide.sic"
+    write_shots(path, ShotFileHeader(n_qubits=10),
+                np.zeros((10, 10), dtype=np.uint8))
+    out = tmp_path / "report.csv"
+    assert run("estimate", "--file", str(path), "--purity", "full",
+               "--out", str(out)) == 4
+    assert "838,860,800 bytes" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "report.csv.manifest.json").exists()
+
+
 # --- budget ---------------------------------------------------------------------------
 
 

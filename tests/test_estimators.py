@@ -23,8 +23,10 @@ from sictomo.estimators import (
     renyi2_from_purity,
     renyi2_stderr,
 )
-from sictomo.povm import sic_frame, sic_outcome_distribution
-from sictomo.qstate import Bipartition, partial_transpose, random_density
+from sictomo.povm import (CapExceededError, derive_rng, sample_sic_shots,
+                          sic_frame, sic_outcome_distribution)
+from sictomo.qstate import (Bipartition, make_ghz, partial_transpose,
+                            random_density)
 from sictomo.shadows import batch_shadows, pair_trace, shadow_expand
 
 FRAME = sic_frame("standard")
@@ -198,6 +200,30 @@ def test_purity_tracker_validation(rng):
     assert math.isnan(t.stderr())
     with pytest.raises(ValueError):
         t.add_records(np.zeros((1, 3), dtype=np.uint8))
+
+
+def test_purity_tracker_state_does_not_grow_with_outcomes():
+    """K=8 on GHZ-8: more shots bring new patterns but no new state."""
+    digits = sample_sic_shots(make_ghz(8), FRAME, 4000,
+                              derive_rng(8, "sic-shots"))
+    tracker = PurityTracker(8, range(8), FRAME)
+
+    def state_bytes():
+        return sum(v.nbytes for v in vars(tracker).values()
+                   if isinstance(v, np.ndarray))
+
+    tracker.add_records(digits[:1000])
+    after_1k = state_bytes()
+    tracker.add_records(digits[1000:])
+    assert state_bytes() == after_1k
+    assert tracker.m_batches == 4000
+
+
+def test_purity_tracker_byte_cap():
+    # 100 groups * 4^8 * 8 bytes = 52 MB fits; 4^9 does not
+    PurityTracker(8, range(8), FRAME)
+    with pytest.raises(CapExceededError, match="209,715,200 bytes"):
+        PurityTracker(9, range(9), FRAME)
 
 
 def test_purity_jackknife_stderr_calibrated():

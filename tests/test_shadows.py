@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from sictomo.povm import sic_frame, sic_outcome_distribution
+from sictomo.povm import CapExceededError, sic_frame, sic_outcome_distribution
 from sictomo.qstate import random_density
 from sictomo.shadows import (
+    HIST_BYTES_CAP,
     PAIR_TRACE,
     BatchedShadow,
     ShadowAccumulator,
@@ -167,8 +168,7 @@ def test_shadow_mean_full_subset_default(rng):
 
 
 def test_shadow_mean_above_stack_cap(rng):
-    # six-site subset: the precomputed pattern stack is refused, the sparse
-    # per-code path must give the same answer
+    # six sites: the site-by-site contraction of a 4^6 pattern histogram
     digits = rng.integers(0, 4, size=(3, 6)).astype(np.uint8)
     want = sum(shadow_expand(r, range(6), FRAME) for r in digits) / 3
     np.testing.assert_allclose(shadow_mean(digits, FRAME), want, atol=1e-10)
@@ -183,6 +183,16 @@ def test_accumulator_weights_equal_repetition(rng):
     np.testing.assert_allclose(weighted.running_sum, plain.running_sum,
                                atol=1e-12)
     assert weighted.count == 3
+
+
+@pytest.mark.parametrize("weights", [[1.5, 1.0], [0.3, 0.3], [-1, 2]])
+def test_accumulator_rejects_non_count_weights(rng, weights):
+    # weights are repetition counts; fractions used to be truncated in count
+    digits = rng.integers(0, 4, size=(2, 2)).astype(np.uint8)
+    acc = ShadowAccumulator(2, (0, 1), FRAME)
+    with pytest.raises(ValueError, match="repetition counts"):
+        acc.add_records(digits, weights=weights)
+    assert acc.count == 0
 
 
 def test_accumulator_add_record_and_batch(rng):
@@ -228,3 +238,11 @@ def test_accumulator_validation(rng):
         acc.add_records(np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
         ShadowAccumulator(2, (0, 5), FRAME)
+
+
+def test_histogram_byte_cap():
+    # 4^11 * 8 bytes fits under the cap, 4^12 * 8 does not
+    assert 8 * 4**11 <= HIST_BYTES_CAP < 8 * 4**12
+    ShadowAccumulator(11, range(11), FRAME)
+    with pytest.raises(CapExceededError, match="134,217,728 bytes"):
+        ShadowAccumulator(12, range(12), FRAME)
