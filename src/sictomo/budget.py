@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import CapExceededError, derive_rng, sic_outcome_distribution
+from .povm import (CapExceededError, derive_rng, digits_from_indices,
+                   sic_outcome_distribution)
 from .qstate import DensityOperator
-from .shadows import PAIR_TRACE, depolarize, pattern_codes
+from .shadows import _PAIR_TRACE_POWERS, depolarize, pattern_codes
 
 EXACT_LINEAR_CAP = 3    # enumerates 4^N outcomes
 EXACT_QUADRATIC_CAP = 2  # enumerates 4^N x 4^N outcome pairs via the kernel
@@ -84,26 +85,10 @@ def exact_linear_variance(rho, obs, frame):
             f"N <= {EXACT_LINEAR_CAP} (requested {n})")
     from .estimators import observable_lut
     probs = sic_outcome_distribution(rho, frame)
-    digits = _all_digits(n)
+    digits = digits_from_indices(np.arange(4**n), n)
     x = observable_lut(obs, frame)[pattern_codes(digits, obs.support)]
     mean = float(probs @ x)
     return float(probs @ (x * x) - mean * mean)
-
-
-def _all_digits(n):
-    idx = np.arange(4**n, dtype=np.int64)
-    out = np.empty((idx.size, n), dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        out[:, k] = idx % 4
-        idx //= 4
-    return out
-
-
-def _pair_kernel(n):
-    v = np.ones((1, 1))
-    for _ in range(n):
-        v = np.kron(v, PAIR_TRACE)
-    return v
 
 
 def quadratic_variance_bound(n):
@@ -119,7 +104,7 @@ def exact_quadratic_variance(rho, frame):
             f"exact quadratic variance enumerates outcome pairs; capped at "
             f"N <= {EXACT_QUADRATIC_CAP} (requested {n})")
     probs = sic_outcome_distribution(rho, frame)
-    v = _pair_kernel(n)
+    v = _PAIR_TRACE_POWERS[n]
     e1 = float(probs @ v @ probs)
     e2 = float(probs @ (v * v) @ probs)
     return e2 - e1 * e1
@@ -168,7 +153,7 @@ def variance_decomposition_check(rho, m, frame, reps=None, seed=0):
     rhs = (4 * (m - 2) / (m * (m - 1))) * var1 + (2 / (m * (m - 1))) * var2
 
     probs = sic_outcome_distribution(rho, frame)
-    v = _pair_kernel(n)
+    v = _PAIR_TRACE_POWERS[n]
     pair_norm = m * (m - 1)
     if reps is None:
         if m > _DECOMP_EXACT_M_CAP:

@@ -417,11 +417,8 @@ def _verify_checks(seed):
         frame = sic_frame("standard")
         rho = random_density(1, derive_rng(seed, "state", 20))
         probs = sic_outcome_distribution(rho, frame)
-        expect = probs @ _pair_kernel_1() @ probs
+        expect = probs @ PAIR_TRACE @ probs
         assert abs(expect - purity_exact(rho)) <= 1e-10
-
-    def _pair_kernel_1():
-        return PAIR_TRACE
 
     def coincidence():
         frame = sic_frame("standard")
@@ -498,7 +495,6 @@ def build_parser():
                      default="auto")
     sim.add_argument("--batch", type=int, default=1,
                      help="batch-size hint recorded in the header")
-    sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -518,7 +514,6 @@ def build_parser():
     est.add_argument("--tol", type=float, default=0.01)
     est.add_argument("--no-stopping", action="store_true")
     est.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    est.add_argument("--threads", type=int, default=1)
     est.add_argument("--out", default="-")
     est.set_defaults(func=_cmd_estimate)
 
@@ -546,7 +541,6 @@ def build_parser():
     ben.add_argument("--shots", type=int, default=2000)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--repeat", type=int, default=1)
-    ben.add_argument("--threads", type=int, default=1)
     ben.add_argument("--out", default="-")
     ben.set_defaults(func=_cmd_bench)
 

@@ -4,13 +4,19 @@ A SIC frame is four single-qubit kets whose projectors tile the Bloch sphere
 as a regular tetrahedron. Tensor powers of the four effects (1/2)|psi_i><psi_i|
 give a single-setting informationally complete N-qubit measurement. Outcome
 digit strings are 0-based (digits 0..3), with qubit 0 as the leftmost digit.
+
+Both the SIC frame and the uniform Pauli measurement are tensor products of
+one single-qubit stack of effects, so every map between states and outcome
+vectors is a site-by-site contraction: frame_traces (operator to one trace
+per outcome pattern) and frame_sums (pattern weights to an operator).
+FrameSuperoperator applies the measurement map, its adjoint and its dual
+frame inverse through them.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.linalg import null_space
 
 DIST_CAP = 10  # largest N for materializing a 4^N outcome vector
 SIC_SUPEROP_CAP = 6  # 4^N x 4^N dense superoperator
@@ -126,8 +132,47 @@ def naimark_unitary(frame):
     if frame.name == "standard":
         return NAIMARK_STANDARD.copy()
     v = frame.kets / math.sqrt(2)
-    w = null_space(v.conj().T)
+    w = np.linalg.svd(v.conj().T)[2][2:].conj().T  # orthonormal null space
     return np.hstack([v, w])
+
+
+# --- site contractions --------------------------------------------------------
+# Both frames are tensor products of one single-qubit stack M (shape (m, 2, 2):
+# m = 4 for SIC, 6 for Pauli), indexed over K sites by patterns c whose base-m
+# digits c_1 .. c_K have the first site leading.
+
+def n_sites(size, m=4):
+    """K with m^K == size; ValueError if size is not a power of m."""
+    k = 0
+    while m**k < size:
+        k += 1
+    if m**k != size:
+        raise ValueError(f"pattern axis of length {size} is not a power of {m}")
+    return k
+
+
+def frame_traces(operator, site):
+    """tr(O kron_k M_{c_k}) for every pattern c, shape (m^K,) complex."""
+    operator = np.asarray(operator)
+    k = n_sites(operator.shape[0] ** 2)
+    t = operator.reshape((2,) * (2 * k))
+    # after `done` contractions the axes are the remaining rows, the remaining
+    # columns, then the digits done, so the live site sits at (0, k - done)
+    for done in range(k):
+        t = np.tensordot(t, site, axes=([0, k - done], [2, 1]))
+    return t.reshape(-1)
+
+
+def frame_sums(weights, site):
+    """sum_c w[..., c] kron_k M_{c_k}, shape (..., 2^K, 2^K)."""
+    weights = np.asarray(weights)
+    lead, k = weights.shape[:-1], n_sites(weights.shape[-1], len(site))
+    t = weights.reshape(lead + (len(site),) * k)
+    for _ in range(k):  # leading digit out, its (row, col) pair to the back
+        t = np.tensordot(t, site, axes=([len(lead)], [0]))
+    rows_cols = np.arange(2 * k).reshape(k, 2).T.ravel() + len(lead)
+    t = t.transpose(tuple(range(len(lead))) + tuple(rows_cols))
+    return t.reshape(lead + (2**k, 2**k))
 
 
 # --- outcome distributions --------------------------------------------------
@@ -159,14 +204,7 @@ def sic_outcome_distribution(state, frame, cap=DIST_CAP):
             t = np.tensordot(t, v, axes=[(0,), (1,)])
         probs = np.abs(t.reshape(-1)) ** 2
     else:
-        # Pr = sum_{ab} rho[a, b] * prod_k E_{i_k}[b_k, a_k]; after k
-        # contractions the layout is row axes, then col axes, then outcome
-        # axes, so the live qubit always sits at axes (0, n - k)
-        e = frame.effects  # e[i, row, col]
-        t = mat.reshape((2,) * (2 * n))
-        for k in range(n):
-            t = np.tensordot(t, e, axes=[(0, n - k), (2, 1)])
-        probs = t.reshape(-1).real
+        probs = frame_traces(mat, frame.effects).real
     probs = np.where(probs < 0, 0.0, probs)
     return probs
 
@@ -364,16 +402,39 @@ def sample_pauli_shots(state, n_shots, rng):
 
 # --- measurement superoperator ------------------------------------------------
 
-def _vec(mat):
-    return mat.reshape(-1)  # row-major
+# Pauli effects per site, outcome 2s + b for setting s in X, Y, Z and bit b
+_PAULI_PROJECTORS = np.array([np.outer(v, v.conj()) for ch in "XYZ"
+                              for v in _PAULI_EIGVECS[ch].T])
+
+
+def _grouped_order(n, dims):
+    """Site-pattern index (a1 b1 a2 b2 ..) of each position in the grouped
+    order (a1 a2 .. b1 b2 ..) of a per-site index with factors `dims`; the
+    flat Pauli outcome j = s * 2^N + b groups (s, b)."""
+    k = len(dims)
+    idx = np.arange(math.prod(dims) ** n).reshape(tuple(dims) * n)
+    return idx.transpose([site * k + f for f in range(k)
+                          for site in range(n)]).ravel()
+
+
+def _site_gram(site):
+    """sum_i |M_i>><<M_i| over a stack of 2x2 matrices, row-major vec."""
+    rows = site.reshape(-1, 4)
+    return rows.T @ rows.conj()
 
 
 class FrameSuperoperator:
-    """Frame Gram superoperator S_p = sum_j |E_j>><<E_j| and helpers.
+    """The measurement map of an N-qubit product frame, site by site.
 
-    probability_map() returns A with rows <<E_j|, so A @ vec(rho) is the
-    outcome probability vector; S_p = A^dagger A. The pseudo-inverse drops
-    eigenvalues below 1e-10 times the largest.
+    Each site measures the same single-qubit effects E_i with canonical
+    duals D_i = S_1^-1 E_i, so sum_i |D_i>><<E_i| = identity: SIC effects
+    P_i / 2 with duals 3 P_i - I, or Pauli effects |b><b|_s / 3 (site
+    outcome 2s + b) with duals 3 |b><b|_s - I. Outcomes use the flat order of
+    FrequencyVector (Pauli: j = s * 2^N + b). With A the map with rows
+    <<E_j|, forward, adjoint and dual apply A, A^dagger and
+    S_p^-1 A^dagger (S_p = A^dagger A) as site contractions. The dense
+    views probability_map, matrix and pinv_matrix are Kronecker powers of
+    their single-site counterparts, in row-major vec order.
     """
 
     def __init__(self, kind, n_qubits, frame=None):
@@ -382,68 +443,64 @@ class FrameSuperoperator:
                 raise CapExceededError(
                     f"SIC superoperator cap is N <= {SIC_SUPEROP_CAP}, got {n_qubits}")
             self.frame = frame if frame is not None else sic_frame("standard")
+            self.effects = self.frame.effects
+            projectors, dims = self.frame.projectors, (4,)
         elif kind == "pauli":
             if n_qubits > PAULI_SUPEROP_CAP:
                 raise CapExceededError(
                     f"Pauli superoperator cap is N <= {PAULI_SUPEROP_CAP}, got {n_qubits}")
             self.frame = None
+            self.effects = _PAULI_PROJECTORS / 3
+            projectors, dims = _PAULI_PROJECTORS, (3, 2)
         else:
             raise ValueError(f"unknown povm kind {kind!r}")
         self.kind = kind
         self.n_qubits = n_qubits
-        self._a = None
-        self._sp = None
-        self._pinv = None
+        self.duals = 3 * projectors - np.eye(2)
+        self._dims = dims
+        self._order = _grouped_order(n_qubits, dims)  # flat j -> site pattern
 
     @property
     def n_outcomes(self):
-        return (4 if self.kind == "sic" else 6) ** self.n_qubits
+        return self._order.size
 
-    def effect(self, j):
-        n = self.n_qubits
-        if self.kind == "sic":
-            digits = [(j // 4**(n - 1 - k)) % 4 for k in range(n)]
-            out = np.ones((1, 1), dtype=complex)
-            for d in digits:
-                out = np.kron(out, self.frame.effects[d])
-            return out
-        s_idx, b_idx = divmod(j, 2**n)
-        letters = []
+    def forward(self, rho):
+        """A vec(rho): tr(E_j rho) for every outcome j."""
+        return frame_traces(rho, self.effects)[self._order]
+
+    def _sums(self, y, site):
+        w = np.empty(self.n_outcomes, dtype=np.result_type(y, complex))
+        w[self._order] = y
+        return frame_sums(w, site)
+
+    def adjoint(self, y):
+        """A^dagger y = sum_j y_j E_j, a 2^N x 2^N matrix."""
+        return self._sums(y, self.effects)
+
+    def dual(self, freqs):
+        """S_p^-1 A^dagger f = sum_j f_j D_j, a 2^N x 2^N matrix."""
+        return self._sums(freqs, self.duals)
+
+    def _dense(self, site):
+        """Kronecker power of one site's tensor with each of its axes grouped
+        across sites (axis f * N + k is axis f of site k); the last two axes
+        index columns, in row-major vec order, and the others rows."""
+        n, dims = self.n_qubits, site.shape
+        out = np.ones(tuple(d for d in dims for _ in range(n)), dtype=complex)
         for k in range(n):
-            letters.append("XYZ"[(s_idx // 3**(n - 1 - k)) % 3])
-        out = np.ones((1, 1), dtype=complex)
-        for k, ch in enumerate(letters):
-            b = (b_idx >> (n - 1 - k)) & 1
-            vec = _PAULI_EIGVECS[ch][:, b]
-            out = np.kron(out, np.outer(vec, vec.conj()))
-        return out / 3**n
+            shape = [1] * out.ndim
+            shape[k::n] = dims
+            out *= site.reshape(shape)
+        return out.reshape(math.prod(dims[:-2]) ** n, 4**n)
 
     def probability_map(self):
-        if self._a is None:
-            d2 = 4**self.n_qubits
-            a = np.empty((self.n_outcomes, d2), dtype=complex)
-            for j in range(self.n_outcomes):
-                a[j] = _vec(self.effect(j)).conj()
-            self._a = a
-        return self._a
+        """Dense A, shape (outcomes, 4^N): A @ vec(rho) = forward(rho)."""
+        return self._dense(self.effects.conj().reshape(self._dims + (2, 2)))
 
     def matrix(self):
-        if self._sp is None:
-            a = self.probability_map()
-            self._sp = a.conj().T @ a
-        return self._sp
+        """Dense frame Gram superoperator S_p = A^dagger A."""
+        return self._dense(_site_gram(self.effects).reshape((2,) * 4))
 
-    def pinv_matrix(self, cutoff=1e-10):
-        if self._pinv is None:
-            w, v = np.linalg.eigh(self.matrix())
-            keep = w > cutoff * w.max()
-            inv = np.zeros_like(w)
-            inv[keep] = 1.0 / w[keep]
-            self._pinv = (v * inv) @ v.conj().T
-        return self._pinv
-
-    def lininv_vec(self, freqs):
-        """S_p^+ applied to sum_j f_j |E_j>>, as a vec'd matrix."""
-        a = self.probability_map()
-        rhs = a.conj().T @ np.asarray(freqs, dtype=complex)
-        return self.pinv_matrix() @ rhs
+    def pinv_matrix(self):
+        """Dense S_p^-1 = sum_j |D_j>><<D_j| (the frame is IC, S_p invertible)."""
+        return self._dense(_site_gram(self.duals).reshape((2,) * 4))

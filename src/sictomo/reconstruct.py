@@ -1,9 +1,11 @@
 """Full-state reconstruction from outcome frequencies.
 
-Three routes: plain pseudo-inverse linear inversion (fast, possibly
+Three routes: linear inversion (the dual-frame sum, fast, possibly
 unphysical), projected least squares (linear inversion snapped to the
 nearest density matrix), and weighted least-squares fitting constrained to
-density matrices, solved by projected gradient descent.
+density matrices, solved by projected gradient descent. All of them reach
+the frame only through FrameSuperoperator.forward, .adjoint and .dual, which
+contract one site at a time, so no 4^N x 4^N matrix is ever built.
 """
 
 import math
@@ -128,12 +130,14 @@ def _freq_array(freqs, superop):
 
 
 def lininv(freqs, superop):
-    """Pseudo-inverse linear inversion; Hermitian but possibly not PSD."""
+    """Linear inversion sum_j f_j D_j; Hermitian but possibly not PSD.
+
+    For SIC frequencies this is exactly the mean classical shadow.
+    """
     f = _freq_array(freqs, superop)
-    dim = 2**superop.n_qubits
-    rho = superop.lininv_vec(f).reshape(dim, dim)
+    rho = superop.dual(f)
     rho = (rho + rho.conj().T) / 2
-    resid = float(np.linalg.norm(superop.probability_map() @ rho.ravel() - f))
+    resid = float(np.linalg.norm(superop.forward(rho) - f))
     return ReconstructionResult(estimate=rho, method="lininv", residual=resid)
 
 
@@ -165,7 +169,7 @@ def pls_from_freqs(freqs, superop):
     res = lininv(freqs, superop)
     rho = pls(res.estimate).matrix
     resid = float(np.linalg.norm(
-        superop.probability_map() @ rho.ravel() - _freq_array(freqs, superop)))
+        superop.forward(rho) - _freq_array(freqs, superop)))
     return ReconstructionResult(estimate=rho, method="pls", residual=resid)
 
 
@@ -203,20 +207,26 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
             f"(requested {superop.n_qubits}); the fit repeatedly solves in "
             f"dimension 4^N")
     f = _freq_array(freqs, superop)
-    w = _weight_vector(freqs, weights, superop)
-    a_w = w[:, None] * superop.probability_map()
-    b = w * f
-    s_w = a_w.conj().T @ a_w
-    lip = 2 * float(np.linalg.eigvalsh(s_w)[-1])
+    w2 = _weight_vector(freqs, weights, superop) ** 2
     dim = 2**superop.n_qubits
 
     def objective(x):
-        r = a_w @ x.ravel() - b
-        return float(np.real(np.vdot(r, r)))
+        r = superop.forward(x) - f
+        return float(np.real(np.vdot(r, w2 * r)))
 
     def gradient(x):
-        g = 2 * (a_w.conj().T @ (a_w @ x.ravel() - b)).reshape(dim, dim)
+        g = 2 * superop.adjoint(w2 * (superop.forward(x) - f))
         return (g + g.conj().T) / 2
+
+    # Lipschitz constant of the gradient, 2 lambda_max(A^dagger W^2 A), by
+    # Lanczos; the fixed start vector makes repeated fits identical
+    from scipy.sparse.linalg import LinearOperator, eigsh
+    normal = LinearOperator(
+        (dim * dim,) * 2, dtype=complex,
+        matvec=lambda v: superop.adjoint(
+            w2 * superop.forward(v.reshape(dim, dim))).ravel())
+    lip = 2 * float(eigsh(normal, k=1, which="LA", v0=np.ones(dim * dim),
+                          return_eigenvectors=False)[0])
 
     x = _project_density(lininv(freqs, superop).estimate)
     obj = objective(x)

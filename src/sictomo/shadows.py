@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .povm import CapExceededError
+from .povm import CapExceededError, frame_sums, frame_traces, n_sites
 
 # tr(sigma_i sigma_j) factorizes per site into 5 (matching digits) or -1;
 # this holds for every SIC frame since it only uses the 1/3 overlaps
@@ -82,13 +82,6 @@ def _check_subset(subset, n_qubits):
     return subset
 
 
-def _n_sites(size):
-    k = (size.bit_length() - 1) // 2
-    if 4**k != size:
-        raise ValueError(f"pattern axis of length {size} is not a power of 4")
-    return k
-
-
 def pattern_codes(digits, subset):
     """Base-4 word of each record's subset digits, first subset qubit leading."""
     shifts = 4 ** np.arange(len(subset) - 1, -1, -1, dtype=np.int64)
@@ -97,26 +90,12 @@ def pattern_codes(digits, subset):
 
 def shadow_sum(counts, frame):
     """sum_c counts[..., c] sigma_c, shape (..., 2^K, 2^K)."""
-    counts = np.asarray(counts)
-    lead, k = counts.shape[:-1], _n_sites(counts.shape[-1])
-    t = counts.reshape(lead + (4,) * k)
-    site = shadow_matrices(frame)
-    for _ in range(k):  # leading digit out, its (row, col) pair to the back
-        t = np.tensordot(t, site, axes=([len(lead)], [0]))
-    rows_cols = np.arange(2 * k).reshape(k, 2).T.ravel() + len(lead)
-    t = t.transpose(tuple(range(len(lead))) + tuple(rows_cols))
-    return t.reshape(lead + (2**k, 2**k))
+    return frame_sums(counts, shadow_matrices(frame))
 
 
 def shadow_lut(operator, frame):
     """tr(O sigma_c) for every pattern code c, shape (4^K,), real part."""
-    operator = np.asarray(operator)
-    k = _n_sites(operator.shape[0] ** 2)
-    t = operator.reshape((2,) * (2 * k))
-    site = shadow_matrices(frame)
-    for done in range(k):  # axes: rows left, columns left, digits done
-        t = np.tensordot(t, site, axes=([0, k - done], [2, 1]))
-    return t.reshape(-1).real
+    return frame_traces(operator, shadow_matrices(frame)).real
 
 
 def apply_pair_trace(hist):
@@ -126,7 +105,7 @@ def apply_pair_trace(hist):
     4 <= K <= 6 is W1 X W2, X a row reshaped to 4^floor(K/2) x 4^ceil(K/2).
     """
     hist = np.asarray(hist, dtype=float)
-    k = _n_sites(hist.shape[-1])
+    k = n_sites(hist.shape[-1])
     n = max(-(-k // 3), 1)
     sizes = [k * (i + 1) // n - k * i // n for i in range(n)]
     out, tail = hist, hist.shape[-1]

@@ -22,8 +22,8 @@ import numpy as np
 from .estimators import (EstimateReport, ObservableSpec, PurityTracker,
                          RunningMoments, linear_values, estimate_purity,
                          observable_lut, renyi2_from_purity, renyi2_stderr)
-from .povm import derive_rng, sample_pauli_shots, sample_sic_shots, sic_frame, \
-    sic_outcome_distribution, FrameSuperoperator
+from .povm import CapExceededError, derive_rng, sample_pauli_shots, \
+    sample_sic_shots, sic_frame, sic_outcome_distribution, FrameSuperoperator
 from .qstate import PureState, fidelity_pure, make_linear_cluster, purity_exact
 from .reconstruct import FrequencyVector, reconstruct
 from .shadows import _check_subset, pattern_codes
@@ -287,6 +287,14 @@ class TrackerConfig:
                 raise ValueError("bipartition size does not match n_qubits")
 
 
+def _check_lut_size(k, what):
+    """CapExceededError for a 4^K-entry lookup table above the LUT cap."""
+    if k > LINEAR_LUT_CAP:
+        raise CapExceededError(
+            f"{what} needs a 4^{k}-entry lookup table ({8 * 4**k:,} bytes); "
+            f"capped at {LINEAR_LUT_CAP} qubits")
+
+
 class _LinearTracker:
     __slots__ = ("quantity", "subset_label", "cols", "lut", "moments")
 
@@ -313,18 +321,13 @@ class OnlineEngine:
         n = cfg.n_qubits
         self._linear = []
         for label, target in cfg.fidelity_targets:
-            if n > LINEAR_LUT_CAP:
-                raise ValueError(
-                    f"fidelity tracking enumerates 4^N patterns; capped at "
-                    f"N <= {LINEAR_LUT_CAP}")
+            _check_lut_size(n, "fidelity tracking")
             obs = ObservableSpec(range(n), target.density().matrix, label)
             self._linear.append(_LinearTracker(
                 f"fidelity:{label}", "all", obs.support,
                 observable_lut(obs, frame)))
         for obs in cfg.observables:
-            if len(obs.support) > LINEAR_LUT_CAP:
-                raise ValueError(
-                    f"observable support capped at {LINEAR_LUT_CAP} qubits")
+            _check_lut_size(len(obs.support), f"observable {obs.label!r}")
             _check_subset(obs.support, n)
             self._linear.append(_LinearTracker(
                 obs.label, "-".join(str(q) for q in obs.support),

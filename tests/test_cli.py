@@ -257,6 +257,28 @@ def test_estimate_purity_cap_exit_code(tmp_path, capsys):
     assert not (tmp_path / "report.csv.manifest.json").exists()
 
 
+def test_estimate_fidelity_lut_cap_exit_code(tmp_path, capsys):
+    # a 6-qubit fidelity target needs a 4^6-entry float64 lookup table
+    path = tmp_path / "six.sic"
+    write_shots(path, ShotFileHeader(n_qubits=6),
+                np.zeros((10, 6), dtype=np.uint8))
+    out = tmp_path / "report.csv"
+    assert run("estimate", "--file", str(path), "--fidelity", "ghz:6",
+               "--out", str(out)) == 4
+    assert "32,768 bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [
+    ("simulate", "--state", "ghz:1", "--shots", "1", "--out", "x.sic"),
+    ("estimate", "--file", "x.sic", "--purity", "full"),
+    ("bench",),
+])
+def test_threads_flag_removed(cmd, capsys):
+    assert run(*cmd, "--threads", "2") == 3
+    assert "--threads" in capsys.readouterr().err
+
+
 # --- budget ---------------------------------------------------------------------------
 
 

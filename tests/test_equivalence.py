@@ -1,11 +1,15 @@
-"""Histogram-native shadow layer against the per-shot matrix algorithms.
+"""Site-factorized code against the dense per-shot and per-outcome algorithms.
 
-The references build every shadow with shadow_expand: the purity tracker as
-one dense 2^K x 2^K running sum per jackknife group, scatter-added batch by
-batch, and the lookup table and shadow sum as traces and sums of the
-pattern matrices. The site-factorized code must reproduce them to 1e-10.
+The shadow references build every shadow with shadow_expand: the purity
+tracker as one dense 2^K x 2^K running sum per jackknife group, scatter-added
+batch by batch, and the lookup table and shadow sum as traces and sums of the
+pattern matrices. The reconstruction references build the frame
+superoperator densely, one Kronecker chain per outcome, invert it by an
+eigenvalue pseudo-inverse and fit MLE with dense matrix products. The
+site-factorized code must reproduce them to 1e-10 (MLE to 1e-8).
 """
 
+import functools
 import itertools
 import math
 
@@ -14,8 +18,13 @@ import pytest
 
 from sictomo.estimators import (JACKKNIFE_GROUPS, ObservableSpec,
                                 PurityTracker, observable_lut)
-from sictomo.povm import derive_rng, sample_sic_shots, sic_frame
-from sictomo.qstate import make_ghz
+from sictomo.povm import (FrameSuperoperator, derive_rng, naimark_unitary,
+                          sample_pauli_shots, sample_sic_shots, sic_frame,
+                          sic_outcome_distribution)
+from sictomo.qstate import make_ghz, random_density
+from sictomo.reconstruct import (MLE_MAX_ITER, MLE_TOL, FrequencyVector,
+                                 _project_density, _weight_vector, lininv,
+                                 mle, pls_from_freqs)
 from sictomo.shadows import ShadowAccumulator, batch_shadows, shadow_expand
 
 FRAME = sic_frame("standard")
@@ -123,3 +132,174 @@ def test_accumulator_running_sum_matches_kron(n):
     want = sum(shadow_expand(row, range(n), FRAME) for row in digits)
     np.testing.assert_allclose(acc.running_sum, want, rtol=0, atol=TOL)
     np.testing.assert_allclose(acc.mean(), want / 200, rtol=0, atol=TOL)
+
+
+# --- dense frame superoperator ------------------------------------------------
+
+# rows are the eigenkets of X, Y, Z; row b has eigenvalue (-1)^b
+PAULI_KETS = {"X": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+              "Y": np.array([[1, 1j], [1, -1j]]) / math.sqrt(2),
+              "Z": np.eye(2)}
+SUPEROP_CASES = ([("sic", n, name) for n in (1, 2, 3, 5)
+                  for name in ("standard", "rotated")]
+                 + [("pauli", n, None) for n in (1, 2, 3)])
+
+
+def make_superop(kind, n, frame_name):
+    frame = sic_frame(frame_name) if frame_name else None
+    return FrameSuperoperator(kind, n, frame=frame)
+
+
+def reference_effect(kind, n, frame_name, j):
+    """Effect of flat outcome j as one Kronecker chain over the qubits."""
+    out = np.ones((1, 1), dtype=complex)
+    if kind == "sic":
+        effects = sic_frame(frame_name).effects
+        for k in range(n):
+            out = np.kron(out, effects[(j // 4**(n - 1 - k)) % 4])
+        return out
+    s_idx, b_idx = divmod(j, 2**n)
+    for k in range(n):
+        ket = PAULI_KETS["XYZ"[(s_idx // 3**(n - 1 - k)) % 3]][
+            (b_idx >> (n - 1 - k)) & 1]
+        out = np.kron(out, np.outer(ket, ket.conj()))
+    return out / 3**n
+
+
+@functools.lru_cache(maxsize=None)
+def reference_dense(kind, n, frame_name):
+    """(A, S_p, S_p^+) built outcome by outcome; eigh pseudo-inverse."""
+    n_out = (4 if kind == "sic" else 6) ** n
+    a = np.array([reference_effect(kind, n, frame_name, j).reshape(-1).conj()
+                  for j in range(n_out)])
+    sp = a.conj().T @ a
+    w, v = np.linalg.eigh(sp)
+    keep = w > 1e-10 * w.max()
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / w[keep]
+    return a, sp, (v * inv) @ v.conj().T
+
+
+def reference_lininv(f, kind, n, frame_name):
+    a, _, pinv = reference_dense(kind, n, frame_name)
+    dim = 2**n
+    rho = (pinv @ (a.conj().T @ f.astype(complex))).reshape(dim, dim)
+    rho = (rho + rho.conj().T) / 2
+    return rho, float(np.linalg.norm(a @ rho.ravel() - f))
+
+
+def reference_mle(freqs, w, kind, n, frame_name):
+    """Projected gradient descent on dense products, eigvalsh Lipschitz."""
+    f = freqs.frequencies()
+    a_w = w[:, None] * reference_dense(kind, n, frame_name)[0]
+    b = w * f
+    lip = 2 * float(np.linalg.eigvalsh(a_w.conj().T @ a_w)[-1])
+    dim = 2**n
+
+    def objective(x):
+        r = a_w @ x.ravel() - b
+        return float(np.real(np.vdot(r, r)))
+
+    def gradient(x):
+        g = 2 * (a_w.conj().T @ (a_w @ x.ravel() - b)).reshape(dim, dim)
+        return (g + g.conj().T) / 2
+
+    x = _project_density(reference_lininv(f, kind, n, frame_name)[0])
+    obj, step = objective(x), 1.0 / lip
+    for _ in range(MLE_MAX_ITER):
+        g = gradient(x)
+        t = min(step * 1.5, 10.0 / lip)
+        while True:
+            cand = _project_density(x - t * g)
+            cand_obj = objective(cand)
+            if cand_obj <= obj or t < 1e-18:
+                break
+            t /= 2
+        if cand_obj > obj:
+            break
+        moved = float(np.linalg.norm(cand - x))
+        x, obj, step = cand, cand_obj, t
+        if moved / t <= MLE_TOL:
+            break
+    return x
+
+
+def sampled_freqs(kind, n, frame_name, seed):
+    rng = derive_rng(seed, "state", n)
+    state = random_density(n, rng)
+    if kind == "sic":
+        digits = sample_sic_shots(state, sic_frame(frame_name), 3000, rng)
+        return FrequencyVector.from_sic_shots(digits, n)
+    return FrequencyVector.from_pauli_shots(
+        *sample_pauli_shots(state, 40 * 3**n, rng))
+
+
+def assert_close_rel(got, want, tol):
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind,n,frame_name", SUPEROP_CASES)
+def test_superop_dense_views_match_per_outcome_chains(rng, kind, n, frame_name):
+    sup = make_superop(kind, n, frame_name)
+    a, sp, pinv = reference_dense(kind, n, frame_name)
+    assert sup.n_outcomes == a.shape[0]
+    assert_close_rel(sup.probability_map(), a, 1e-12)
+    assert_close_rel(sup.matrix(), sp, 1e-12)
+    assert_close_rel(sup.pinv_matrix(), pinv, 1e-12)
+    dim = 2**n
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    y = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
+    np.testing.assert_allclose(sup.forward(x), a @ x.ravel(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sup.adjoint(y).ravel(), a.conj().T @ y,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,n,frame_name", SUPEROP_CASES)
+def test_lininv_and_pls_match_dense_pseudo_inverse(kind, n, frame_name):
+    freqs = sampled_freqs(kind, n, frame_name, seed=40)
+    sup = make_superop(kind, n, frame_name)
+    want, want_resid = reference_lininv(freqs.frequencies(), kind, n, frame_name)
+    got = lininv(freqs, sup)
+    np.testing.assert_allclose(got.estimate, want, rtol=0, atol=TOL)
+    assert abs(got.residual - want_resid) < TOL
+    pls_want = _project_density(want)
+    pls_got = pls_from_freqs(freqs, sup)
+    np.testing.assert_allclose(pls_got.estimate, pls_want, rtol=0, atol=TOL)
+    a = reference_dense(kind, n, frame_name)[0]
+    resid = np.linalg.norm(a @ pls_want.ravel() - freqs.frequencies())
+    assert abs(pls_got.residual - resid) < TOL
+
+
+@pytest.mark.parametrize("weights", [None, "multinomial"])
+@pytest.mark.parametrize("kind,n,frame_name", SUPEROP_CASES)
+def test_mle_matches_dense_fit(kind, n, frame_name, weights):
+    freqs = sampled_freqs(kind, n, frame_name, seed=50)
+    sup = make_superop(kind, n, frame_name)
+    got = mle(freqs, sup, weights=weights)
+    assert got.converged
+    assert all(b <= a for a, b in zip(got.objective_history,
+                                      got.objective_history[1:]))
+    w = _weight_vector(freqs, weights, sup)
+    want = reference_mle(freqs, w, kind, n, frame_name)
+    np.testing.assert_allclose(got.estimate, want, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("frame_name", ["standard", "rotated"])
+def test_mixed_distribution_matches_contraction_loop(rng, n, frame_name):
+    frame = sic_frame(frame_name)
+    rho = random_density(n, rng)
+    t = rho.matrix.reshape((2,) * (2 * n))
+    for k in range(n):
+        t = np.tensordot(t, frame.effects, axes=[(0, n - k), (2, 1)])
+    want = np.where(t.real < 0, 0.0, t.real).reshape(-1)
+    np.testing.assert_allclose(sic_outcome_distribution(rho, frame), want,
+                               rtol=0, atol=1e-15)
+
+
+def test_naimark_completion_matches_scipy_null_space():
+    from scipy.linalg import null_space
+    frame = sic_frame("rotated")
+    v = frame.kets / math.sqrt(2)
+    np.testing.assert_allclose(naimark_unitary(frame)[:, 2:],
+                               null_space(v.conj().T), rtol=0, atol=1e-14)

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,6 +288,14 @@ def test_sample_pauli_shots_deterministic():
     np.testing.assert_array_equal(a[1], b[1])
 
 
+def test_import_does_not_load_scipy():
+    code = "import sys, sictomo; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 # --- measurement superoperator ---------------------------------------------------
 
 
@@ -300,17 +311,17 @@ def test_superop_probability_map_matches_distribution(rng):
 @pytest.mark.parametrize("kind,n", [("sic", 1), ("sic", 2), ("pauli", 1),
                                     ("pauli", 2)])
 def test_superop_exact_inversion(rng, kind, n):
-    """Pseudo-inverse applied to exact probabilities returns the state."""
+    """The dual frame applied to exact probabilities returns the state."""
     rho = random_density(n, rng)
     sup = FrameSuperoperator(kind, n)
     probs = sup.probability_map() @ rho.matrix.reshape(-1)
-    back = sup.lininv_vec(probs.real).reshape(rho.matrix.shape)
+    back = sup.dual(probs.real)
     np.testing.assert_allclose(back, rho.matrix, atol=1e-10)
 
 
 def test_superop_effects_sum_to_identity():
     sup = FrameSuperoperator("pauli", 1)
-    total = sum(sup.effect(j) for j in range(sup.n_outcomes))
+    total = sup.adjoint(np.ones(sup.n_outcomes))  # sum_j E_j
     np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
     assert sup.n_outcomes == 6
     assert FrameSuperoperator("sic", 2).n_outcomes == 16
