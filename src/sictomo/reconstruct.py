@@ -3,9 +3,10 @@
 Three routes: linear inversion (the dual-frame sum, fast, possibly
 unphysical), projected least squares (linear inversion snapped to the
 nearest density matrix), and weighted least-squares fitting constrained to
-density matrices, solved by projected gradient descent. All of them reach
-the frame only through FrameSuperoperator.forward, .adjoint and .dual, which
-contract one site at a time, so no 4^N x 4^N matrix is ever built.
+density matrices, solved by projected gradient descent. Estimates reach the
+frame only through FrameSuperoperator.forward, .adjoint and .dual, which
+contract one site at a time. The one dense build is the probability map that
+gives the fit its step-size bound, once per fit and only under MLE_CAP.
 """
 
 import math
@@ -208,7 +209,6 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
             f"dimension 4^N")
     f = _freq_array(freqs, superop)
     w2 = _weight_vector(freqs, weights, superop) ** 2
-    dim = 2**superop.n_qubits
 
     def objective(x):
         r = superop.forward(x) - f
@@ -218,15 +218,18 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
         g = 2 * superop.adjoint(w2 * (superop.forward(x) - f))
         return (g + g.conj().T) / 2
 
-    # Lipschitz constant of the gradient, 2 lambda_max(A^dagger W^2 A), by
-    # Lanczos; the fixed start vector makes repeated fits identical
-    from scipy.sparse.linalg import LinearOperator, eigsh
-    normal = LinearOperator(
-        (dim * dim,) * 2, dtype=complex,
-        matvec=lambda v: superop.adjoint(
-            w2 * superop.forward(v.reshape(dim, dim))).ravel())
-    lip = 2 * float(eigsh(normal, k=1, which="LA", v0=np.ones(dim * dim),
-                          return_eigenvectors=False)[0])
+    # Lipschitz constant of the gradient, 2 lambda_max(A^dagger W^2 A), from
+    # the dense map (at most 6^5 x 4^5 under MLE_CAP). The outcome-side Gram
+    # (W A)(W A)^dagger = w_j w_k tr(E_j E_k) is real and has the same
+    # nonzero spectrum, so it is used whenever it is not the larger side.
+    wa = superop.probability_map()
+    wa *= np.sqrt(w2)[:, None]
+    if wa.shape[0] <= wa.shape[1]:
+        gram = wa.real @ wa.real.T + wa.imag @ wa.imag.T
+    else:
+        gram = wa.conj().T @ wa
+    lip = 2 * float(np.linalg.eigvalsh(gram)[-1])
+    del wa, gram
 
     x = _project_density(lininv(freqs, superop).estimate)
     obj = objective(x)
