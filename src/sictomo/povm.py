@@ -459,6 +459,7 @@ class FrameSuperoperator:
         self.duals = 3 * projectors - np.eye(2)
         self._dims = dims
         self._order = _grouped_order(n_qubits, dims)  # flat j -> site pattern
+        self._map = None
 
     @property
     def n_outcomes(self):
@@ -494,8 +495,13 @@ class FrameSuperoperator:
         return out.reshape(math.prod(dims[:-2]) ** n, 4**n)
 
     def probability_map(self):
-        """Dense A, shape (outcomes, 4^N): A @ vec(rho) = forward(rho)."""
-        return self._dense(self.effects.conj().reshape(self._dims + (2, 2)))
+        """Dense A, shape (outcomes, 4^N): A @ vec(rho) = forward(rho).
+        Built once per instance and returned read-only."""
+        if self._map is None:
+            self._map = self._dense(
+                self.effects.conj().reshape(self._dims + (2, 2)))
+            self._map.flags.writeable = False
+        return self._map
 
     def matrix(self):
         """Dense frame Gram superoperator S_p = A^dagger A."""

@@ -6,7 +6,8 @@ nearest density matrix), and weighted least-squares fitting constrained to
 density matrices, solved by projected gradient descent. Estimates reach the
 frame only through FrameSuperoperator.forward, .adjoint and .dual, which
 contract one site at a time. The one dense build is the probability map that
-gives the fit its step-size bound, once per fit and only under MLE_CAP.
+gives the fit its step-size bound, under MLE_CAP; the frame superoperator
+keeps it for later fits.
 """
 
 import math
@@ -219,17 +220,9 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
         return (g + g.conj().T) / 2
 
     # Lipschitz constant of the gradient, 2 lambda_max(A^dagger W^2 A), from
-    # the dense map (at most 6^5 x 4^5 under MLE_CAP). The outcome-side Gram
-    # (W A)(W A)^dagger = w_j w_k tr(E_j E_k) is real and has the same
-    # nonzero spectrum, so it is used whenever it is not the larger side.
-    wa = superop.probability_map()
-    wa *= np.sqrt(w2)[:, None]
-    if wa.shape[0] <= wa.shape[1]:
-        gram = wa.real @ wa.real.T + wa.imag @ wa.imag.T
-    else:
-        gram = wa.conj().T @ wa
-    lip = 2 * float(np.linalg.eigvalsh(gram)[-1])
-    del wa, gram
+    # the dense map (at most 6^5 x 4^5 under MLE_CAP)
+    a = superop.probability_map()
+    lip = 2 * float(np.linalg.eigvalsh((a.conj().T * w2) @ a)[-1])
 
     x = _project_density(lininv(freqs, superop).estimate)
     obj = objective(x)

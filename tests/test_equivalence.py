@@ -297,9 +297,14 @@ def test_mixed_distribution_matches_contraction_loop(rng, n, frame_name):
                                rtol=0, atol=1e-15)
 
 
-def test_naimark_completion_matches_scipy_null_space():
-    from scipy.linalg import null_space
-    frame = sic_frame("rotated")
-    v = frame.kets / math.sqrt(2)
-    np.testing.assert_allclose(naimark_unitary(frame)[:, 2:],
-                               null_space(v.conj().T), rtol=0, atol=1e-14)
+@pytest.mark.parametrize("frame_name", ["standard", "rotated"])
+def test_naimark_completion_spans_the_complement(frame_name):
+    """The completing columns are fixed only up to a U(2) rotation, so check
+    what defines them: orthonormal, orthogonal to the frame columns, and
+    spanning the rest of C^4."""
+    v = sic_frame(frame_name).kets / math.sqrt(2)
+    w = naimark_unitary(sic_frame(frame_name))[:, 2:]
+    np.testing.assert_allclose(v.conj().T @ w, 0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(2), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w @ w.conj().T, np.eye(4) - v @ v.conj().T,
+                               rtol=0, atol=1e-14)
