@@ -10,6 +10,17 @@ bounds.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# The largest matrices here are 4^5 x 4^5, and the CLI runs one short process
+# per stage. OpenBLAS's worker threads start with numpy and busy-wait beside
+# the main thread: each process pays for them in CPU time and in wall-time
+# spread, and gains little. So when this package is the first to load numpy,
+# OpenBLAS runs single-threaded unless OPENBLAS_NUM_THREADS says otherwise.
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .povm import (CapExceededError, FrameSuperoperator, SicFrame, derive_rng,
                    naimark_unitary, pauli_outcome_distribution,
                    sample_pauli_shots, sample_sic_shots, sic_frame,

@@ -296,6 +296,18 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("preset,expect", [(None, "1"), ("2", "2")])
+def test_import_defaults_openblas_to_one_thread(preset, expect):
+    code = "import os, sictomo; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == expect
+
+
 # --- measurement superoperator ---------------------------------------------------
 
 
