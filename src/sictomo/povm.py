@@ -194,7 +194,8 @@ def sic_outcome_distribution(state, frame, cap=DIST_CAP):
     mat, amp, n = _state_parts(state)
     if n > cap:
         raise CapExceededError(
-            f"outcome distribution needs 4^{n} entries; cap is N <= {cap}")
+            f"outcome distribution needs 4^{n} entries ({8 * 4**n:,} bytes); "
+            f"cap is N <= {cap}")
     if amp is not None:
         # contract each qubit with the bra tensor; probabilities are the
         # squared magnitudes of the resulting outcome-amplitude tensor
@@ -296,6 +297,18 @@ def sample_sic_shots(state, frame, n_shots, rng, mode="auto", chunk=4096):
     and shuffles the expansion (same law as iid draws). mode 'pershot' samples
     each qubit conditionally and never builds the 4^N vector. 'auto' picks
     multinomial whenever N is within the distribution cap.
+
+    The per-shot samplers keep one conditional state per distinct outcome
+    prefix, not one per shot: after k qubits, m shots share at most
+    min(m, 4^k) prefixes. For a pure state that is min(m, 4^k) vectors of
+    2^(N-k) amplitudes, so a block of m shots costs sum_k min(m, 4^k) 2^(N-k)
+    amplitude contractions in all; a level's states never exceed sqrt(m) 2^N
+    amplitudes (64 x 2^N at m = 4096), their four outcome branches twice
+    that. For a density matrix the conditional blocks of a level fill at most
+    4^N entries, kept in one buffer. `chunk`
+    fixes the draw order of pure states, one rng.random(m) per qubit for
+    each block of m <= chunk shots, so the digits depend on it; it no longer
+    sets the memory.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -323,40 +336,68 @@ def sample_sic_shots(state, frame, n_shots, rng, mode="auto", chunk=4096):
 
 
 def _pershot_pure(amp, frame, m, n, rng):
+    # cur holds one conditional state per distinct outcome prefix, row[s] is
+    # the prefix of shot s
     v = frame.kets.conj() / math.sqrt(2)  # v[i, a]
-    cur = np.broadcast_to(amp, (m, amp.size)).copy()
+    cur = amp.reshape(1, amp.size)
+    row = np.zeros(m, dtype=np.intp)
     digits = np.empty((m, n), dtype=np.uint8)
     for k in range(n):
-        rest = cur.shape[1] // 2
-        cond = np.einsum("ia,cas->ics", v, cur.reshape(m, 2, rest))
+        g, rest = cur.shape[0], cur.shape[1] // 2
+        cond = np.einsum("ia,cas->ics", v, cur.reshape(g, 2, rest))
         p = np.einsum("ics,ics->ci", cond, cond.conj()).real
         p_norm = p / p.sum(axis=1, keepdims=True)
         u = rng.random(m)
-        d = (u[:, None] > np.cumsum(p_norm, axis=1)).sum(axis=1).astype(np.uint8)
+        cdf = np.cumsum(p_norm, axis=1)[row]
+        d = (u[:, None] > cdf).sum(axis=1).astype(np.uint8)
         d = np.minimum(d, 3)  # guard the u == 1.0 edge
         digits[:, k] = d
-        sel = cond[d, np.arange(m), :]
-        cur = sel / np.sqrt(p[np.arange(m), d])[:, None]
+        keys, row = np.unique(row * 4 + d, return_inverse=True)
+        pre, dk = keys // 4, keys % 4
+        cur = cond[dk, pre, :] / np.sqrt(p[pre, dk])[:, None]
     return digits
 
 
+_MIXED_BLOCK = 1 << 16  # entries the mixed sampler contracts per step
+
+
 def _pershot_mixed(mat, frame, m, n, rng):
-    # one shot at a time: contract the measured qubit on both sides of the
-    # conditional matrix, exact but not vectorized
+    # contract the measured qubit on both sides of one conditional matrix per
+    # distinct prefix. All of them live in one buffer of 4^N entries: each
+    # prefix's matrix is overwritten by its four conditional blocks, then the
+    # blocks the shots chose move down in place. u[s, k] is the double
+    # rng.choice would take for shot s at qubit k, and the digit is read off
+    # the cdf as choice does
     eff = frame.effects
+    u = rng.random((m, n))
+    cur = mat.reshape((1,) + mat.shape)
+    row = np.zeros(m, dtype=np.intp)
     digits = np.empty((m, n), dtype=np.uint8)
-    for s in range(m):
-        cur = mat
-        for k in range(n):
-            dim = cur.shape[0] // 2
-            blocks = cur.reshape(2, dim, 2, dim)
-            cond = np.einsum("iba,asbt->ist", eff, blocks)
-            p = np.einsum("iss->i", cond).real
-            p = np.where(p < 0, 0.0, p)
-            d = rng.choice(4, p=p / p.sum())
-            digits[s, k] = d
-            cur = cond[d] / p[d]
-        # cur ends as the fully contracted scalar block; nothing left to do
+    buf = None
+    for k in range(n):
+        g, dim = cur.shape[0], cur.shape[1] // 2
+        step = max(1, _MIXED_BLOCK // cur[0].size)
+        if buf is None:  # the caller's matrix stays intact
+            cond = np.einsum("iba,gasbt->gist", eff,
+                             cur.reshape(g, 2, dim, 2, dim), order="C")
+            buf = cond.reshape(-1)
+        else:
+            cond = buf[:cur.size].reshape(g, 4, dim, dim)
+            for lo in range(0, g, step):
+                blocks = cur[lo:lo + step].reshape(-1, 2, dim, 2, dim)
+                cond[lo:lo + step] = np.einsum("iba,gasbt->gist", eff, blocks)
+        p = np.einsum("giss->gi", cond).real
+        p = np.where(p < 0, 0.0, p)
+        cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        d = (u[:, k, None] >= cdf[row]).sum(axis=1).astype(np.uint8)
+        digits[:, k] = d
+        keys, row = np.unique(row * 4 + d, return_inverse=True)
+        flat, scale = cond.reshape(4 * g, dim, dim), p.reshape(-1)
+        for lo in range(0, keys.size, step):  # keys[j] >= j: blocks move down
+            sel = keys[lo:lo + step]
+            flat[lo:lo + sel.size] = flat[sel] / scale[sel][:, None, None]
+        cur = flat[:keys.size]
     return digits
 
 

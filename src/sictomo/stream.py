@@ -223,11 +223,46 @@ def read_sic_digits(path):
     return header, np.concatenate(chunks, axis=0)
 
 
+# byte -> setting code or outcome bit; 255 marks a byte that is neither
+_LETTER_CODES = np.full(256, 255, dtype=np.uint8)
+_LETTER_CODES[_SETTING_BYTES] = [0, 1, 2]
+_BIT_CODES = np.full(256, 255, dtype=np.uint8)
+_BIT_CODES[[ord("0"), ord("1")]] = [0, 1]
+
+
+def _parse_pauli_records(body, n):
+    """(settings, bits) from a body of M records of exactly 2N + 2 bytes, the
+    last newline optional; None for anything else."""
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    width = 2 * n + 2
+    if len(body) % width:
+        return None
+    rec = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
+    settings = _LETTER_CODES[rec[:, :n]]
+    bits = _BIT_CODES[rec[:, n + 1:-1]]
+    if (settings.max(initial=0) > 2 or bits.max(initial=0) > 1
+            or np.any(rec[:, n] != ord(" ")) or np.any(rec[:, -1] != ord("\n"))):
+        return None
+    return settings, bits
+
+
 def read_pauli_shots(path):
-    """Whole-file Pauli reader: (header, setting codes, bits)."""
+    """Whole-file Pauli reader: (header, setting codes, bits).
+
+    Well-formed records are parsed in one fixed-width pass over the bytes.
+    Any other body goes through read_shots line by line, so its errors keep
+    their message and line number.
+    """
     header = read_header(path)
     if header.povm != "pauli":
         raise ShotFileError("expected a pauli shot file", line=2)
+    with open(path, "rb") as f:
+        lines = f.read().split(b"\n", 2)
+    if len(lines) == 3 and b"\r" not in lines[0] + lines[1]:
+        parsed = _parse_pauli_records(lines[2], header.n_qubits)
+        if parsed is not None:
+            return (header,) + parsed
     settings, bits = [], []
     for letters, row in read_shots(path):
         settings.append([_LETTERS[c] for c in letters])

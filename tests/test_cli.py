@@ -269,6 +269,15 @@ def test_estimate_fidelity_lut_cap_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_multinomial_dist_cap_exit_code(tmp_path, capsys):
+    # the exact 11-qubit distribution would need 4^11 float64 entries
+    out = tmp_path / "wide.sic"
+    assert run("simulate", "--state", "ghz:11", "--shots", "10",
+               "--mode", "multinomial", "--out", str(out)) == 4
+    assert "33,554,432 bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", [
     ("simulate", "--state", "ghz:1", "--shots", "1", "--out", "x.sic"),
     ("estimate", "--file", "x.sic", "--purity", "full"),

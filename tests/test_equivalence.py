@@ -7,21 +7,28 @@ pattern matrices. The reconstruction references build the frame
 superoperator densely, one Kronecker chain per outcome, invert it by an
 eigenvalue pseudo-inverse and fit MLE with dense matrix products. The
 site-factorized code must reproduce them to 1e-10 (MLE to 1e-8).
+
+The per-shot sampler references keep one conditional state per shot; the
+samplers that keep one per distinct outcome prefix must draw the same digits.
 """
 
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from sictomo import povm
 from sictomo.estimators import (JACKKNIFE_GROUPS, ObservableSpec,
                                 PurityTracker, observable_lut)
 from sictomo.povm import (FrameSuperoperator, derive_rng, naimark_unitary,
                           sample_pauli_shots, sample_sic_shots, sic_frame,
                           sic_outcome_distribution)
-from sictomo.qstate import make_ghz, random_density
+from sictomo.qstate import make_ghz, random_density, random_pure
 from sictomo.reconstruct import (MLE_MAX_ITER, MLE_TOL, FrequencyVector,
                                  _project_density, _weight_vector, lininv,
                                  mle, pls_from_freqs)
@@ -308,3 +315,99 @@ def test_naimark_completion_spans_the_complement(frame_name):
     np.testing.assert_allclose(w.conj().T @ w, np.eye(2), rtol=0, atol=1e-14)
     np.testing.assert_allclose(w @ w.conj().T, np.eye(4) - v @ v.conj().T,
                                rtol=0, atol=1e-14)
+
+
+# --- per-shot samplers --------------------------------------------------------
+
+
+def reference_pershot_pure(amp, frame, m, n, rng, block=512):
+    """One conditional state per shot. The draws of each qubit are taken up
+    front, in the order the sampler takes them, so the shots can be
+    contracted `block` at a time."""
+    v = frame.kets.conj() / math.sqrt(2)
+    draws = [rng.random(m) for _ in range(n)]
+    digits = np.empty((m, n), dtype=np.uint8)
+    for lo in range(0, m, block):
+        b = min(block, m - lo)
+        cur = np.broadcast_to(amp, (b, amp.size)).copy()
+        for k in range(n):
+            rest = cur.shape[1] // 2
+            cond = np.einsum("ia,cas->ics", v, cur.reshape(b, 2, rest))
+            p = np.einsum("ics,ics->ci", cond, cond.conj()).real
+            p_norm = p / p.sum(axis=1, keepdims=True)
+            u = draws[k][lo:lo + b]
+            d = (u[:, None] > np.cumsum(p_norm, axis=1)).sum(axis=1)
+            d = np.minimum(d, 3).astype(np.uint8)
+            digits[lo:lo + b, k] = d
+            sel = cond[d, np.arange(b), :]
+            cur = sel / np.sqrt(p[np.arange(b), d])[:, None]
+    return digits
+
+
+def reference_pershot_mixed(mat, frame, m, n, rng):
+    """One shot at a time, one rng.choice per shot and qubit."""
+    eff = frame.effects
+    digits = np.empty((m, n), dtype=np.uint8)
+    for s in range(m):
+        cur = mat
+        for k in range(n):
+            dim = cur.shape[0] // 2
+            cond = np.einsum("iba,asbt->ist", eff, cur.reshape(2, dim, 2, dim))
+            p = np.einsum("iss->i", cond).real
+            p = np.where(p < 0, 0.0, p)
+            d = rng.choice(4, p=p / p.sum())
+            digits[s, k] = d
+            cur = cond[d] / p[d]
+    return digits
+
+
+def reference_pershot(state, n_shots, seed, chunk=4096):
+    rng = derive_rng(seed, "sic-shots")
+    n = state.n_qubits
+    if getattr(state, "amplitudes", None) is None:
+        return reference_pershot_mixed(state.matrix, FRAME, n_shots, n, rng)
+    return np.concatenate([
+        reference_pershot_pure(state.amplitudes, FRAME,
+                               min(chunk, n_shots - lo), n, rng)
+        for lo in range(0, n_shots, chunk)])
+
+
+@pytest.mark.parametrize("state,n_shots", [
+    (make_ghz(12), 8192),  # two full chunks
+    *[(random_pure(n, np.random.default_rng(40 + n)), 5000)  # a partial one
+      for n in (1, 5, 11)],
+    *[(random_density(n, np.random.default_rng(50 + n)), 1000)
+      for n in (1, 3, 5)],
+], ids=["ghz12", "pure1", "pure5", "pure11", "mixed1", "mixed3", "mixed5"])
+def test_pershot_sampler_matches_one_state_per_shot(state, n_shots):
+    got = sample_sic_shots(state, FRAME, n_shots, derive_rng(7, "sic-shots"),
+                           mode="pershot")
+    np.testing.assert_array_equal(got, reference_pershot(state, n_shots, 7))
+
+
+@pytest.mark.parametrize("block", [1, 16])
+def test_mixed_sampler_matches_in_small_blocks(monkeypatch, block):
+    # blocks smaller than one conditional matrix split every level's
+    # contraction and move-down into several steps
+    monkeypatch.setattr(povm, "_MIXED_BLOCK", block)
+    rho = random_density(4, np.random.default_rng(60))
+    got = sample_sic_shots(rho, FRAME, 700, derive_rng(8, "sic-shots"),
+                           mode="pershot")
+    np.testing.assert_array_equal(got, reference_pershot(rho, 700, 8))
+
+
+def test_pershot_ghz12_chunk_memory_is_bounded():
+    """One conditional state per shot held 4096 copies of the 2^12
+    amplitudes (peak near 1.3 GB); one per distinct prefix needs megabytes.
+    The child reads its own high-water mark: its ru_maxrss would start from
+    this process's, which it inherits across exec."""
+    code = ("import re, sictomo\n"
+            "from sictomo.qstate import make_ghz\n"
+            "sictomo.povm.sample_sic_shots(make_ghz(12),"
+            " sictomo.povm.sic_frame('standard'), 4096, 0, mode='pershot')\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) / 1024 < 200

@@ -109,6 +109,74 @@ def test_pauli_round_trip(rng, tmp_path):
     np.testing.assert_array_equal(back_bits, bits)
 
 
+PAULI_HEAD = b'#TOMO v1\n{"n_qubits":2,"povm":"pauli","frame":"standard",' \
+    b'"seed":0,"batch":1}\n'
+PAULI_BODIES = {
+    "well-formed": b"XY 01\nZZ 10\nYX 11\n",
+    "no-final-newline": b"XY 01\nZZ 10\nYX 11",
+    "crlf": b"XY 01\r\nZZ 10\r\nYX 11\r\n",
+    "truncated-line": b"XY 01\nZZ 1\nYX 11\n",
+    "truncated-last-line": b"XY 01\nZZ 10\nYX 1",
+    "bad-letter": b"XY 01\nZW 10\nYX 11\n",
+    "lowercase-letter": b"XY 01\nZZ 10\nyX 11\n",
+    "bad-bit": b"XY 01\nZZ 12\nYX 11\n",
+    "missing-separator": b"XY 01\nZZ10\nYX 11\n",
+    "wrong-separator": b"XY 01\nZZ\t10\nYX 11\n",
+    "empty-line": b"XY 01\n\nYX 11\n",
+    "trailing-empty-line": b"XY 01\nZZ 10\nYX 11\n\n",
+    "empty": b"",
+}
+
+
+def reference_pauli(path):
+    """read_pauli_shots by read_shots alone: (settings, bits) or the error."""
+    try:
+        rows = list(read_shots(path))
+    except ShotFileError as exc:
+        return str(exc)
+    codes = {"X": 0, "Y": 1, "Z": 2}
+    settings = np.array([[codes[c] for c in s] for s, _ in rows], np.uint8)
+    bits = np.array([b for _, b in rows], np.uint8)
+    return settings.reshape(-1, 2), bits.reshape(-1, 2)
+
+
+@pytest.mark.parametrize("head", [
+    PAULI_HEAD,
+    PAULI_HEAD.replace(b"\n", b"\r\n"),
+    PAULI_HEAD.replace(b"\n", b"\r", 1),  # a lone CR ends a text-mode line
+], ids=["lf-header", "crlf-header", "cr-header"])
+@pytest.mark.parametrize("case", sorted(PAULI_BODIES))
+def test_pauli_reader_matches_line_reader(tmp_path, case, head):
+    path = tmp_path / "shots.pauli"
+    path.write_bytes(head + PAULI_BODIES[case])
+    want = reference_pauli(path)
+    if isinstance(want, str):
+        with pytest.raises(ShotFileError) as exc:
+            read_pauli_shots(path)
+        assert str(exc.value) == want
+    else:
+        _, settings, bits = read_pauli_shots(path)
+        for got, ref in zip((settings, bits), want):
+            assert got.dtype == np.uint8 and got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_pauli_reader_parses_well_formed_files_in_one_pass(monkeypatch, rng,
+                                                          tmp_path):
+    settings, bits = sample_pauli_shots(random_pure(3, rng), 200,
+                                        derive_rng(2, "pauli-shots"))
+    path = tmp_path / "shots.pauli"
+    write_shots(path, ShotFileHeader(n_qubits=3, povm="pauli"), (settings, bits))
+
+    def no_line_reader(path):
+        raise AssertionError("fell back to the line reader")
+
+    monkeypatch.setattr("sictomo.stream.read_shots", no_line_reader)
+    _, back_settings, back_bits = read_pauli_shots(path)
+    np.testing.assert_array_equal(back_settings, settings)
+    np.testing.assert_array_equal(back_bits, bits)
+
+
 def test_write_shots_validation(tmp_path):
     header = ShotFileHeader(n_qubits=2)
     with pytest.raises(ValueError):
