@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 import os as _os
 import sys as _sys
 
-# The largest matrices here are 4^5 x 4^5, and the CLI runs one short process
+# Most matrices here are at most 4^5 x 4^5, and the CLI runs one short process
 # per stage. OpenBLAS's worker threads start with numpy and busy-wait beside
 # the main thread: each process pays for them in CPU time and in wall-time
 # spread, and gains little. So when this package is the first to load numpy,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import (CapExceededError, derive_rng, digits_from_indices,
+from .povm import (cap_error, derive_rng, digits_from_indices,
                    sic_outcome_distribution)
 from .qstate import DensityOperator
 from .shadows import _PAIR_TRACE_POWERS, depolarize, pattern_codes
@@ -80,9 +80,9 @@ def exact_linear_variance(rho, obs, frame):
     rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
     n = rho.n_qubits
     if n > EXACT_LINEAR_CAP:
-        raise CapExceededError(
-            f"exact linear variance enumerates 4^N outcomes; capped at "
-            f"N <= {EXACT_LINEAR_CAP} (requested {n})")
+        # probability, value and N digits for each of the 4^N outcomes
+        raise cap_error(f"exact linear variance over 4^{n} outcomes",
+                        (16 + n) * 4**n, f"{EXACT_LINEAR_CAP} qubits")
     from .estimators import observable_lut
     probs = sic_outcome_distribution(rho, frame)
     digits = digits_from_indices(np.arange(4**n), n)
@@ -100,9 +100,8 @@ def exact_quadratic_variance(rho, frame):
     rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
     n = rho.n_qubits
     if n > EXACT_QUADRATIC_CAP:
-        raise CapExceededError(
-            f"exact quadratic variance enumerates outcome pairs; capped at "
-            f"N <= {EXACT_QUADRATIC_CAP} (requested {n})")
+        raise cap_error(f"exact quadratic variance's 4^{n} x 4^{n} pair "
+                        f"kernel", 8 * 16**n, f"{EXACT_QUADRATIC_CAP} qubits")
     probs = sic_outcome_distribution(rho, frame)
     v = _PAIR_TRACE_POWERS[n]
     e1 = float(probs @ v @ probs)
@@ -119,8 +118,8 @@ def coincidence_probability(rho):
     rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
     k = rho.n_qubits
     if k > COINCIDENCE_CAP:
-        raise CapExceededError(
-            f"coincidence probability capped at K <= {COINCIDENCE_CAP}")
+        raise cap_error(f"coincidence probability's depolarized {k}-qubit "
+                        f"state", 16 * 4**k, f"{COINCIDENCE_CAP} qubits")
     val = np.einsum("ij,ji->", rho.matrix, depolarize(rho.matrix, k))
     return float(val.real) / 2**k
 
@@ -142,8 +141,8 @@ def variance_decomposition_check(rho, m, frame, reps=None, seed=0):
     rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
     n = rho.n_qubits
     if n > EXACT_QUADRATIC_CAP:
-        raise CapExceededError(
-            f"variance decomposition capped at N <= {EXACT_QUADRATIC_CAP}")
+        raise cap_error(f"variance decomposition's 4^{n} x 4^{n} pair kernel",
+                        8 * 16**n, f"{EXACT_QUADRATIC_CAP} qubits")
     if m < 2:
         raise ValueError("need at least 2 shots for the pair estimator")
     from .estimators import ObservableSpec
@@ -157,9 +156,11 @@ def variance_decomposition_check(rho, m, frame, reps=None, seed=0):
     pair_norm = m * (m - 1)
     if reps is None:
         if m > _DECOMP_EXACT_M_CAP:
-            raise CapExceededError(
-                f"exact enumeration over M-tuples capped at "
-                f"M <= {_DECOMP_EXACT_M_CAP}; pass reps= for Monte Carlo")
+            # an int64 row of M outcome indices per M-tuple
+            raise cap_error(f"exact enumeration over {m}-tuples of outcomes",
+                            8 * m * probs.size**m,
+                            f"{_DECOMP_EXACT_M_CAP} shots; pass reps= for "
+                            f"Monte Carlo")
         tuples = np.array(list(itertools.product(range(probs.size), repeat=m)))
         weight = probs[tuples].prod(axis=1)
         vals = np.zeros(tuples.shape[0])

@@ -11,7 +11,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .qstate import (DensityOperator, PureState, load_state, make_ame5,
                      make_ghz, make_linear_cluster, make_product,
                      make_rotated_ghz, random_pure, Bipartition)
 from .reconstruct import FrequencyVector, ReconstructionResult, reconstruct
-from .shadows import ShadowAccumulator, shadow_matrices
+from .shadows import ShadowAccumulator, shadow_mean
 from .stream import (Game, OnlineEngine, ShotFileError, ShotFileHeader,
                      StoppingRule, TrackerConfig, iter_sic_chunks,
                      read_header, read_pauli_shots, read_sic_digits,
@@ -270,22 +269,6 @@ def _cmd_budget(args):
 # --- bench ----------------------------------------------------------------
 
 
-def _per_shot_shadow_mean(digits, frame):
-    """Deliberately canonical accumulation: one kron chain per shot, so the
-    timing reflects the M * 4^N cost rather than the pattern-count shortcut
-    used by the streaming estimators."""
-    mats = shadow_matrices(frame)
-    n = digits.shape[1]
-    dim = 2**n
-    total = np.zeros((dim, dim), dtype=complex)
-    for row in digits:
-        m = mats[row[0]]
-        for k in range(1, n):
-            m = np.kron(m, mats[row[k]])
-        total += m
-    return total / digits.shape[0]
-
-
 BENCH_CSV_HEADER = "n_qubits,method,shots,wall_ms"
 
 
@@ -304,7 +287,7 @@ def _cmd_bench(args):
                 for _ in range(args.repeat):
                     t0 = time.perf_counter()
                     if method == "shadow-mean":
-                        _per_shot_shadow_mean(digits, frame)
+                        shadow_mean(digits, frame)
                     elif method == "lininv":
                         superop = FrameSuperoperator("sic", n, frame=frame)
                         freqs = FrequencyVector.from_sic_shots(digits, n)
@@ -332,16 +315,8 @@ GAME_CSV_HEADER = "trial,secret,winner,correct,shots,declared"
 
 def _cmd_game(args):
     game = Game(sic_frame(args.frame))
-
-    def play(trial):
-        return game.play(args.seed, trial=trial, gap_window=args.gap_window,
-                         shot_cap=args.shot_cap)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(play, range(args.trials)))
-    else:
-        results = [play(t) for t in range(args.trials)]
+    results = [game.play(args.seed, trial=t, gap_window=args.gap_window,
+                         shot_cap=args.shot_cap) for t in range(args.trials)]
     sink = _Sink(args.out)
     try:
         sink.line(GAME_CSV_HEADER)
@@ -552,7 +527,6 @@ def build_parser():
     gam.add_argument("--shot-cap", type=int, default=10000)
     gam.add_argument("--frame", choices=("standard", "rotated"),
                      default="standard")
-    gam.add_argument("--threads", type=int, default=1)
     gam.add_argument("--out", default="-")
     gam.set_defaults(func=_cmd_game)
 

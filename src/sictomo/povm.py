@@ -11,6 +11,10 @@ vectors is a site-by-site contraction: frame_traces (operator to one trace
 per outcome pattern) and frame_sums (pattern weights to an operator).
 FrameSuperoperator applies the measurement map, its adjoint and its dual
 frame inverse through them.
+
+The size policy lives here too: every capped allocation in the package calls
+check_bytes with its byte estimate where the array is made, and a refusal is
+a CapExceededError that states the bytes (the CLI exits 4).
 """
 
 import itertools
@@ -19,8 +23,7 @@ import math
 import numpy as np
 
 DIST_CAP = 10  # largest N for materializing a 4^N outcome vector
-SIC_SUPEROP_CAP = 6  # 4^N x 4^N dense superoperator
-PAULI_SUPEROP_CAP = 5  # 6^N effect rows
+BYTES_CAP = 64 * 2**20  # largest array a size-checked allocation may make
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -58,6 +61,18 @@ ROTATED_BLOCH = np.array([
 
 class CapExceededError(ValueError):
     """A size cap would be exceeded (dense storage or enumeration)."""
+
+
+def cap_error(what, nbytes, limit):
+    """The refusal of `what`, which needs `nbytes` bytes, above `limit`."""
+    return CapExceededError(f"{what} needs {nbytes:,} bytes; capped at {limit}")
+
+
+def check_bytes(nbytes, what, cap=BYTES_CAP):
+    """Refuse an array of `nbytes` bytes above `cap`; call it before the
+    array is made."""
+    if nbytes > cap:
+        raise cap_error(what, nbytes, f"{cap:,} bytes")
 
 
 def bloch_to_ket(v):
@@ -193,9 +208,8 @@ def sic_outcome_distribution(state, frame, cap=DIST_CAP):
     """
     mat, amp, n = _state_parts(state)
     if n > cap:
-        raise CapExceededError(
-            f"outcome distribution needs 4^{n} entries ({8 * 4**n:,} bytes); "
-            f"cap is N <= {cap}")
+        raise cap_error(f"outcome distribution over 4^{n} outcomes",
+                        8 * 4**n, f"{cap} qubits")
     if amp is not None:
         # contract each qubit with the bra tensor; probabilities are the
         # squared magnitudes of the resulting outcome-amplitude tensor
@@ -476,25 +490,27 @@ class FrameSuperoperator:
     S_p^-1 A^dagger (S_p = A^dagger A) as site contractions. The dense
     views probability_map, matrix and pinv_matrix are Kronecker powers of
     their single-site counterparts, in row-major vec order.
+
+    The constructor refuses sizes whose maps would make an array above
+    BYTES_CAP (SIC N >= 12, Pauli N >= 9); each dense view is checked
+    against four times that when it is built.
     """
 
     def __init__(self, kind, n_qubits, frame=None):
         if kind == "sic":
-            if n_qubits > SIC_SUPEROP_CAP:
-                raise CapExceededError(
-                    f"SIC superoperator cap is N <= {SIC_SUPEROP_CAP}, got {n_qubits}")
             self.frame = frame if frame is not None else sic_frame("standard")
             self.effects = self.frame.effects
             projectors, dims = self.frame.projectors, (4,)
         elif kind == "pauli":
-            if n_qubits > PAULI_SUPEROP_CAP:
-                raise CapExceededError(
-                    f"Pauli superoperator cap is N <= {PAULI_SUPEROP_CAP}, got {n_qubits}")
             self.frame = None
             self.effects = _PAULI_PROJECTORS / 3
             projectors, dims = _PAULI_PROJECTORS, (3, 2)
         else:
             raise ValueError(f"unknown povm kind {kind!r}")
+        # the largest arrays made here and by the maps: a complex 2^N x 2^N
+        # dual estimate and the int64 outcome order
+        check_bytes(max(16 * 4**n_qubits, 8 * math.prod(dims) ** n_qubits),
+                    f"{kind} frame superoperator on {n_qubits} qubits")
         self.kind = kind
         self.n_qubits = n_qubits
         self.duals = 3 * projectors - np.eye(2)
@@ -528,7 +544,13 @@ class FrameSuperoperator:
         across sites (axis f * N + k is axis f of site k); the last two axes
         index columns, in row-major vec order, and the others rows."""
         n, dims = self.n_qubits, site.shape
-        out = np.ones(tuple(d for d in dims for _ in range(n)), dtype=complex)
+        shape = tuple(d for d in dims for _ in range(n))
+        # reference views under their own cap, four times the shared one: it
+        # admits the SIC N=6 Gram matrix (256 MiB) and the Pauli N=5 map
+        check_bytes(16 * math.prod(shape),
+                    f"dense {self.kind} frame view on {n} qubits",
+                    cap=4 * BYTES_CAP)
+        out = np.ones(shape, dtype=complex)
         for k in range(n):
             shape = [1] * out.ndim
             shape[k::n] = dims

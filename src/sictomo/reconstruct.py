@@ -5,9 +5,12 @@ unphysical), projected least squares (linear inversion snapped to the
 nearest density matrix), and weighted least-squares fitting constrained to
 density matrices, solved by projected gradient descent. Estimates reach the
 frame only through FrameSuperoperator.forward, .adjoint and .dual, which
-contract one site at a time. The one dense build is the probability map that
-gives the fit its step-size bound, under MLE_CAP; the frame superoperator
-keeps it for later fits.
+contract one site at a time, so linear inversion and projected least squares
+run at every size the frame superoperator admits (SIC N <= 11, Pauli
+N <= 8); their largest arrays are the 2^N x 2^N estimate and its
+eigendecomposition. The one dense build is the probability map that gives
+the fit its step-size bound, under MLE_CAP; the frame superoperator keeps it
+for later fits.
 """
 
 import math
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .povm import CapExceededError, FrameSuperoperator
+from .povm import cap_error
 from .qstate import DensityOperator
 
 MLE_CAP = 5  # qubits; the fit solves repeatedly in dimension 4^N
@@ -204,10 +207,9 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
     multinomial weights are used).
     """
     if superop.n_qubits > MLE_CAP:
-        raise CapExceededError(
-            f"mle supports at most {MLE_CAP} qubits "
-            f"(requested {superop.n_qubits}); the fit repeatedly solves in "
-            f"dimension 4^N")
+        raise cap_error("mle's dense probability map",
+                        16 * superop.n_outcomes * 4**superop.n_qubits,
+                        f"{MLE_CAP} qubits")
     f = _freq_array(freqs, superop)
     w2 = _weight_vector(freqs, weights, superop) ** 2
 

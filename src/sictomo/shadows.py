@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .povm import CapExceededError, frame_sums, frame_traces, n_sites
+from .povm import check_bytes, frame_sums, frame_traces, n_sites
 
 # tr(sigma_i sigma_j) factorizes per site into 5 (matching digits) or -1;
 # this holds for every SIC frame since it only uses the 1/3 overlaps
@@ -23,16 +23,10 @@ np.fill_diagonal(PAIR_TRACE, 5.0)
 _PAIR_TRACE_POWERS = [functools.reduce(np.kron, [PAIR_TRACE] * s, np.eye(1))
                       for s in range(4)]
 
-HIST_BYTES_CAP = 64 * 2**20  # float64 histogram state per tracker/accumulator
-
 
 def hist_zeros(shape, what):
-    """Zeroed float64 histogram state; CapExceededError above the byte cap."""
-    nbytes = 8 * math.prod(shape)
-    if nbytes > HIST_BYTES_CAP:
-        raise CapExceededError(
-            f"{what} needs {nbytes:,} bytes of histogram state; capped at "
-            f"{HIST_BYTES_CAP:,} bytes")
+    """Zeroed float64 histogram state; CapExceededError above BYTES_CAP."""
+    check_bytes(8 * math.prod(shape), f"{what} histogram state")
     return np.zeros(shape)
 
 

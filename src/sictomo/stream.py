@@ -6,9 +6,16 @@ File format, bit-exact:
     body:   SIC `d1d2...dN` with digits 0-3; Pauli `XYZ... b1b2...` with a
             single space between setting letters and outcome bits.
 
+Files are read as ASCII; any other byte is a ShotFileError naming its line.
+
 The online engine consumes digit rows in report intervals and keeps every
 tracked quantity incrementally, so the analysis cost of an interval does not
-depend on how many shots came before it.
+depend on how many shots came before it. Its state is sized when it is
+built: a fidelity target or observable on K qubits is made dense
+(16 x 4^K bytes) and read through a 4^K-entry lookup table, and each purity
+tracker keeps 4^K-pattern histograms. Both are checked against
+povm.BYTES_CAP before they are made, so fidelity tracking runs up to
+N = 11.
 """
 
 import itertools
@@ -22,7 +29,7 @@ import numpy as np
 from .estimators import (EstimateReport, ObservableSpec, PurityTracker,
                          RunningMoments, linear_values, estimate_purity,
                          observable_lut, renyi2_from_purity, renyi2_stderr)
-from .povm import CapExceededError, derive_rng, sample_pauli_shots, \
+from .povm import check_bytes, derive_rng, sample_pauli_shots, \
     sample_sic_shots, sic_frame, sic_outcome_distribution, FrameSuperoperator
 from .qstate import PureState, fidelity_pure, make_linear_cluster, purity_exact
 from .reconstruct import FrequencyVector, reconstruct
@@ -30,9 +37,6 @@ from .shadows import _check_subset, pattern_codes
 
 MAGIC = "#TOMO v1"
 DEFAULT_INTERVAL = 100
-# full-system lookup tables enumerate 4^N patterns; fidelity targets and
-# observables above this support size are refused rather than silently slow
-LINEAR_LUT_CAP = 5
 
 
 class ShotFileError(ValueError):
@@ -127,18 +131,34 @@ def write_shots(path, header, records):
                 f.write(blob.tobytes())
 
 
+def _open_shots(path):
+    """Text-mode reader in which each byte outside ASCII decodes to a lone
+    surrogate, so the parsers can name its line instead of failing inside
+    the codec."""
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
+def _check_ascii(line, line_no):
+    if not line.isascii():
+        bad = next(ch for ch in line if not ch.isascii())
+        raise ShotFileError(f"non-ASCII byte 0x{ord(bad) - 0xdc00:02x}",
+                            line=line_no)
+
+
 def _read_header_lines(f):
     magic = f.readline().rstrip("\n")
+    _check_ascii(magic, 1)
     if magic != MAGIC:
         raise ShotFileError(f"expected {MAGIC!r}, got {magic!r}", line=1)
     header_line = f.readline()
     if not header_line:
         raise ShotFileError("missing header", line=2)
+    _check_ascii(header_line, 2)
     return ShotFileHeader.from_json(header_line.rstrip("\n"))
 
 
 def read_header(path):
-    with open(path, "r", encoding="ascii") as f:
+    with _open_shots(path) as f:
         return _read_header_lines(f)
 
 
@@ -174,7 +194,7 @@ def _parse_pauli_line(line, n, line_no):
 def read_shots(path):
     """Incremental record reader: yields digit rows (SIC) or
     (setting string, bit row) pairs (Pauli). Validates line by line."""
-    with open(path, "r", encoding="ascii") as f:
+    with _open_shots(path) as f:
         header = _read_header_lines(f)
         n = header.n_qubits
         parse = _parse_sic_line if header.povm == "sic" else _parse_pauli_line
@@ -182,12 +202,13 @@ def read_shots(path):
             line = raw.rstrip("\n")
             if not line:
                 raise ShotFileError("empty record line", line=line_no)
+            _check_ascii(line, line_no)
             yield parse(line, n, line_no)
 
 
 def iter_sic_chunks(path, chunk_rows=4096):
     """Yield (m, N) digit arrays from a SIC shot file, bounded memory."""
-    with open(path, "r", encoding="ascii") as f:
+    with _open_shots(path) as f:
         header = _read_header_lines(f)
         if header.povm != "sic":
             raise ShotFileError("expected a sic shot file", line=2)
@@ -198,8 +219,9 @@ def iter_sic_chunks(path, chunk_rows=4096):
             if not lines:
                 return
             joined = "".join(lines)
-            if len(joined) != n * len(lines):
+            if not joined.isascii() or len(joined) != n * len(lines):
                 for i, line in enumerate(lines):
+                    _check_ascii(line, line_no + i)
                     if len(line) != n:
                         raise ShotFileError(
                             f"expected {n} digits, got {len(line)}",
@@ -322,12 +344,11 @@ class TrackerConfig:
                 raise ValueError("bipartition size does not match n_qubits")
 
 
-def _check_lut_size(k, what):
-    """CapExceededError for a 4^K-entry lookup table above the LUT cap."""
-    if k > LINEAR_LUT_CAP:
-        raise CapExceededError(
-            f"{what} needs a 4^{k}-entry lookup table ({8 * 4**k:,} bytes); "
-            f"capped at {LINEAR_LUT_CAP} qubits")
+def _fidelity_spec(label, target, n):
+    """The target's projector as an observable on all n qubits. Its dense
+    2^n x 2^n matrix is checked against the byte cap before it is made."""
+    check_bytes(16 * 4**n, f"fidelity target {label!r} on {n} qubits")
+    return ObservableSpec(range(n), target.density().matrix, label)
 
 
 class _LinearTracker:
@@ -356,13 +377,13 @@ class OnlineEngine:
         n = cfg.n_qubits
         self._linear = []
         for label, target in cfg.fidelity_targets:
-            _check_lut_size(n, "fidelity tracking")
-            obs = ObservableSpec(range(n), target.density().matrix, label)
+            obs = _fidelity_spec(label, target, n)
             self._linear.append(_LinearTracker(
                 f"fidelity:{label}", "all", obs.support,
                 observable_lut(obs, frame)))
         for obs in cfg.observables:
-            _check_lut_size(len(obs.support), f"observable {obs.label!r}")
+            check_bytes(16 * 4 ** len(obs.support),
+                        f"lookup table of observable {obs.label!r}")
             _check_subset(obs.support, n)
             self._linear.append(_LinearTracker(
                 obs.label, "-".join(str(q) for q in obs.support),
@@ -609,8 +630,8 @@ def convergence_experiment(state, m_grid, repetitions, seed, kind="sic",
     if batch_grid is None and any(m in methods for m in ("lininv", "pls", "mle")):
         superop = FrameSuperoperator(kind, n, frame=frame)
     obs_target = None
-    if target is not None and kind == "sic" and n <= LINEAR_LUT_CAP:
-        obs_target = ObservableSpec(range(n), target.density().matrix, "target")
+    if target is not None and kind == "sic":
+        obs_target = _fidelity_spec("target", target, n)
 
     rows = []
     m_grid = sorted(m_grid)

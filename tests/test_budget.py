@@ -184,6 +184,26 @@ def test_variance_decomposition_guards(rng):
         variance_decomposition_check(random_density(3, rng), 3, FRAME)
 
 
+@pytest.mark.parametrize("call, nbytes", [
+    (lambda rng: exact_linear_variance(
+        random_density(4, rng), ObservableSpec((0,), np.eye(2)), FRAME),
+     "5,120"),
+    (lambda rng: exact_quadratic_variance(random_density(3, rng), FRAME),
+     "32,768"),
+    (lambda rng: coincidence_probability(DensityOperator(
+        np.zeros((2**11, 2**11), dtype=complex), check=False)),
+     "67,108,864"),
+    (lambda rng: variance_decomposition_check(
+        random_density(3, rng), 3, FRAME), "32,768"),
+    (lambda rng: variance_decomposition_check(
+        random_density(1, rng), 4, FRAME), "8,192"),
+], ids=["linear", "quadratic", "coincidence", "decomposition-n",
+        "decomposition-m"])
+def test_enumerator_refusals_state_bytes(call, nbytes, rng):
+    with pytest.raises(CapExceededError, match=f"needs {nbytes} bytes; capped"):
+        call(rng)
+
+
 def test_variance_decomposition_monte_carlo():
     rho = random_density(1, np.random.default_rng(3))
     lhs, rhs, se = variance_decomposition_check(rho, 100, FRAME, reps=3000,

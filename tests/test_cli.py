@@ -258,14 +258,14 @@ def test_estimate_purity_cap_exit_code(tmp_path, capsys):
 
 
 def test_estimate_fidelity_lut_cap_exit_code(tmp_path, capsys):
-    # a 6-qubit fidelity target needs a 4^6-entry float64 lookup table
-    path = tmp_path / "six.sic"
-    write_shots(path, ShotFileHeader(n_qubits=6),
-                np.zeros((10, 6), dtype=np.uint8))
+    # a 12-qubit fidelity target is made dense as 4^12 complex entries
+    path = tmp_path / "twelve.sic"
+    write_shots(path, ShotFileHeader(n_qubits=12),
+                np.zeros((10, 12), dtype=np.uint8))
     out = tmp_path / "report.csv"
-    assert run("estimate", "--file", str(path), "--fidelity", "ghz:6",
+    assert run("estimate", "--file", str(path), "--fidelity", "ghz:12",
                "--out", str(out)) == 4
-    assert "32,768 bytes" in capsys.readouterr().err
+    assert "268,435,456 bytes" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -278,10 +278,86 @@ def test_simulate_multinomial_dist_cap_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def _zeros_file(path, n, povm="sic"):
+    digits = np.zeros((10, n), dtype=np.uint8)
+    write_shots(path, ShotFileHeader(n_qubits=n, povm=povm),
+                digits if povm == "sic" else (digits, digits))
+    return str(path)
+
+
+# every refusal exits 4 with its byte estimate, before any output is written
+@pytest.mark.parametrize("case", [
+    lambda d: ("estimate", "--file", _zeros_file(d / "x.sic", 10),
+               "--purity", "full", "--renyi", "all:1"),
+    lambda d: ("estimate", "--file", _zeros_file(d / "x.sic", 12),
+               "--fidelity", "ghz:12"),
+    lambda d: ("reconstruct", "--file", _zeros_file(d / "x.sic", 12),
+               "--method", "lininv"),
+    lambda d: ("reconstruct", "--file", _zeros_file(d / "x.pauli", 9, "pauli"),
+               "--method", "pls"),
+    lambda d: ("simulate", "--state", "ghz:11", "--shots", "10",
+               "--mode", "multinomial"),
+    lambda d: ("reconstruct", "--file", _zeros_file(d / "x.sic", 6),
+               "--method", "mle"),
+], ids=["purity", "lut", "superoperator", "pauli-superoperator",
+        "multinomial", "mle"])
+def test_every_cli_refusal_states_bytes(case, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(*case(tmp_path), "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert " bytes; capped at " in err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_estimate_fidelity_at_paper_scale(tmp_path):
+    shots = simulate(tmp_path, state="ghz:8", shots=3000, seed=3)
+    out = tmp_path / "report.csv"
+    assert run("estimate", "--file", str(shots), "--fidelity", "ghz:8",
+               "--renyi", "all:2", "--out", str(out)) in (0, 2)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    value, stderr = [(float(r[4]), float(r[5])) for r in rows
+                     if r[2] == "fidelity:ghz:8"][-1]
+    assert 0 < stderr and abs(value - 1) < 6 * stderr
+    assert {r[2] for r in rows} == {"fidelity:ghz:8", "renyi2"}
+
+
+@pytest.mark.parametrize("method", ["lininv", "pls"])
+def test_reconstruct_at_paper_scale(method, tmp_path):
+    shots = simulate(tmp_path, state="ghz:8", shots=3000, seed=4)
+    out = tmp_path / "rho.json"
+    assert run("reconstruct", "--file", str(shots), "--method", method,
+               "--out", str(out)) == 0
+    mat, d = load_matrix(out)
+    assert mat.shape == (256, 256) and d["meta"]["shots"] == 3000
+    assert abs(np.trace(mat) - 1) < 1e-9
+    assert np.allclose(mat, mat.conj().T)
+
+
+@pytest.mark.parametrize("povm, argv", [
+    ("sic", ("estimate", "--purity", "0")),
+    ("sic", ("reconstruct", "--method", "lininv")),
+    ("pauli", ("reconstruct", "--method", "pls")),
+])
+def test_non_ascii_record_names_its_line(povm, argv, tmp_path, capsys):
+    path = tmp_path / "shots.txt"
+    run("simulate", "--state", "ghz:2", "--povm", povm, "--shots", "9",
+        "--out", str(path))
+    lines = path.read_bytes().split(b"\n")
+    lines[4] = lines[4][:1] + b"\xc3\xa9" + lines[4][3:]  # third record
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    assert run(argv[0], "--file", str(path), *argv[1:],
+               "--out", str(out)) == 3
+    assert "line 5: non-ASCII byte 0xc3" in capsys.readouterr().err
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
 @pytest.mark.parametrize("cmd", [
     ("simulate", "--state", "ghz:1", "--shots", "1", "--out", "x.sic"),
     ("estimate", "--file", "x.sic", "--purity", "full"),
     ("bench",),
+    ("game",),
 ])
 def test_threads_flag_removed(cmd, capsys):
     assert run(*cmd, "--threads", "2") == 3
@@ -346,15 +422,6 @@ def test_game_csv_deterministic(tmp_path, capsys):
     assert "correct" in capsys.readouterr().err
     trials = [int(line.split(",")[0]) for line in lines[1:]]
     assert trials == [0, 1, 2, 3]
-
-
-def test_game_threads_equivalent(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert run("game", "--trials", "4", "--seed", "2", "--out", str(a)) == 0
-    assert run("game", "--trials", "4", "--seed", "2", "--threads", "2",
-               "--out", str(b)) == 0
-    assert a.read_text() == b.read_text()
 
 
 # --- verify ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from sictomo.povm import CapExceededError, sic_frame, sic_outcome_distribution
+from sictomo.povm import (BYTES_CAP, CapExceededError, sic_frame,
+                          sic_outcome_distribution)
 from sictomo.qstate import random_density
 from sictomo.shadows import (
-    HIST_BYTES_CAP,
     PAIR_TRACE,
     BatchedShadow,
     ShadowAccumulator,
@@ -242,7 +242,7 @@ def test_accumulator_validation(rng):
 
 def test_histogram_byte_cap():
     # 4^11 * 8 bytes fits under the cap, 4^12 * 8 does not
-    assert 8 * 4**11 <= HIST_BYTES_CAP < 8 * 4**12
+    assert 8 * 4**11 <= BYTES_CAP < 8 * 4**12
     ShadowAccumulator(11, range(11), FRAME)
     with pytest.raises(CapExceededError, match="134,217,728 bytes"):
         ShadowAccumulator(12, range(12), FRAME)

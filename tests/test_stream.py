@@ -224,6 +224,21 @@ def test_wrong_length_reports_line(tmp_path):
         list(iter_sic_chunks(path))
 
 
+@pytest.mark.parametrize("line_no", [1, 2, 4])
+@pytest.mark.parametrize("read", [
+    lambda p: list(read_shots(p)),
+    lambda p: list(iter_sic_chunks(p, chunk_rows=1)),
+], ids=["read_shots", "iter_sic_chunks"])
+def test_non_ascii_byte_reports_line(read, line_no, tmp_path):
+    path = sic_file(tmp_path, [[0, 1], [2, 3], [1, 1]])
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] += b"\xe9"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ShotFileError,
+                       match=f"line {line_no}: non-ASCII byte 0xe9"):
+        read(path)
+
+
 def test_empty_record_line(tmp_path):
     path = sic_file(tmp_path, [[0, 1]])
     path.write_text(path.read_text() + "\n01\n")
@@ -368,9 +383,11 @@ def test_online_converges_on_constant_stream():
 
 
 def test_online_engine_caps_and_validation(rng):
-    with pytest.raises(ValueError, match="capped"):
+    # refused before the 16 * 4^12-byte dense target is made
+    with pytest.raises(ValueError, match="268,435,456 bytes; capped"):
         OnlineEngine(TrackerConfig(
-            n_qubits=6, fidelity_targets=[("x", random_pure(6, rng))]), FRAME)
+            n_qubits=12, fidelity_targets=[("x", random_pure(12, rng))]),
+            FRAME)
     engine = OnlineEngine(make_cfg(2), FRAME)
     with pytest.raises(ValueError):
         engine.feed(np.zeros((5, 3), dtype=np.uint8))
