@@ -6,6 +6,7 @@ before convergence, 3 invalid input, 4 resource cap exceeded.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -93,7 +94,9 @@ def _write_manifest(out_path, args, inputs, outputs):
 
 
 class _Sink:
-    """Line sink that is either a file (plus manifest) or stdout."""
+    """Line sink that is either a file (plus manifest) or stdout. Used as a
+    context manager; a file left by an exception is removed, so a failed
+    run leaves no partial report."""
 
     def __init__(self, path):
         self.path = path
@@ -103,9 +106,14 @@ class _Sink:
     def line(self, text):
         self._fh.write(text + "\n")
 
-    def close(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
         if self.path != "-":
             self._fh.close()
+            if exc_type is not None:
+                os.remove(self.path)
 
 
 # --- simulate -------------------------------------------------------------
@@ -194,8 +202,7 @@ def _cmd_estimate(args):
             window=args.window, tol=args.tol),
     )
     engine = OnlineEngine(cfg, frame)
-    sink = _Sink(args.out)
-    try:
+    with _Sink(args.out) as sink:
         if args.format == "csv":
             sink.line(CSV_HEADER)
         for chunk in iter_sic_chunks(args.file):
@@ -205,8 +212,6 @@ def _cmd_estimate(args):
                 break
         for report in engine.finalize():
             _emit_report(sink, report, args.format)
-    finally:
-        sink.close()
     if args.out != "-":
         _write_manifest(args.out, args, [args.file], [args.out])
     return EXIT_OK if engine.converged else EXIT_EXHAUSTED
@@ -241,8 +246,7 @@ def _cmd_reconstruct(args):
         result = reconstruct(freqs, superop, args.method, weights=weights)
         shots = freqs.total_shots
     with open(args.out, "w", encoding="ascii") as f:
-        json.dump(result.to_json_dict(shots), f)
-        f.write("\n")
+        f.write(json.dumps(result.to_json_dict(shots)) + "\n")
     _write_manifest(args.out, args, [args.file], [args.out])
     print(f"{args.method}: wrote {2**n}x{2**n} estimate to {args.out} "
           f"(residual {result.residual:.3g}, iterations {result.iterations})")
@@ -255,12 +259,9 @@ def _cmd_reconstruct(args):
 def _cmd_budget(args):
     q = BudgetQuery(k=args.k, l=args.l, epsilon=args.epsilon,
                     delta=args.delta, hs_norm_sq=args.hs_norm_sq)
-    sink = _Sink(args.out)
-    try:
+    with _Sink(args.out) as sink:
         sink.line(BUDGET_CSV_HEADER)
         sink.line(budget_csv_row(q))
-    finally:
-        sink.close()
     if args.out != "-":
         _write_manifest(args.out, args, [], [args.out])
     return EXIT_OK
@@ -270,14 +271,17 @@ def _cmd_budget(args):
 
 
 BENCH_CSV_HEADER = "n_qubits,method,shots,wall_ms"
+BENCH_METHODS = ("shadow-mean", "lininv", "pls")
 
 
 def _cmd_bench(args):
     n_list = [int(x) for x in args.n_list.split(",")]
     methods = args.methods.split(",")
+    for method in methods:
+        if method not in BENCH_METHODS:
+            raise ValueError(f"unknown bench method {method!r}")
     frame = sic_frame("standard")
-    sink = _Sink(args.out)
-    try:
+    with _Sink(args.out) as sink:
         sink.line(BENCH_CSV_HEADER)
         for n in n_list:
             state = make_product("0" * n)
@@ -288,20 +292,12 @@ def _cmd_bench(args):
                     t0 = time.perf_counter()
                     if method == "shadow-mean":
                         shadow_mean(digits, frame)
-                    elif method == "lininv":
-                        superop = FrameSuperoperator("sic", n, frame=frame)
-                        freqs = FrequencyVector.from_sic_shots(digits, n)
-                        reconstruct(freqs, superop, "lininv")
-                    elif method == "pls":
-                        superop = FrameSuperoperator("sic", n, frame=frame)
-                        freqs = FrequencyVector.from_sic_shots(digits, n)
-                        reconstruct(freqs, superop, "pls")
                     else:
-                        raise ValueError(f"unknown bench method {method!r}")
+                        superop = FrameSuperoperator("sic", n, frame=frame)
+                        freqs = FrequencyVector.from_sic_shots(digits, n)
+                        reconstruct(freqs, superop, method)
                     wall = (time.perf_counter() - t0) * 1000.0
                     sink.line(f"{n},{method},{args.shots},{wall:.3f}")
-    finally:
-        sink.close()
     if args.out != "-":
         _write_manifest(args.out, args, [], [args.out])
     return EXIT_OK
@@ -317,14 +313,11 @@ def _cmd_game(args):
     game = Game(sic_frame(args.frame))
     results = [game.play(args.seed, trial=t, gap_window=args.gap_window,
                          shot_cap=args.shot_cap) for t in range(args.trials)]
-    sink = _Sink(args.out)
-    try:
+    with _Sink(args.out) as sink:
         sink.line(GAME_CSV_HEADER)
         for _, _, t in results:
             sink.line(f"{t['trial']},{t['secret']},{t['winner']},"
                       f"{int(t['correct'])},{t['shots']},{int(t['declared'])}")
-    finally:
-        sink.close()
     n_correct = sum(t["correct"] for _, _, t in results)
     shots = sorted(t["shots"] for _, _, t in results)
     median = shots[len(shots) // 2]
@@ -342,9 +335,10 @@ def _verify_checks(seed):
     from .budget import (coincidence_probability, enumerated_coincidence,
                          exact_quadratic_variance, observable_budget,
                          purity_budget)
+    from .estimators import estimate_p3
     from .povm import naimark_unitary, sic_outcome_distribution, \
         NAIMARK_STANDARD
-    from .qstate import purity_exact, random_density
+    from .qstate import partial_transpose, purity_exact, random_density
     from .reconstruct import lininv, pls
     from .shadows import shadow_expand, PAIR_TRACE
     from .povm import digits_from_indices
@@ -404,6 +398,17 @@ def _verify_checks(seed):
             assert abs(lhs - rhs) <= 1e-10
             assert lhs <= 3.0**-n + 1e-12
 
+    def p3_triples():
+        frame = sic_frame("standard")
+        part = Bipartition(2, (0,))
+        digits = np.array([[0, 1], [2, 3], [1, 1], [1, 1], [3, 0], [0, 2],
+                           [2, 2]], dtype=np.uint8)
+        pts = [partial_transpose(shadow_expand(row, range(2), frame), part)
+               for row in digits]
+        want = np.mean([np.trace(a @ b @ c).real
+                        for a, b, c in itertools.combinations(pts, 3)])
+        assert abs(estimate_p3(digits, part, frame) - want) <= 1e-10
+
     def budgets():
         assert observable_budget(BudgetQuery(1, 1, 0.1, 0.01)) == 8478
         assert purity_budget(BudgetQuery(2, 1, 0.1, 0.1)) == 54000
@@ -424,6 +429,7 @@ def _verify_checks(seed):
         ("lininv-shadow-equivalence", lininv_equals_shadow_mean),
         ("purity-unbiasedness", purity_unbiased),
         ("coincidence-lemma", coincidence),
+        ("p3-triple-identity", p3_triples),
         ("measurement-budgets", budgets),
         ("pls-projection", pls_hand_case),
         ("quadratic-variance-hand-case", quadratic_hand_case),

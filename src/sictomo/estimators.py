@@ -4,7 +4,11 @@ Linear observables use a per-outcome-pattern lookup table. Purity is the
 pair U-statistic kept in streaming form through the exact identity
 sum_{m != m'} tr(s_m s_m') = tr(S^2) - Q, Q the running sum of tr(s^2). S is
 kept as its pattern histogram n, and tr(S^2) = n^T V n (see shadows), so a
-batch costs one histogram update whatever number of shots came before.
+batch costs one histogram update whatever number of shots came before. The
+PPT moment p3 is the triple U-statistic in the same exact form: the sums
+over all triples, less those with a repeated shot, of the partially
+transposed shadow sum T and of the sum Q2 of squared shadows, both built
+from one N-qubit pattern histogram.
 """
 
 import itertools
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import derive_rng
-from .qstate import Bipartition
+from .povm import check_bytes, frame_sums
+from .qstate import Bipartition, partial_transpose
 from .shadows import (_check_subset, apply_pair_trace, hist_zeros,
                       pattern_codes, shadow_lut, shadow_matrices, shadow_sum)
 
@@ -252,24 +256,16 @@ def estimate_renyi2(digits, part, frame, batch=1):
         estimate_purity(digits, part.smaller_side, frame, batch=batch))
 
 
-def _sample_distinct_triples(n_records, n_triples, rng):
-    idx = rng.integers(0, n_records, size=(n_triples, 3))
-    while True:
-        bad = ((idx[:, 0] == idx[:, 1]) | (idx[:, 0] == idx[:, 2])
-               | (idx[:, 1] == idx[:, 2]))
-        if not bad.any():
-            return idx
-        idx[bad] = rng.integers(0, n_records, size=(int(bad.sum()), 3))
+def estimate_p3(digits, part, frame):
+    """PPT moment tr((rho^{T_A})^3) as the exact triple U-statistic.
 
-
-def estimate_p3(digits, part, frame, triple_budget=20000, seed=0):
-    """PPT moment tr((rho^{T_A})^3) via the triple U-statistic.
-
-    Each shadow is partially transposed on `part.subset_a` (a per-site
-    transpose, since the shadows factorize). The kernel Re tr(abc) is
-    invariant under all orderings of a Hermitian triple, so unordered
-    distinct triples are enumerated when there are at most `triple_budget`
-    of them and uniformly sub-sampled otherwise.
+    t_m is shot m's shadow, partially transposed on `part.subset_a`. The
+    mean of Re tr(t_i t_j t_l) over all distinct triples is
+    [tr(T^3) - 3 tr(Q2 T) + 2 M 7^N] / (M (M-1) (M-2)), with T the sum of the
+    t_m and Q2 the sum of the t_m^2 (per site s^2 = 3P + I, tr(s^3) = 7):
+    the full triple sum of T less the ordered triples with a repeated shot.
+    Both sums come from one N-qubit pattern histogram, so no per-shot matrix
+    is built; the 2^N x 2^N matrices are refused above BYTES_CAP.
     """
     digits = np.asarray(digits)
     m, n = digits.shape
@@ -277,24 +273,13 @@ def estimate_p3(digits, part, frame, triple_budget=20000, seed=0):
         raise ValueError("p3 estimate needs at least 3 records")
     if part.n_qubits != n:
         raise ValueError("bipartition does not match record width")
+    check_bytes(16 * 4**n, f"p3 moment on {n} qubits")
+    hist = np.bincount(pattern_codes(digits, range(n)), minlength=4**n)
+    t = partial_transpose(shadow_sum(hist, frame), part)
     site = shadow_matrices(frame)
-    site_t = site.transpose(0, 2, 1)
-    in_a = set(part.subset_a)
-    mats = np.ones((m, 1, 1), dtype=complex)
-    for k in range(n):
-        factor = (site_t if k in in_a else site)[digits[:, k]]
-        mats = np.einsum("mij,mkl->mikjl", mats, factor).reshape(
-            m, mats.shape[1] * 2, mats.shape[1] * 2)
-    n_total = m * (m - 1) * (m - 2) // 6
-    if n_total <= triple_budget:
-        idx = np.fromiter(itertools.chain.from_iterable(
-            itertools.combinations(range(m), 3)), dtype=np.int64,
-            count=3 * n_total).reshape(n_total, 3)
-    else:
-        idx = _sample_distinct_triples(m, triple_budget, derive_rng(seed, "triples"))
-    vals = np.einsum("tij,tjk,tki->t", mats[idx[:, 0]], mats[idx[:, 1]],
-                     mats[idx[:, 2]], optimize=True).real
-    return float(vals.mean())
+    q2 = partial_transpose(frame_sums(hist, site @ site), part)
+    triples = np.einsum("ij,ji->", t @ t - 3 * q2, t).real + 2 * m * 7.0**n
+    return float(triples / (m * (m - 1) * (m - 2)))
 
 
 def median_of_means(digits, n_groups, estimator):

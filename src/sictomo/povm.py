@@ -167,14 +167,18 @@ def n_sites(size, m=4):
 
 
 def frame_traces(operator, site):
-    """tr(O kron_k M_{c_k}) for every pattern c, shape (m^K,) complex."""
+    """tr(O kron_k M_{c_k}) for every pattern c, shape (m^K,) complex.
+
+    `site` is one (m, 2, 2) stack for every site, or a sequence of K stacks,
+    the first for site 1.
+    """
     operator = np.asarray(operator)
     k = n_sites(operator.shape[0] ** 2)
     t = operator.reshape((2,) * (2 * k))
     # after `done` contractions the axes are the remaining rows, the remaining
     # columns, then the digits done, so the live site sits at (0, k - done)
-    for done in range(k):
-        t = np.tensordot(t, site, axes=([0, k - done], [2, 1]))
+    for done, stack in enumerate([site] * k if np.ndim(site) == 3 else site):
+        t = np.tensordot(t, stack, axes=([0, k - done], [2, 1]))
     return t.reshape(-1)
 
 
@@ -250,12 +254,8 @@ def pauli_outcome_distribution(state, setting):
             t = np.tensordot(t, v, axes=[(0,), (1,)])
         probs = np.abs(t.reshape(-1)) ** 2
     else:
-        t = mat.reshape((2,) * (2 * n))
-        for k, ch in enumerate(setting):
-            vecs = _PAULI_EIGVECS[ch]
-            proj = np.einsum("ab,cb->bac", vecs, vecs.conj())  # proj[b] = |v_b><v_b|
-            t = np.tensordot(t, proj, axes=[(0, n - k), (2, 1)])
-        probs = t.reshape(-1).real
+        proj = _PAULI_PROJECTORS.reshape(3, 2, 2, 2)  # proj[s, b] = |v_b><v_b|
+        probs = frame_traces(mat, [proj[_LETTER_CODE[c]] for c in setting]).real
     return np.where(probs < 0, 0.0, probs)
 
 
@@ -266,7 +266,6 @@ STREAM_IDS = {
     "pauli-shots": 1,
     "game-secret": 2,
     "game-shots": 3,
-    "triples": 4,
     "bench": 5,
     "convergence": 6,
     "variance-mc": 7,

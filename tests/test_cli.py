@@ -350,6 +350,7 @@ def test_non_ascii_record_names_its_line(povm, argv, tmp_path, capsys):
     assert run(argv[0], "--file", str(path), *argv[1:],
                "--out", str(out)) == 3
     assert "line 5: non-ASCII byte 0xc3" in capsys.readouterr().err
+    assert not out.exists()
     assert not (tmp_path / "out.manifest.json").exists()
 
 
@@ -407,6 +408,14 @@ def test_bench_unknown_method(tmp_path):
                "--shots", "10", "--out", str(tmp_path / "x.csv")) == 3
 
 
+def test_bench_checks_methods_before_writing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run("bench", "--n-list", "1", "--methods", "lininv,foo",
+               "--shots", "10", "--out", str(out)) == 3
+    assert "unknown bench method 'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- game -----------------------------------------------------------------------------
 
 
@@ -432,6 +441,7 @@ def test_verify_all_checks_pass(capsys):
     out = capsys.readouterr().out
     assert "OK: all checks passed" in out
     passes = [l for l in out.strip().split("\n") if l.startswith("PASS ")]
-    assert len(passes) == 9
+    assert len(passes) == 10
     assert "PASS frame-identities" in out
     assert "PASS lininv-shadow-equivalence" in out
+    assert "PASS p3-triple-identity" in out

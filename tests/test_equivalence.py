@@ -6,7 +6,10 @@ batch by batch, and the lookup table and shadow sum as traces and sums of the
 pattern matrices. The reconstruction references build the frame
 superoperator densely, one Kronecker chain per outcome, invert it by an
 eigenvalue pseudo-inverse and fit MLE with dense matrix products. The
-site-factorized code must reproduce them to 1e-10 (MLE to 1e-8).
+site-factorized code must reproduce them to 1e-10 (MLE to 1e-8). The PPT
+moment reference enumerates every triple of a per-shot stack of partially
+transposed shadows, and the Pauli distribution reference contracts a
+density matrix with one projector stack per setting letter.
 
 The per-shot sampler references keep one conditional state per shot; the
 samplers that keep one per distinct outcome prefix must draw the same digits.
@@ -24,15 +27,17 @@ import pytest
 
 from sictomo import povm
 from sictomo.estimators import (JACKKNIFE_GROUPS, ObservableSpec,
-                                PurityTracker, observable_lut)
+                                PurityTracker, estimate_p3, observable_lut)
 from sictomo.povm import (FrameSuperoperator, derive_rng, naimark_unitary,
+                          pauli_outcome_distribution, pauli_settings,
                           sample_pauli_shots, sample_sic_shots, sic_frame,
                           sic_outcome_distribution)
-from sictomo.qstate import make_ghz, random_density, random_pure
+from sictomo.qstate import Bipartition, make_ghz, random_density, random_pure
 from sictomo.reconstruct import (MLE_MAX_ITER, MLE_TOL, FrequencyVector,
                                  _project_density, _weight_vector, lininv,
                                  mle, pls_from_freqs)
-from sictomo.shadows import ShadowAccumulator, batch_shadows, shadow_expand
+from sictomo.shadows import (ShadowAccumulator, batch_shadows, shadow_expand,
+                             shadow_matrices)
 
 FRAME = sic_frame("standard")
 TOL = 1e-10
@@ -315,6 +320,51 @@ def test_naimark_completion_spans_the_complement(frame_name):
     np.testing.assert_allclose(w.conj().T @ w, np.eye(2), rtol=0, atol=1e-14)
     np.testing.assert_allclose(w @ w.conj().T, np.eye(4) - v @ v.conj().T,
                                rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_mixed_distribution_matches_contraction_loop(rng, n):
+    rho = random_density(n, rng)
+    for setting in pauli_settings(n):
+        t = rho.matrix.reshape((2,) * (2 * n))
+        for k, ch in enumerate(setting):
+            vecs = povm._PAULI_EIGVECS[ch]
+            proj = np.einsum("ab,cb->bac", vecs, vecs.conj())
+            t = np.tensordot(t, proj, axes=[(0, n - k), (2, 1)])
+        want = np.where(t.real < 0, 0.0, t.real).reshape(-1)
+        np.testing.assert_array_equal(
+            pauli_outcome_distribution(rho, setting), want)
+
+
+# --- PPT moment ---------------------------------------------------------------
+
+
+def reference_p3(digits, part):
+    """Mean of Re tr(abc) over every distinct triple of the per-shot stack
+    of partially transposed shadows."""
+    m, n = digits.shape
+    site = shadow_matrices(FRAME)
+    mats = np.ones((m, 1, 1), dtype=complex)
+    for k in range(n):
+        factor = (site.transpose(0, 2, 1) if k in part.subset_a
+                  else site)[digits[:, k]]
+        mats = np.einsum("mij,mkl->mikjl", mats, factor).reshape(
+            m, mats.shape[1] * 2, mats.shape[1] * 2)
+    idx = np.array(list(itertools.combinations(range(m), 3)))
+    return np.einsum("tij,tjk,tki->t", mats[idx[:, 0]], mats[idx[:, 1]],
+                     mats[idx[:, 2]], optimize=True).real.mean()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [3, 8, 40])
+def test_p3_matches_enumerated_stack(n, m):
+    digits = ghz_shots(m, 10 * n + m, n_qubits=n)
+    for size in range(1, n):
+        for side_a in itertools.combinations(range(n), size):
+            part = Bipartition(n, side_a)
+            want = reference_p3(digits, part)
+            got = estimate_p3(digits, part, FRAME)
+            assert abs(got - want) <= TOL * max(1.0, abs(want))
 
 
 # --- per-shot samplers --------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,10 +26,11 @@ from sictomo.estimators import (
     renyi2_from_purity,
     renyi2_stderr,
 )
-from sictomo.povm import (CapExceededError, derive_rng, sample_sic_shots,
-                          sic_frame, sic_outcome_distribution)
-from sictomo.qstate import (Bipartition, make_ghz, partial_transpose,
-                            random_density)
+from sictomo.povm import (CapExceededError, derive_rng, digits_from_indices,
+                          sample_sic_shots, sic_frame,
+                          sic_outcome_distribution)
+from sictomo.qstate import (Bipartition, make_ghz, p3_moment_exact,
+                            partial_transpose, random_density)
 from sictomo.shadows import batch_shadows, pair_trace, shadow_expand
 
 FRAME = sic_frame("standard")
@@ -288,14 +292,63 @@ def test_p3_kernel_order_invariant(rng):
     assert abs(estimate_p3(digits, part, FRAME) - ordered) < 1e-9
 
 
-def test_p3_sampled_path(rng):
+def test_p3_exact_at_fifty_records(rng):
+    # C(50,3) = 19600 triples, every one enumerated
     digits = rng.integers(0, 4, size=(50, 2)).astype(np.uint8)
     part = Bipartition(2, (0,))
-    full = estimate_p3(digits, part, FRAME)  # C(50,3) = 19600, enumerated
-    sampled = estimate_p3(digits, part, FRAME, triple_budget=4000, seed=1)
-    again = estimate_p3(digits, part, FRAME, triple_budget=4000, seed=1)
-    assert sampled == again  # seeded sub-sampling is reproducible
-    assert abs(sampled - full) < 2.0
+    pts = np.array([partial_transpose(shadow_expand(row, (0, 1), FRAME), part)
+                    for row in digits])
+    idx = np.array(list(itertools.combinations(range(50), 3)))
+    want = np.einsum("tij,tjk,tki->t", pts[idx[:, 0]], pts[idx[:, 1]],
+                     pts[idx[:, 2]]).real.mean()
+    assert abs(estimate_p3(digits, part, FRAME) - want) < 1e-10
+
+
+@pytest.mark.parametrize("side_a", [(0,), (1,)])
+def test_p3_exactly_unbiased(rng, side_a):
+    # weight each of the 16^3 outcome triples by its probability
+    rho = random_density(2, rng)
+    part = Bipartition(2, side_a)
+    probs = sic_outcome_distribution(rho, FRAME)
+    patterns = digits_from_indices(np.arange(16), 2)
+    got = sum(probs[i] * probs[j] * probs[k]
+              * estimate_p3(patterns[[i, j, k]], part, FRAME)
+              for i, j, k in itertools.product(range(16), repeat=3))
+    assert abs(got - p3_moment_exact(rho, part)[0]) < 1e-10
+
+
+def test_p3_cap_states_bytes():
+    part = Bipartition(12, (0, 1))
+    with pytest.raises(CapExceededError, match=" bytes; capped at "):
+        estimate_p3(np.zeros((3, 12), dtype=np.uint8), part, FRAME)
+
+
+def test_p3_ghz8_memory_and_accuracy():
+    """20k GHZ-8 shots: one 256 x 256 shadow sum, not a 21 GB per-shot
+    stack. The child reads its own high-water mark (its ru_maxrss would
+    start from this process's). Over ten seeds the estimate's spread was
+    0.07, so 0.3 is about four standard deviations."""
+    code = ("import re, time, sictomo\n"
+            "from sictomo.povm import derive_rng, sample_sic_shots, sic_frame\n"
+            "from sictomo.qstate import Bipartition, make_ghz\n"
+            "frame = sic_frame('standard')\n"
+            "digits = sample_sic_shots(make_ghz(8), frame, 20000,"
+            " derive_rng(0, 'sic-shots'))\n"
+            "t0 = time.perf_counter()\n"
+            "p3 = sictomo.estimate_p3(digits, Bipartition(8, (0, 1, 2, 3)),"
+            " frame)\n"
+            "wall = time.perf_counter() - t0\n"
+            "status = open('/proc/self/status').read()\n"
+            "hwm = re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)\n"
+            "print(p3, wall, hwm)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    p3, wall, hwm = (float(x) for x in out.split())
+    # GHZ: rho^{T_A} has eigenvalues 1/2 (three times) and -1/2, so p3 = 1/4
+    assert abs(p3 - 0.25) < 0.3
+    assert wall < 2.0
+    assert hwm / 1024 < 200
 
 
 def test_p3_validation(rng):
