@@ -48,6 +48,6 @@ from .budget import (BudgetQuery, coincidence_probability,
                      quadratic_variance_bound, variance_decomposition_check)
 from .stream import (Game, OnlineEngine, ShotFileError, ShotFileHeader,
                      StoppingRule, TrackerConfig, convergence_experiment,
-                     read_shots, run_game, run_online, write_shots)
+                     run_game, run_online, write_shots)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .budget import BUDGET_CSV_HEADER, BudgetQuery, budget_csv_row
 from .estimators import CSV_HEADER, all_bipartitions
-from .povm import (CapExceededError, FrameSuperoperator, derive_rng,
-                   sample_pauli_shots, sample_sic_shots, sic_frame)
+from .povm import (CapExceededError, FrameSuperoperator, check_bytes,
+                   derive_rng, sample_pauli_shots, sample_sic_shots, sic_frame)
 from .qstate import (DensityOperator, PureState, load_state, make_ame5,
                      make_ghz, make_linear_cluster, make_product,
                      make_rotated_ghz, random_pure, Bipartition)
@@ -47,30 +47,33 @@ class _Parser(argparse.ArgumentParser):
 def parse_state(spec, seed=0):
     """Resolve a state spec: a library name such as `ame5`, `ghz:3`,
     `rotated-ghz:4`, `cluster:++-+`, `product:0+1-`, `mixed:2`,
-    `random-pure:3`, or a path to a state JSON file."""
+    `random-pure:3`, or a path to a state JSON file. The qubit count is
+    read from the spec first, so a state too large for the byte cap
+    (16 x 2^N bytes pure, 16 x 4^N for `mixed:N`) is refused unbuilt."""
     if spec.endswith(".json") or os.path.exists(spec):
         return load_state(spec)
     name, _, rest = spec.partition(":")
-    try:
-        if name == "ame5":
-            return make_ame5()
-        if name == "ghz":
-            return make_ghz(int(rest))
-        if name == "rotated-ghz":
-            parts = rest.split(":")
-            angle = float(parts[1]) if len(parts) > 1 else math.pi / 4
-            return make_rotated_ghz(int(parts[0]), angle)
-        if name == "cluster":
-            return make_linear_cluster(len(rest), rest)
-        if name == "product":
-            return make_product(rest)
-        if name == "mixed":
-            n = int(rest)
-            return DensityOperator(np.eye(2**n) / 2**n, check=False)
-        if name == "random-pure":
-            return random_pure(int(rest), derive_rng(seed, "state"))
-    except (TypeError, IndexError):
-        pass
+    parts = rest.split(":")
+    constructors = {
+        "ame5": make_ame5,
+        "ghz": lambda: make_ghz(n),
+        "rotated-ghz": lambda: make_rotated_ghz(
+            n, float(parts[1]) if len(parts) > 1 else math.pi / 4),
+        "cluster": lambda: make_linear_cluster(n, rest),
+        "product": lambda: make_product(rest),
+        "mixed": lambda: DensityOperator(np.eye(2**n) / 2**n, check=False),
+        "random-pure": lambda: random_pure(n, derive_rng(seed, "state")),
+    }
+    if name in constructors:
+        count = parts[0] if name == "rotated-ghz" else rest
+        n = (5 if name == "ame5" else len(rest)
+             if name in ("cluster", "product") else int(count))
+        check_bytes(16 * (4 if name == "mixed" else 2) ** n,
+                    f"state {spec!r} on {n} qubits")
+        try:
+            return constructors[name]()
+        except (TypeError, IndexError):
+            pass
     raise ValueError(f"unknown state spec {spec!r}")
 
 

@@ -295,11 +295,15 @@ def make_ghz(n):
 
 def make_rotated_ghz(n, angle=math.pi / 4):
     """GHZ state with a local rotation exp(-i*angle*Y/2) applied to every
-    qubit, so the state is aligned with no tomography basis."""
+    qubit, so the state is aligned with no tomography basis. The rotation
+    acts on one tensor axis of the amplitudes at a time, never as a dense
+    2^n x 2^n matrix."""
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     ry = np.array([[c, -s], [s, c]], dtype=complex)
-    u = reduce(np.kron, [ry] * n)
-    return PureState(u @ make_ghz(n).amplitudes, check=False)
+    amp = make_ghz(n).amplitudes.reshape((2,) * n)
+    for axis in range(n):
+        amp = np.moveaxis(np.tensordot(ry, amp, axes=(1, axis)), 0, axis)
+    return PureState(amp.reshape(-1), check=False)
 
 
 _KET = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .povm import cap_error
+from .povm import _LETTER_CODE, cap_error, indices_from_digits
 from .qstate import DensityOperator
 
 MLE_CAP = 5  # qubits; the fit solves repeatedly in dimension 4^N
@@ -58,9 +58,10 @@ class FrequencyVector:
     def from_sic_shots(cls, digits, n_qubits=None):
         digits = np.asarray(digits)
         n = digits.shape[1] if n_qubits is None else n_qubits
-        shifts = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        idx = digits.astype(np.int64) @ shifts
-        return cls("sic", n, np.bincount(idx, minlength=4**n))
+        if digits.shape[1] != n:
+            raise ValueError("digit rows must have n_qubits columns")
+        return cls("sic", n, np.bincount(indices_from_digits(digits),
+                                         minlength=4**n))
 
     @classmethod
     def from_pauli_shots(cls, settings, bits):
@@ -70,8 +71,7 @@ class FrequencyVector:
         if isinstance(settings, np.ndarray) and settings.dtype != object:
             codes = settings.astype(np.int64)
         else:
-            letter = {"X": 0, "Y": 1, "Z": 2}
-            codes = np.array([[letter[c] for c in s] for s in settings],
+            codes = np.array([[_LETTER_CODE[c] for c in s] for s in settings],
                              dtype=np.int64)
         pow3 = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
         s_idx = codes @ pow3

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .povm import check_bytes, frame_sums, frame_traces, n_sites
+from .povm import (check_bytes, frame_sums, frame_traces, indices_from_digits,
+                   n_sites)
 
 # tr(sigma_i sigma_j) factorizes per site into 5 (matching digits) or -1;
 # this holds for every SIC frame since it only uses the 1/3 overlaps
@@ -78,8 +79,7 @@ def _check_subset(subset, n_qubits):
 
 def pattern_codes(digits, subset):
     """Base-4 word of each record's subset digits, first subset qubit leading."""
-    shifts = 4 ** np.arange(len(subset) - 1, -1, -1, dtype=np.int64)
-    return np.asarray(digits)[:, list(subset)].astype(np.int64) @ shifts
+    return indices_from_digits(np.asarray(digits)[:, list(subset)])
 
 
 def shadow_sum(counts, frame):

@@ -6,7 +6,14 @@ File format, bit-exact:
     body:   SIC `d1d2...dN` with digits 0-3; Pauli `XYZ... b1b2...` with a
             single space between setting letters and outcome bits.
 
-Files are read as ASCII; any other byte is a ShotFileError naming its line.
+Each record format is described once, as the alphabet of each column
+(`_RECORDS`); the writer encodes and the one chunked reader decodes through
+the same tables. Files are read as ASCII text with universal newlines, so a
+CRLF or a lone CR ends a line as LF does. A chunk of well-formed records is
+decoded in one pass; any other chunk goes through one per-line checker,
+which raises a ShotFileError for its first bad line: an empty line, a byte
+outside ASCII, a line of the wrong shape, or a symbol outside its column's
+alphabet.
 
 The online engine consumes digit rows in report intervals and keeps every
 tracked quantity incrementally, so the analysis cost of an interval does not
@@ -89,52 +96,73 @@ class ShotFileHeader:
             raise ShotFileError(str(exc), line=2)
 
 
-_SETTING_BYTES = np.array([ord("X"), ord("Y"), ord("Z")], dtype=np.uint8)
+# Record formats. A record line is runs of N columns, one alphabet per run,
+# joined by single spaces and ended by a newline. Beside the runs stand the
+# per-line checker's messages: one for a line of the wrong shape, and one per
+# run for a symbol outside its alphabet.
+_RECORDS = {
+    "sic": ("expected {n} digits, got {got}",
+            [("0123", "digit {!r} out of range 0..3")]),
+    "pauli": ("expected '<N setting letters> <N outcome bits>'",
+              [("XYZ", "setting letter {!r} not in XYZ"),
+               ("01", "outcome bit {!r} not 0/1")]),
+}
+
+
+def _layout(povm, n):
+    """Code tables of an N-qubit record line, one row per column, newline
+    included: encode[j, code] is the byte of a symbol code in column j, and
+    decode[j, byte] its code, or 255 for a byte outside that alphabet."""
+    columns = []
+    for alphabet, _ in _RECORDS[povm][1]:
+        columns += [alphabet] * n + [" "]
+    columns[-1] = "\n"
+    encode = np.zeros((len(columns), 4), dtype=np.uint8)
+    decode = np.full((len(columns), 256), 255, dtype=np.uint8)
+    for j, alphabet in enumerate(columns):
+        symbols = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
+        encode[j, :symbols.size] = symbols
+        decode[j, symbols] = np.arange(symbols.size)
+    return encode, decode
+
+
+def _runs(codes, n):
+    """The (m, N) code view of each run of an (m, width) record array."""
+    return [codes[:, j:j + n] for j in range(0, codes.shape[1], n + 1)]
 
 
 def write_shots(path, header, records):
     """Write a shot file. SIC records: (M, N) digit array. Pauli records:
     a (settings, bits) pair of (M, N) uint8 arrays (setting codes 0/1/2)."""
+    n = header.n_qubits
+    runs = _RECORDS[header.povm][1]
+    fields = [np.asarray(a, dtype=np.uint8) for a in
+              ([records] if header.povm == "sic" else records)]
+    if len(fields) != len(runs) or any(
+            a.ndim != 2 or a.shape != fields[0].shape or a.shape[1] != n
+            for a in fields):
+        raise ValueError(f"{header.povm} records must be {len(runs)} "
+                         "(M, N) code arrays of one shape")
+    for a, (alphabet, _) in zip(fields, runs):
+        if a.size and a.max() >= len(alphabet):
+            raise ValueError(f"{header.povm} codes must index {alphabet!r}")
+    encode, _ = _layout(header.povm, n)
+    columns = np.arange(encode.shape[0])
     with open(path, "wb") as f:
         f.write((MAGIC + "\n").encode("ascii"))
         f.write((header.to_json() + "\n").encode("ascii"))
-        n = header.n_qubits
-        if header.povm == "sic":
-            digits = np.asarray(records, dtype=np.uint8)
-            if digits.ndim != 2 or digits.shape[1] != n:
-                raise ValueError("sic records must be an (M, N) digit array")
-            if digits.size and digits.max() > 3:
-                raise ValueError("sic digits must lie in 0..3")
-            for lo in range(0, digits.shape[0], 65536):
-                chunk = digits[lo:lo + 65536]
-                blob = np.empty((chunk.shape[0], n + 1), dtype=np.uint8)
-                blob[:, :n] = chunk + ord("0")
-                blob[:, n] = ord("\n")
-                f.write(blob.tobytes())
-        else:
-            settings, bits = records
-            settings = np.asarray(settings, dtype=np.uint8)
-            bits = np.asarray(bits, dtype=np.uint8)
-            if settings.shape != bits.shape or settings.ndim != 2 \
-                    or settings.shape[1] != n:
-                raise ValueError("pauli records must be (M, N) setting and "
-                                 "bit arrays of equal shape")
-            if settings.size and (settings.max() > 2 or bits.max() > 1):
-                raise ValueError("setting codes must be 0..2 and bits 0..1")
-            for lo in range(0, settings.shape[0], 65536):
-                s, b = settings[lo:lo + 65536], bits[lo:lo + 65536]
-                blob = np.empty((s.shape[0], 2 * n + 2), dtype=np.uint8)
-                blob[:, :n] = _SETTING_BYTES[s]
-                blob[:, n] = ord(" ")
-                blob[:, n + 1:2 * n + 1] = b + ord("0")
-                blob[:, 2 * n + 1] = ord("\n")
-                f.write(blob.tobytes())
+        for lo in range(0, fields[0].shape[0], 65536):
+            chunk = [a[lo:lo + 65536] for a in fields]
+            codes = np.zeros((chunk[0].shape[0], columns.size), dtype=np.uint8)
+            for view, a in zip(_runs(codes, n), chunk):
+                view[...] = a
+            f.write(encode[columns, codes].tobytes())
 
 
 def _open_shots(path):
     """Text-mode reader in which each byte outside ASCII decodes to a lone
-    surrogate, so the parsers can name its line instead of failing inside
-    the codec."""
+    surrogate, so the checker can name its line instead of failing inside
+    the codec. Universal newlines: CRLF and a lone CR end a line too."""
     return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 
@@ -162,137 +190,75 @@ def read_header(path):
         return _read_header_lines(f)
 
 
-_LETTERS = {"X": 0, "Y": 1, "Z": 2}
+def _check_line(line, povm, n, line_no):
+    """Raise the ShotFileError of one record line (no newline), if any."""
+    if not line:
+        raise ShotFileError("empty record line", line=line_no)
+    _check_ascii(line, line_no)
+    shape_error, runs = _RECORDS[povm]
+    parts = line.split(" ") if len(runs) > 1 else [line]
+    if len(parts) != len(runs) or any(len(p) != n for p in parts):
+        raise ShotFileError(shape_error.format(n=n, got=len(line)),
+                            line=line_no)
+    for part, (alphabet, symbol_error) in zip(parts, runs):
+        for ch in part:
+            if ch not in alphabet:
+                raise ShotFileError(symbol_error.format(ch), line=line_no)
 
 
-def _parse_sic_line(line, n, line_no):
-    if len(line) != n:
-        raise ShotFileError(
-            f"expected {n} digits, got {len(line)}", line=line_no)
-    row = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
-    if row.max() > 3:
-        bad = line[int(np.argmax(row > 3))]
-        raise ShotFileError(f"digit {bad!r} out of range 0..3", line=line_no)
-    return row
-
-
-def _parse_pauli_line(line, n, line_no):
-    parts = line.split(" ")
-    if len(parts) != 2 or len(parts[0]) != n or len(parts[1]) != n:
-        raise ShotFileError(
-            "expected '<N setting letters> <N outcome bits>'", line=line_no)
-    letters, bits = parts
-    for ch in letters:
-        if ch not in _LETTERS:
-            raise ShotFileError(f"setting letter {ch!r} not in XYZ", line=line_no)
-    for ch in bits:
-        if ch not in "01":
-            raise ShotFileError(f"outcome bit {ch!r} not 0/1", line=line_no)
-    return letters, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-
-
-def read_shots(path):
-    """Incremental record reader: yields digit rows (SIC) or
-    (setting string, bit row) pairs (Pauli). Validates line by line."""
+def _iter_records(path, povm, chunk_rows):
+    """Yield, per chunk of at most chunk_rows records, the (m, N) code array
+    of each run of the format. A chunk is decoded in one pass when every
+    line is a well-formed record; otherwise the checker raises for its first
+    bad line."""
     with _open_shots(path) as f:
         header = _read_header_lines(f)
+        if header.povm != povm:
+            raise ShotFileError(f"expected a {povm} shot file", line=2)
         n = header.n_qubits
-        parse = _parse_sic_line if header.povm == "sic" else _parse_pauli_line
-        for line_no, raw in enumerate(f, start=3):
-            line = raw.rstrip("\n")
-            if not line:
-                raise ShotFileError("empty record line", line=line_no)
-            _check_ascii(line, line_no)
-            yield parse(line, n, line_no)
+        _, decode = _layout(povm, n)
+        columns = np.arange(decode.shape[0])
+        line_no = 3
+        while True:
+            lines = list(itertools.islice(f, chunk_rows))
+            if not lines:
+                return
+            text = "".join(lines)
+            if not text.endswith("\n"):
+                text += "\n"
+            # every column, the newline included, must decode, so a record
+            # can neither run into the next line nor be made up from two
+            codes = None
+            if text.isascii() and len(text) == len(lines) * columns.size:
+                rec = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+                codes = decode[columns, rec.reshape(len(lines), -1)]
+            if codes is None or codes.max() == 255:
+                for i, line in enumerate(lines):
+                    _check_line(line.rstrip("\n"), povm, n, line_no + i)
+            line_no += len(lines)
+            yield _runs(codes, n)
 
 
 def iter_sic_chunks(path, chunk_rows=4096):
     """Yield (m, N) digit arrays from a SIC shot file, bounded memory."""
-    with _open_shots(path) as f:
-        header = _read_header_lines(f)
-        if header.povm != "sic":
-            raise ShotFileError("expected a sic shot file", line=2)
-        n = header.n_qubits
-        line_no = 3
-        while True:
-            lines = list(itertools.islice((l.rstrip("\n") for l in f), chunk_rows))
-            if not lines:
-                return
-            joined = "".join(lines)
-            if not joined.isascii() or len(joined) != n * len(lines):
-                for i, line in enumerate(lines):
-                    _check_ascii(line, line_no + i)
-                    if len(line) != n:
-                        raise ShotFileError(
-                            f"expected {n} digits, got {len(line)}",
-                            line=line_no + i)
-            arr = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
-            arr = arr.reshape(len(lines), n)
-            if arr.max() > 3:
-                bad = int(np.argmax((arr > 3).any(axis=1)))
-                raise ShotFileError("digit out of range 0..3",
-                                    line=line_no + bad)
-            line_no += len(lines)
-            yield arr
+    for runs in _iter_records(path, "sic", chunk_rows):
+        yield runs[0]
 
 
 def read_sic_digits(path):
     """Whole-file convenience: (header, (M, N) digit array)."""
     header = read_header(path)
-    chunks = list(iter_sic_chunks(path))
-    if not chunks:
-        return header, np.empty((0, header.n_qubits), dtype=np.uint8)
-    return header, np.concatenate(chunks, axis=0)
-
-
-# byte -> setting code or outcome bit; 255 marks a byte that is neither
-_LETTER_CODES = np.full(256, 255, dtype=np.uint8)
-_LETTER_CODES[_SETTING_BYTES] = [0, 1, 2]
-_BIT_CODES = np.full(256, 255, dtype=np.uint8)
-_BIT_CODES[[ord("0"), ord("1")]] = [0, 1]
-
-
-def _parse_pauli_records(body, n):
-    """(settings, bits) from a body of M records of exactly 2N + 2 bytes, the
-    last newline optional; None for anything else."""
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
-    width = 2 * n + 2
-    if len(body) % width:
-        return None
-    rec = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
-    settings = _LETTER_CODES[rec[:, :n]]
-    bits = _BIT_CODES[rec[:, n + 1:-1]]
-    if (settings.max(initial=0) > 2 or bits.max(initial=0) > 1
-            or np.any(rec[:, n] != ord(" ")) or np.any(rec[:, -1] != ord("\n"))):
-        return None
-    return settings, bits
+    empty = np.empty((0, header.n_qubits), dtype=np.uint8)
+    return header, np.concatenate([empty, *iter_sic_chunks(path)])
 
 
 def read_pauli_shots(path):
-    """Whole-file Pauli reader: (header, setting codes, bits).
-
-    Well-formed records are parsed in one fixed-width pass over the bytes.
-    Any other body goes through read_shots line by line, so its errors keep
-    their message and line number.
-    """
+    """Whole-file Pauli reader: (header, setting codes, bits)."""
     header = read_header(path)
-    if header.povm != "pauli":
-        raise ShotFileError("expected a pauli shot file", line=2)
-    with open(path, "rb") as f:
-        lines = f.read().split(b"\n", 2)
-    if len(lines) == 3 and b"\r" not in lines[0] + lines[1]:
-        parsed = _parse_pauli_records(lines[2], header.n_qubits)
-        if parsed is not None:
-            return (header,) + parsed
-    settings, bits = [], []
-    for letters, row in read_shots(path):
-        settings.append([_LETTERS[c] for c in letters])
-        bits.append(row)
-    n = header.n_qubits
-    if not settings:
-        return header, np.empty((0, n), np.uint8), np.empty((0, n), np.uint8)
-    return header, np.array(settings, dtype=np.uint8), np.array(bits, dtype=np.uint8)
+    empty = np.empty((0, header.n_qubits), dtype=np.uint8)
+    chunks = list(_iter_records(path, "pauli", 4096))
+    settings, bits = ([empty] + [runs[j] for runs in chunks] for j in (0, 1))
+    return header, np.concatenate(settings), np.concatenate(bits)
 
 
 # --- online engine ------------------------------------------------------------

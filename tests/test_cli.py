@@ -299,8 +299,10 @@ def _zeros_file(path, n, povm="sic"):
                "--mode", "multinomial"),
     lambda d: ("reconstruct", "--file", _zeros_file(d / "x.sic", 6),
                "--method", "mle"),
+    lambda d: ("simulate", "--state", "ghz:40", "--shots", "10"),
+    lambda d: ("simulate", "--state", "mixed:20", "--shots", "10"),
 ], ids=["purity", "lut", "superoperator", "pauli-superoperator",
-        "multinomial", "mle"])
+        "multinomial", "mle", "pure-state", "mixed-state"])
 def test_every_cli_refusal_states_bytes(case, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(*case(tmp_path), "--out", str(out)) == 4
@@ -350,6 +352,25 @@ def test_non_ascii_record_names_its_line(povm, argv, tmp_path, capsys):
     assert run(argv[0], "--file", str(path), *argv[1:],
                "--out", str(out)) == 3
     assert "line 5: non-ASCII byte 0xc3" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--purity", "0"),
+    ("reconstruct", "--method", "lininv"),
+    ("reconstruct", "--method", "shadow-mean"),
+])
+def test_record_cut_across_lines_is_refused(argv, tmp_path, capsys):
+    # 3 + 1 + 2 characters hold three 2-digit records' worth of digits, but
+    # no line is a record
+    path = tmp_path / "shots.sic"
+    write_shots(path, ShotFileHeader(n_qubits=2), np.empty((0, 2), np.uint8))
+    path.write_bytes(path.read_bytes() + b"011\n2\n33\n")
+    out = tmp_path / "out"
+    assert run(argv[0], "--file", str(path), *argv[1:],
+               "--out", str(out)) == 3
+    assert "line 3: expected 2 digits, got 3" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "out.manifest.json").exists()
 

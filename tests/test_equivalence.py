@@ -13,6 +13,14 @@ density matrix with one projector stack per setting letter.
 
 The per-shot sampler references keep one conditional state per shot; the
 samplers that keep one per distinct outcome prefix must draw the same digits.
+
+The rotated GHZ reference applies the dense Kronecker power of the
+single-qubit rotation; rotating one tensor axis at a time must agree to
+1e-14.
+
+The shot-file reference is the line-by-line reader the chunked record reader
+replaced. On every body, well-formed or not, the chunked reader must return
+the same arrays or raise the same ShotFileError text, line number included.
 """
 
 import functools
@@ -24,6 +32,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sictomo import povm
 from sictomo.estimators import (JACKKNIFE_GROUPS, ObservableSpec,
@@ -32,12 +41,15 @@ from sictomo.povm import (FrameSuperoperator, derive_rng, naimark_unitary,
                           pauli_outcome_distribution, pauli_settings,
                           sample_pauli_shots, sample_sic_shots, sic_frame,
                           sic_outcome_distribution)
-from sictomo.qstate import Bipartition, make_ghz, random_density, random_pure
+from sictomo.qstate import (Bipartition, make_ghz, make_rotated_ghz,
+                            random_density, random_pure)
 from sictomo.reconstruct import (MLE_MAX_ITER, MLE_TOL, FrequencyVector,
                                  _project_density, _weight_vector, lininv,
                                  mle, pls_from_freqs)
 from sictomo.shadows import (ShadowAccumulator, batch_shadows, shadow_expand,
                              shadow_matrices)
+from sictomo.stream import (ShotFileError, _iter_records, _read_header_lines,
+                            iter_sic_chunks, read_pauli_shots, read_sic_digits)
 
 FRAME = sic_frame("standard")
 TOL = 1e-10
@@ -461,3 +473,182 @@ def test_pershot_ghz12_chunk_memory_is_bounded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert int(out) / 1024 < 200
+
+
+def reference_rotated_ghz(n, angle):
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    ry = np.array([[c, -s], [s, c]], dtype=complex)
+    return functools.reduce(np.kron, [ry] * n) @ make_ghz(n).amplitudes
+
+
+@pytest.mark.parametrize("angle", [math.pi / 4, 0.3])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rotated_ghz_matches_dense_rotation(n, angle):
+    np.testing.assert_allclose(make_rotated_ghz(n, angle).amplitudes,
+                               reference_rotated_ghz(n, angle),
+                               rtol=0, atol=1e-14)
+
+
+# --- shot-file reader ---------------------------------------------------------
+
+
+def _reference_check_ascii(line, line_no):
+    if not line.isascii():
+        bad = next(ch for ch in line if not ch.isascii())
+        raise ShotFileError(f"non-ASCII byte 0x{ord(bad) - 0xdc00:02x}",
+                            line=line_no)
+
+
+def _reference_sic_line(line, n, line_no):
+    if len(line) != n:
+        raise ShotFileError(
+            f"expected {n} digits, got {len(line)}", line=line_no)
+    row = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+    if row.max() > 3:
+        bad = line[int(np.argmax(row > 3))]
+        raise ShotFileError(f"digit {bad!r} out of range 0..3", line=line_no)
+    return row
+
+
+def _reference_pauli_line(line, n, line_no):
+    parts = line.split(" ")
+    if len(parts) != 2 or len(parts[0]) != n or len(parts[1]) != n:
+        raise ShotFileError(
+            "expected '<N setting letters> <N outcome bits>'", line=line_no)
+    letters, bits = parts
+    for ch in letters:
+        if ch not in {"X": 0, "Y": 1, "Z": 2}:
+            raise ShotFileError(f"setting letter {ch!r} not in XYZ",
+                                line=line_no)
+    for ch in bits:
+        if ch not in "01":
+            raise ShotFileError(f"outcome bit {ch!r} not 0/1", line=line_no)
+    return letters, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+
+
+def reference_read_shots(path):
+    """The line-by-line reader: digit rows (SIC) or (setting string, bit
+    row) pairs (Pauli), validated line by line."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
+        header = _read_header_lines(f)
+        n = header.n_qubits
+        parse = (_reference_sic_line if header.povm == "sic"
+                 else _reference_pauli_line)
+        for line_no, raw in enumerate(f, start=3):
+            line = raw.rstrip("\n")
+            if not line:
+                raise ShotFileError("empty record line", line=line_no)
+            _reference_check_ascii(line, line_no)
+            yield parse(line, n, line_no)
+
+
+def reference_records(path, povm, n):
+    """The reference reader's code arrays of each run, or its error text."""
+    try:
+        rows = list(reference_read_shots(path))
+    except ShotFileError as exc:
+        return str(exc)
+    if povm == "sic":
+        return [np.array(rows, dtype=np.uint8).reshape(-1, n)]
+    codes = {"X": 0, "Y": 1, "Z": 2}
+    settings = [[codes[c] for c in s] for s, _ in rows]
+    bits = [b for _, b in rows]
+    return [np.array(a, dtype=np.uint8).reshape(-1, n) for a in (settings, bits)]
+
+
+def read_runs(read, path, n, k):
+    """A reader's chunks of k runs, each run concatenated over the chunks,
+    or its error text."""
+    try:
+        chunks = list(read(path))
+    except ShotFileError as exc:
+        return str(exc)
+    empty = np.empty((0, n), dtype=np.uint8)
+    return [np.concatenate([empty] + [c[j] for c in chunks]) for j in range(k)]
+
+
+CHUNK_ROWS = (1, 2, 3, 4096)
+
+
+def record_readers(povm):
+    """Every reader of a povm's files, each yielding chunks of runs: the
+    record reader and its chunked view at every chunk size, then the
+    whole-file view."""
+    readers = [functools.partial(_iter_records, povm=povm, chunk_rows=rows)
+               for rows in CHUNK_ROWS]
+    if povm == "sic":
+        readers += [lambda p, rows=rows: ([c] for c in iter_sic_chunks(p, rows))
+                    for rows in CHUNK_ROWS]
+        readers.append(lambda p: [read_sic_digits(p)[1:]])
+    else:
+        readers.append(lambda p: [read_pauli_shots(p)[1:]])
+    return readers
+
+
+BAD_SYMBOLS = {
+    "symbol": [b"4", b"9", b"/", b"W", b"x", b" ", b"\t", b"2", b"Z", b"\x00"],
+    "non-ascii": [b"\xe9", b"\xc3\xa9", b"\xff"],
+}
+
+
+@st.composite
+def shot_bodies(draw, povm):
+    """(n, file bytes): a header and a body of well-formed records, up to
+    two of them damaged, under mixed line ends, with or without a final
+    newline."""
+    n = draw(st.integers(1, 3))
+    runs = ["0123"] if povm == "sic" else ["XYZ", "01"]
+    lines = [" ".join(draw(st.text(a, min_size=n, max_size=n))
+                      for a in runs).encode("ascii")
+             for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        kind = draw(st.sampled_from(["truncated", "over-long", "empty",
+                                     "symbol", "non-ascii", "compensating"]))
+        if kind == "truncated":
+            lines[i] = line[:draw(st.integers(0, max(0, len(line) - 1)))]
+        elif kind == "over-long":
+            lines[i] += draw(st.sampled_from([b"0", b"1", b"X", b" 0", b"01"]))
+        elif kind == "empty":
+            lines[i] = b""
+        elif kind in BAD_SYMBOLS:
+            at = draw(st.integers(0, max(0, len(line) - 1)))
+            lines[i] = line[:at] + draw(st.sampled_from(BAD_SYMBOLS[kind])) \
+                + line[at + 1:]
+        elif i + 1 < len(lines):
+            # k bytes of the next line move onto this one, so the two
+            # together still hold two records' worth of bytes
+            k = draw(st.integers(0, len(lines[i + 1])))
+            lines[i], lines[i + 1] = line + lines[i + 1][:k], lines[i + 1][k:]
+    ends = [draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]))
+            for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = b""
+    head_end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    header = (f'{{"n_qubits":{n},"povm":"{povm}","frame":"standard",'
+              '"seed":0,"batch":1}').encode("ascii")
+    body = b"".join(line + end for line, end in zip(lines, ends))
+    return n, b"#TOMO v1" + head_end + header + head_end + body
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "shots"
+
+
+@pytest.mark.parametrize("povm", ["sic", "pauli"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_record_reader_matches_line_reader(fuzz_path, povm, data):
+    n, content = data.draw(shot_bodies(povm))
+    fuzz_path.write_bytes(content)
+    want = reference_records(fuzz_path, povm, n)
+    for read in record_readers(povm):
+        got = read_runs(read, fuzz_path, n, 1 if povm == "sic" else 2)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            continue
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == np.uint8 and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)

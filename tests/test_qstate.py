@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +123,22 @@ def test_rotated_ghz_is_locally_rotated():
     assert abs(purity_exact(red) - 0.5) < 1e-12
     # and the state is no longer a computational-basis combination of two kets
     assert np.count_nonzero(np.abs(g.amplitudes) > 1e-9) == 8
+
+
+def test_rotated_ghz_memory_is_bounded():
+    """At N = 14 a dense rotation would be a 4.3 GB matrix; rotating one
+    tensor axis at a time holds a few copies of the 256 KB amplitudes. The
+    child reads its own high-water mark: its ru_maxrss would start from
+    this process's, which it inherits across exec."""
+    code = ("import re\n"
+            "from sictomo.qstate import make_rotated_ghz\n"
+            "make_rotated_ghz(14)\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) / 1024 < 150
 
 
 def test_cluster_states_mutually_orthogonal():

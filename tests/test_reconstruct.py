@@ -61,6 +61,9 @@ def test_from_sic_shots_counts(rng):
     freqs = fv.frequencies()
     assert abs(freqs.sum() - 1) < 1e-12
     np.testing.assert_array_equal(fv.per_outcome_shots(), np.full(16, 200.0))
+    for n_qubits in (1, 3):
+        with pytest.raises(ValueError):
+            FrequencyVector.from_sic_shots(digits, n_qubits)
 
 
 def test_from_pauli_shots_string_and_code_routes(rng):

@@ -27,12 +27,12 @@ from sictomo.stream import (
     iter_sic_chunks,
     read_header,
     read_pauli_shots,
-    read_shots,
     read_sic_digits,
     run_game,
     run_online,
     write_shots,
 )
+from test_equivalence import reference_records
 
 FRAME = sic_frame("standard")
 
@@ -91,7 +91,7 @@ def test_sic_round_trip(rng, tmp_path):
     header, back = read_sic_digits(path)
     assert header.n_qubits == 3 and header.povm == "sic"
     np.testing.assert_array_equal(back, digits)
-    rows = np.array(list(read_shots(path)))
+    rows = np.concatenate(list(iter_sic_chunks(path, chunk_rows=1)))
     np.testing.assert_array_equal(rows, digits)
 
 
@@ -129,15 +129,9 @@ PAULI_BODIES = {
 
 
 def reference_pauli(path):
-    """read_pauli_shots by read_shots alone: (settings, bits) or the error."""
-    try:
-        rows = list(read_shots(path))
-    except ShotFileError as exc:
-        return str(exc)
-    codes = {"X": 0, "Y": 1, "Z": 2}
-    settings = np.array([[codes[c] for c in s] for s, _ in rows], np.uint8)
-    bits = np.array([b for _, b in rows], np.uint8)
-    return settings.reshape(-1, 2), bits.reshape(-1, 2)
+    """read_pauli_shots by the line-by-line reference reader alone:
+    [settings, bits] or the error."""
+    return reference_records(path, "pauli", 2)
 
 
 @pytest.mark.parametrize("head", [
@@ -168,10 +162,10 @@ def test_pauli_reader_parses_well_formed_files_in_one_pass(monkeypatch, rng,
     path = tmp_path / "shots.pauli"
     write_shots(path, ShotFileHeader(n_qubits=3, povm="pauli"), (settings, bits))
 
-    def no_line_reader(path):
-        raise AssertionError("fell back to the line reader")
+    def no_line_checker(*args):
+        raise AssertionError("fell back to the line checker")
 
-    monkeypatch.setattr("sictomo.stream.read_shots", no_line_reader)
+    monkeypatch.setattr("sictomo.stream._check_line", no_line_checker)
     _, back_settings, back_bits = read_pauli_shots(path)
     np.testing.assert_array_equal(back_settings, settings)
     np.testing.assert_array_equal(back_bits, bits)
@@ -210,7 +204,7 @@ def test_digit_out_of_range_reports_line(tmp_path):
     text = path.read_text().replace("23", "04")
     path.write_text(text)
     with pytest.raises(ShotFileError, match="line 4"):
-        list(read_shots(path))
+        list(iter_sic_chunks(path, chunk_rows=1))
     with pytest.raises(ShotFileError, match="line 4"):
         list(iter_sic_chunks(path))
 
@@ -219,16 +213,16 @@ def test_wrong_length_reports_line(tmp_path):
     path = sic_file(tmp_path, [[0, 1], [2, 3]])
     path.write_text(path.read_text().replace("01\n", "011\n"))
     with pytest.raises(ShotFileError, match="line 3"):
-        list(read_shots(path))
+        list(iter_sic_chunks(path, chunk_rows=1))
     with pytest.raises(ShotFileError, match="line 3"):
         list(iter_sic_chunks(path))
 
 
 @pytest.mark.parametrize("line_no", [1, 2, 4])
 @pytest.mark.parametrize("read", [
-    lambda p: list(read_shots(p)),
+    read_sic_digits,
     lambda p: list(iter_sic_chunks(p, chunk_rows=1)),
-], ids=["read_shots", "iter_sic_chunks"])
+], ids=["read_sic_digits", "iter_sic_chunks"])
 def test_non_ascii_byte_reports_line(read, line_no, tmp_path):
     path = sic_file(tmp_path, [[0, 1], [2, 3], [1, 1]])
     lines = path.read_bytes().split(b"\n")
@@ -243,7 +237,24 @@ def test_empty_record_line(tmp_path):
     path = sic_file(tmp_path, [[0, 1]])
     path.write_text(path.read_text() + "\n01\n")
     with pytest.raises(ShotFileError, match="empty"):
-        list(read_shots(path))
+        list(iter_sic_chunks(path))
+
+
+# the first bad line is reported, with one message per fault, at any chunk
+# size; a record cut across two lines is not re-framed into whole records
+@pytest.mark.parametrize("body,message", [
+    ("04\n011\n", "line 3: digit '4' out of range 0..3"),
+    ("01\n\n23\n", "line 4: empty record line"),
+    ("011\n2\n33\n", "line 3: expected 2 digits, got 3"),
+    ("01\n2\n233\n", "line 4: expected 2 digits, got 1"),
+], ids=["digit-before-length", "empty", "long-then-short", "short-then-long"])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+def test_first_bad_line_message(tmp_path, body, message, chunk_rows):
+    path = sic_file(tmp_path, np.empty((0, 2), dtype=np.uint8))
+    path.write_text(path.read_text() + body)
+    with pytest.raises(ShotFileError) as exc:
+        list(iter_sic_chunks(path, chunk_rows))
+    assert str(exc.value) == message
 
 
 def test_iter_sic_chunks_boundaries(rng, tmp_path):
