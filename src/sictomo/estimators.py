@@ -4,7 +4,11 @@ Linear observables use a per-outcome-pattern lookup table. Purity is the
 pair U-statistic kept in streaming form through the exact identity
 sum_{m != m'} tr(s_m s_m') = tr(S^2) - Q, Q the running sum of tr(s^2). S is
 kept as its pattern histogram n, and tr(S^2) = n^T V n (see shadows), so a
-batch costs one histogram update whatever number of shots came before. The
+batch costs one histogram update whatever number of shots came before. One
+tracker keeps every subset of one size in one array, so a batch is ingested
+for all of them in one scatter-add and a readout applies V once to the
+totals and once to all group histograms: the jackknife's delete-one-group
+traces follow exactly as n^T u - 2 h_g^T u + h_g^T V h_g, with u = V n. The
 PPT moment p3 is the triple U-statistic in the same exact form: the sums
 over all triples, less those with a repeated shot, of the partially
 transposed shadow sum T and of the sum Q2 of squared shadows, both built
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import check_bytes, frame_sums
+from .povm import BYTES_CAP, check_bytes, frame_sums
 from .qstate import Bipartition, partial_transpose
 from .shadows import (_check_subset, apply_pair_trace, hist_zeros,
                       pattern_codes, shadow_lut, shadow_matrices, shadow_sum)
@@ -109,33 +113,47 @@ class RunningMoments:
 
 
 class PurityTracker:
-    """Streaming pair U-statistic for tr(rho_K^2) over batched shadows.
+    """Streaming pair U-statistics for tr(rho_K^2), one per qubit subset K.
 
-    Shots arrive as digit rows; every `batch` consecutive shots form one
-    batched shadow (trailing partial batch stays pending). Batches are dealt
-    round-robin into `jackknife_groups` groups, each kept as a pattern
-    histogram (shots weighted 1/batch), a self-overlap sum and a batch count.
-    Memory is fixed at construction; the delete-one-group jackknife stderr
-    costs O(G * 4^|K|) per call, independent of M.
+    `subsets` is a list of S qubit subsets of one size K; they share one
+    state array of shape (S, G, 4^K), checked against BYTES_CAP. Shots
+    arrive as digit rows; every `batch` consecutive shots form one batched
+    shadow (trailing partial batch stays pending). Batches are dealt
+    round-robin into G = `jackknife_groups` groups, each kept per subset as
+    a pattern histogram (shots weighted 1/batch) and a self-overlap sum,
+    with one batch count per group. `subset` holds the subsets qubit-major,
+    shape (K, S): a batch of records is gathered through it, coded base 4
+    and scatter-added in one call each. value() and stderr() return one
+    entry per subset. value() applies the pair trace V once, to the S
+    totals; stderr() also applies it to all S G group histograms, in blocks.
+    Neither depends on the number of shots M.
     """
 
-    def __init__(self, n_qubits, subset, frame, batch=1,
+    def __init__(self, n_qubits, subsets, frame, batch=1,
                  jackknife_groups=JACKKNIFE_GROUPS):
         if batch < 1:
             raise ValueError("batch size must be >= 1")
         if jackknife_groups < 2:
             raise ValueError("need at least 2 jackknife groups")
+        if not len(subsets) or any(np.ndim(s) != 1 for s in subsets):
+            raise ValueError("subsets must be a non-empty list of qubit "
+                             "index tuples")
+        self.subsets = [_check_subset(s, n_qubits) for s in subsets]
+        if len({len(s) for s in self.subsets}) != 1:
+            raise ValueError("all subsets of a purity tracker have one size")
         self.n_qubits = n_qubits
         self.batch = int(batch)
-        self.subset = _check_subset(subset, n_qubits)
+        self.subset = np.array(self.subsets, dtype=np.intp).T
         self.frame = frame
+        k, s = self.subset.shape
         self._groups = int(jackknife_groups)
-        self._hist = hist_zeros((self._groups, 4 ** len(self.subset)),
-                                f"purity tracker on qubits {self.subset}")
-        self._slot_q = np.zeros(self._groups)
+        self._hist = hist_zeros(
+            (s, self._groups, 4**k),
+            f"purity tracker on {s} subset(s) of {k} qubits")
+        self._slot_q = np.zeros((s, self._groups))
         self._slot_m = np.zeros(self._groups, dtype=np.int64)
         self._batches_seen = 0
-        self._pending = np.empty((0, len(self.subset)), dtype=np.uint8)
+        self._pending = np.empty((0, k, s), dtype=np.uint8)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -145,45 +163,51 @@ class PurityTracker:
             digits = digits[None, :]
         if digits.shape[1] != self.n_qubits:
             raise ValueError("record length does not match tracker")
-        self._push(digits[:, list(self.subset)])
+        self._push(digits[:, self.subset])
 
     def _push(self, rows):
-        """Ingest subset digit rows; complete batches go to their groups."""
+        """Ingest gathered digit rows, shape (M, K, S); complete batches go
+        to their groups."""
         rows = np.concatenate([self._pending, rows.astype(np.uint8)])
         b, n_new = self.batch, rows.shape[0] // self.batch
         self._pending = rows[n_new * b:]
         if n_new == 0:
             return
         rows = rows[:n_new * b]
-        slots = (self._batches_seen + np.arange(n_new)) % self._groups
+        k, s = self.subset.shape
+        g, size = self._groups, 4**k
+        slots = (self._batches_seen + np.arange(n_new)) % g
         self._batches_seen += n_new
-        codes = pattern_codes(rows, range(len(self.subset)))
+        # row of each batch in the flattened (S * G) group axis, per subset
+        rows_sg = slots[:, None] + np.arange(s) * g
+        codes = np.einsum("mks,k->ms", rows, 4 ** np.arange(k - 1, -1, -1))
         np.add.at(self._hist.reshape(-1),
-                  np.repeat(slots, b) * self._hist.shape[1] + codes, 1.0 / b)
+                  np.repeat(rows_sg, b, axis=0) * size + codes, 1.0 / b)
         # tr(B^2): b^-2 times tr(s s') = 5^match (-1)^(K - match) summed over
         # the ordered pairs of the batch's shots, self-pairs included
-        rows, k = rows.reshape(n_new, b, -1), len(self.subset)
-        q = np.zeros(n_new)
+        pair = 5.0 ** np.arange(k + 1) * (-1.0) ** np.arange(k, -1, -1)
+        rows = rows.reshape(n_new, b, k, s)
+        q = np.zeros((n_new, s))
         for r in range(b):
-            match = (rows[:, r:r + 1] == rows).sum(axis=2)
-            q += (5.0 ** match * (-1.0) ** (k - match)).sum(axis=1)
-        self._slot_q += np.bincount(slots, weights=q / b**2,
-                                    minlength=self._groups)
-        self._slot_m += np.bincount(slots, minlength=self._groups)
+            q += pair[(rows[:, r:r + 1] == rows).sum(axis=2)].sum(axis=1)
+        self._slot_q += np.bincount(rows_sg.ravel(),
+                                    weights=(q / b**2).ravel(),
+                                    minlength=s * g).reshape(s, g)
+        self._slot_m += np.bincount(slots, minlength=g)
 
     def add_batch(self, batched):
-        """Feed one externally averaged batch (subset must match)."""
-        if tuple(batched.subset) != self.subset:
+        """Feed one externally averaged batch (one-subset trackers only)."""
+        if [tuple(batched.subset)] != self.subsets:
             raise ValueError("batch subset does not match tracker")
         g = self._batches_seen % self._groups
         h = batched.counts / batched.count
-        self._hist[g] += h
-        self._slot_q[g] += float(h @ apply_pair_trace(h))
+        self._hist[0, g] += h
+        self._slot_q[0, g] += float(h @ apply_pair_trace(h))
         self._slot_m[g] += 1
         self._batches_seen += 1
 
     def merge(self, other):
-        if (other.subset != self.subset or other.batch != self.batch
+        if (other.subsets != self.subsets or other.batch != self.batch
                 or other._groups != self._groups):
             raise ValueError("incompatible purity trackers")
         self._hist += other._hist
@@ -200,45 +224,81 @@ class PurityTracker:
         return int(self._slot_m.sum())
 
     @property
-    def running_sum(self):
-        return shadow_sum(self._hist.sum(axis=0), self.frame)
-
-    @property
     def self_overlap_sum(self):
-        return float(self._slot_q.sum())
+        """Per subset, the sum of tr(B^2) over all batches, shape (S,)."""
+        return self._slot_q.sum(axis=1)
+
+    def _totals(self):
+        """Per subset, the pattern histogram n of all batches and u = V n."""
+        n = self._hist.sum(axis=1)
+        return n, apply_pair_trace(n)
 
     def value(self):
+        """Pair U-statistic per subset, shape (S,)."""
         m = self.m_batches
         if m < 2:
             raise ValueError("purity estimate needs at least 2 batches")
-        n = self._hist.sum(axis=0)
-        tr2 = float(n @ apply_pair_trace(n))
+        n, u = self._totals()
+        tr2 = np.einsum("sc,sc->s", n, u)
         return (tr2 - self.self_overlap_sum) / (m * (m - 1))
 
     def stderr(self):
-        """Delete-one-group jackknife standard error (nan if undefined)."""
+        """Delete-one-group jackknife standard error per subset, shape (S,),
+        nan where undefined.
+
+        With h_g group g's histogram, tr((S - S_g)^2) is
+        n^T u - 2 h_g^T u + h_g^T V h_g, exactly; the last term comes from
+        one blocked pair-trace apply over every group row of every subset.
+        """
         rows = np.flatnonzero(self._slot_m)
         loo_m = self.m_batches - self._slot_m[rows]
         if rows.size < 2 or (loo_m < 2).any():
-            return float("nan")
-        n = self._hist.sum(axis=0)
-        tr2 = np.empty(rows.size)
-        # ~512 KiB blocks of groups: temporaries stay cached, off fresh pages
-        step = max(1, 2**16 // n.size)
-        for i in range(0, rows.size, step):
-            loo = n - self._hist[rows[i:i + step]]  # S - S_g
-            tr2[i:i + step] = np.einsum("gc,gc->g", loo, apply_pair_trace(loo))
-        loo_q = self.self_overlap_sum - self._slot_q[rows]
-        vals = (tr2 - loo_q) / (loo_m * (loo_m - 1.0))
-        return math.sqrt(max((rows.size - 1) * vals.var(), 0.0))
+            return np.full(len(self.subsets), np.nan)
+        n, u = self._totals()
+        flat = self._hist.reshape(-1, n.shape[1])
+        hvh = np.empty(flat.shape[0])
+        # 64 KiB blocks of group rows: their temporaries stay below malloc's
+        # mmap threshold and reuse heap pages (512 KiB blocks, which fault in
+        # fresh pages, made the 50k-shot GHZ-8 estimate take 28 % longer on a
+        # 2-core host)
+        step = max(1, 2**13 // n.shape[1])
+        for i in range(0, flat.shape[0], step):
+            block = flat[i:i + step]
+            hvh[i:i + step] = np.einsum("gc,gc->g", block,
+                                        apply_pair_trace(block))
+        tr2 = (np.einsum("sc,sc->s", n, u)[:, None]
+               - 2 * np.einsum("sgc,sc->sg", self._hist, u)
+               + hvh.reshape(self._slot_q.shape))
+        loo_q = self.self_overlap_sum[:, None] - self._slot_q
+        vals = (tr2 - loo_q)[:, rows] / (loo_m * (loo_m - 1.0))
+        return np.sqrt(np.maximum((rows.size - 1) * vals.var(axis=1), 0.0))
+
+
+def purity_trackers(n_qubits, subsets, frame, batch=1):
+    """PurityTrackers for `subsets`: one per subset size, split so that each
+    tracker's histograms stay within BYTES_CAP (a subset that alone exceeds
+    it is refused). A subset listed twice is tracked once. Returns the
+    trackers and a dict from each checked subset to its (tracker, row)."""
+    by_size = {}
+    for subset in dict.fromkeys(_check_subset(s, n_qubits) for s in subsets):
+        by_size.setdefault(len(subset), []).append(subset)
+    trackers, where = [], {}
+    for k, group in by_size.items():
+        per = max(1, BYTES_CAP // (8 * JACKKNIFE_GROUPS * 4**k))
+        for lo in range(0, len(group), per):
+            for row, subset in enumerate(group[lo:lo + per]):
+                where[subset] = (len(trackers), row)
+            trackers.append(PurityTracker(n_qubits, group[lo:lo + per], frame,
+                                          batch=batch))
+    return trackers, where
 
 
 def estimate_purity(digits, subset, frame, batch=1):
     """Pair U-statistic estimate of tr(rho_subset^2) from digit records."""
     digits = np.asarray(digits)
-    tracker = PurityTracker(digits.shape[1], subset, frame, batch=batch)
+    tracker = PurityTracker(digits.shape[1], [subset], frame, batch=batch)
     tracker.add_records(digits)
-    return tracker.value()
+    return float(tracker.value()[0])
 
 
 def renyi2_from_purity(purity):

@@ -317,11 +317,12 @@ def sample_sic_shots(state, frame, n_shots, rng, mode="auto", chunk=4096):
     2^(N-k) amplitudes, so a block of m shots costs sum_k min(m, 4^k) 2^(N-k)
     amplitude contractions in all; a level's states never exceed sqrt(m) 2^N
     amplitudes (64 x 2^N at m = 4096), their four outcome branches twice
-    that. For a density matrix the conditional blocks of a level fill at most
-    4^N entries, kept in one buffer. `chunk`
-    fixes the draw order of pure states, one rng.random(m) per qubit for
-    each block of m <= chunk shots, so the digits depend on it; it no longer
-    sets the memory.
+    that; the largest level's branches are checked against BYTES_CAP before
+    any shot is drawn. For a density matrix the conditional blocks of a
+    level fill at most 4^N entries, kept in one buffer. `chunk` fixes the
+    draw order of pure states, one rng.random(m) per qubit for each block of
+    m <= chunk shots, so the digits depend on it, and it bounds the prefixes
+    a pure-state level can hold.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -340,6 +341,10 @@ def sample_sic_shots(state, frame, n_shots, rng, mode="auto", chunk=4096):
         raise ValueError(f"unknown sampling mode {mode!r}")
     amp = getattr(state, "amplitudes", None)
     if amp is not None:
+        # level k's branches, 4 x min(m, 4^k) complex vectors of 2^(N-k-1)
+        m = min(n_shots, chunk)
+        check_bytes(max(32 * min(m, 4**k) * 2**(n - k) for k in range(n)),
+                    f"per-shot sampler on {n} qubits, {m} shots per block")
         out = np.empty((n_shots, n), dtype=np.uint8)
         for lo in range(0, n_shots, chunk):
             hi = min(lo + chunk, n_shots)

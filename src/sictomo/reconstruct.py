@@ -24,6 +24,8 @@ from .qstate import DensityOperator
 MLE_CAP = 5  # qubits; the fit solves repeatedly in dimension 4^N
 MLE_MAX_ITER = 5000
 MLE_TOL = 1e-8
+POWER_RTOL = 1e-12  # step-size power iteration: Rayleigh quotient change
+POWER_MAX_ITER = 1000
 _WEIGHT_VAR_FLOOR = 1e-4
 
 
@@ -195,6 +197,23 @@ def _weight_vector(freqs, weights, superop):
     return w
 
 
+def _max_eigenvalue(a, w2):
+    """lambda_max(A^dagger W^2 A) by power iteration on the map A, starting
+    from vec(I), the exact top eigenvector of an unweighted fit. Stops when
+    the Rayleigh quotient moves by at most POWER_RTOL relative, or after
+    POWER_MAX_ITER steps; the Gram matrix is never formed."""
+    dim = math.isqrt(a.shape[1])
+    x = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
+    lam = 0.0
+    for _ in range(POWER_MAX_ITER):
+        y = ((w2 * (a @ x)).conj() @ a).conj()  # A^dagger W^2 A x
+        prev, lam = lam, float(np.vdot(x, y).real)
+        x = y / np.linalg.norm(y)
+        if abs(lam - prev) <= POWER_RTOL * lam:
+            break
+    return lam
+
+
 def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
     """Weighted least-squares fit over density matrices.
 
@@ -221,10 +240,9 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
         g = 2 * superop.adjoint(w2 * (superop.forward(x) - f))
         return (g + g.conj().T) / 2
 
-    # Lipschitz constant of the gradient, 2 lambda_max(A^dagger W^2 A), from
-    # the dense map (at most 6^5 x 4^5 under MLE_CAP)
-    a = superop.probability_map()
-    lip = 2 * float(np.linalg.eigvalsh((a.conj().T * w2) @ a)[-1])
+    # Lipschitz constant of the gradient, from the dense map (at most
+    # 6^5 x 4^5 under MLE_CAP)
+    lip = 2 * _max_eigenvalue(superop.probability_map(), w2)
 
     x = _project_density(lininv(freqs, superop).estimate)
     obj = objective(x)

@@ -19,10 +19,12 @@ The online engine consumes digit rows in report intervals and keeps every
 tracked quantity incrementally, so the analysis cost of an interval does not
 depend on how many shots came before it. Its state is sized when it is
 built: a fidelity target or observable on K qubits is made dense
-(16 x 4^K bytes) and read through a 4^K-entry lookup table, and each purity
-tracker keeps 4^K-pattern histograms. Both are checked against
-povm.BYTES_CAP before they are made, so fidelity tracking runs up to
-N = 11.
+(16 x 4^K bytes) and read through a 4^K-entry lookup table. The purity
+subsets and Renyi-2 smaller sides of one size K share PurityTrackers, which
+keep their 4^K-pattern histograms in one array each; a size's subsets are
+split across trackers so that each stays within povm.BYTES_CAP. Both kinds
+of state are checked against the cap before they are made, so fidelity
+tracking runs up to N = 11.
 """
 
 import itertools
@@ -33,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (EstimateReport, ObservableSpec, PurityTracker,
-                         RunningMoments, linear_values, estimate_purity,
-                         observable_lut, renyi2_from_purity, renyi2_stderr)
+from .estimators import (EstimateReport, ObservableSpec, RunningMoments,
+                         linear_values, estimate_purity, observable_lut,
+                         purity_trackers, renyi2_from_purity, renyi2_stderr)
 from .povm import check_bytes, derive_rng, sample_pauli_shots, \
     sample_sic_shots, sic_frame, sic_outcome_distribution, FrameSuperoperator
 from .qstate import PureState, fidelity_pure, make_linear_cluster, purity_exact
@@ -305,6 +307,9 @@ class TrackerConfig:
         if not (self.fidelity_targets or self.observables
                 or self.purity_subsets or self.renyi_parts):
             raise ValueError("at least one tracked quantity is required")
+        for subset in self.purity_subsets:
+            if len(set(subset)) != len(tuple(subset)):
+                raise ValueError(f"duplicate qubits in purity subset {subset}")
         for part in self.renyi_parts:
             if part.n_qubits != self.n_qubits:
                 raise ValueError("bipartition size does not match n_qubits")
@@ -354,14 +359,14 @@ class OnlineEngine:
             self._linear.append(_LinearTracker(
                 obs.label, "-".join(str(q) for q in obs.support),
                 obs.support, observable_lut(obs, frame)))
-        self._purity = [
-            ("-".join(str(q) for q in sorted(subset)),
-             PurityTracker(n, subset, frame, batch=cfg.batch))
-            for subset in cfg.purity_subsets]
-        self._renyi = [
-            (part.label(),
-             PurityTracker(n, part.smaller_side, frame, batch=cfg.batch))
-            for part in cfg.renyi_parts]
+        sides = [part.smaller_side for part in cfg.renyi_parts]
+        self._trackers, where = purity_trackers(
+            n, [*cfg.purity_subsets, *sides], frame, batch=cfg.batch)
+        self._purity = [("-".join(str(q) for q in sorted(subset)),
+                         where[_check_subset(subset, n)])
+                        for subset in cfg.purity_subsets]
+        self._renyi = [(part.label(), where[part.smaller_side])
+                       for part in cfg.renyi_parts]
         self._histories = {}
         self._buf = []
         self._buf_count = 0
@@ -411,9 +416,7 @@ class OnlineEngine:
         t0 = time.perf_counter()
         for tracker in self._linear:
             tracker.update(block)
-        for _, tracker in self._purity:
-            tracker.add_records(block)
-        for _, tracker in self._renyi:
+        for tracker in self._trackers:
             tracker.add_records(block)
         self.shots_seen += block.shape[0]
 
@@ -421,11 +424,12 @@ class OnlineEngine:
         for tracker in self._linear:
             value, stderr = tracker.report()
             rows.append((tracker.quantity, tracker.subset_label, value, stderr))
-        for label, tracker in self._purity:
-            value, stderr = self._purity_report(tracker)
-            rows.append(("purity", label, value, stderr))
-        for label, tracker in self._renyi:
-            p, p_se = self._purity_report(tracker)
+        purity = [self._purity_report(t) for t in self._trackers]
+        for label, (t, row) in self._purity:
+            rows.append(("purity", label, purity[t][0][row],
+                         purity[t][1][row]))
+        for label, (t, row) in self._renyi:
+            p, p_se = purity[t][0][row], purity[t][1][row]
             if np.isfinite(p):
                 rows.append(("renyi2", label, renyi2_from_purity(p),
                              renyi2_stderr(p, p_se)))
@@ -448,9 +452,10 @@ class OnlineEngine:
     @staticmethod
     def _purity_report(tracker):
         try:
-            return tracker.value(), tracker.stderr()
+            return tracker.value().tolist(), tracker.stderr().tolist()
         except ValueError:
-            return float("nan"), float("nan")
+            nan = [float("nan")] * len(tracker.subsets)
+            return nan, nan
 
 
 def run_online(source, cfg, frame=None, chunk_rows=4096):

@@ -187,6 +187,15 @@ def test_estimate_bad_targets(tmp_path, capsys):
                "--purity", "full") == 3
 
 
+def test_estimate_refuses_duplicate_purity_qubits(tmp_path, capsys):
+    shots = simulate(tmp_path, state="ghz:3", shots=100, seed=4)
+    out = tmp_path / "report.csv"
+    assert run("estimate", "--file", str(shots), "--purity", "0,0;1,2,1",
+               "--no-stopping", "--out", str(out)) == 3
+    assert "duplicate qubits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- reconstruct --------------------------------------------------------------------
 
 
@@ -301,8 +310,9 @@ def _zeros_file(path, n, povm="sic"):
                "--method", "mle"),
     lambda d: ("simulate", "--state", "ghz:40", "--shots", "10"),
     lambda d: ("simulate", "--state", "mixed:20", "--shots", "10"),
+    lambda d: ("simulate", "--state", "ghz:16", "--shots", "4096"),
 ], ids=["purity", "lut", "superoperator", "pauli-superoperator",
-        "multinomial", "mle", "pure-state", "mixed-state"])
+        "multinomial", "mle", "pure-state", "mixed-state", "pershot-sampler"])
 def test_every_cli_refusal_states_bytes(case, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(*case(tmp_path), "--out", str(out)) == 4

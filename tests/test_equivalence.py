@@ -6,10 +6,17 @@ batch by batch, and the lookup table and shadow sum as traces and sums of the
 pattern matrices. The reconstruction references build the frame
 superoperator densely, one Kronecker chain per outcome, invert it by an
 eigenvalue pseudo-inverse and fit MLE with dense matrix products. The
-site-factorized code must reproduce them to 1e-10 (MLE to 1e-8). The PPT
+site-factorized code must reproduce them to 1e-10 (MLE to 1e-8), and MLE's
+power-iteration step size must match eigvalsh of the dense Gram matrix to
+1e-10. The PPT
 moment reference enumerates every triple of a per-shot stack of partially
 transposed shadows, and the Pauli distribution reference contracts a
 density matrix with one projector stack per setting letter.
+
+The stacked purity tracker, which keeps every subset of one size in one
+array, is held to 1e-10 against a restatement of the per-subset tracker it
+replaced, whose jackknife applies the pair trace to every delete-one-group
+total; so is the online engine's row order.
 
 The per-shot sampler references keep one conditional state per shot; the
 samplers that keep one per distinct outcome prefix must draw the same digits.
@@ -36,7 +43,9 @@ from hypothesis import given, settings, strategies as st
 
 from sictomo import povm
 from sictomo.estimators import (JACKKNIFE_GROUPS, ObservableSpec,
-                                PurityTracker, estimate_p3, observable_lut)
+                                PurityTracker, all_bipartitions, estimate_p3,
+                                observable_lut, renyi2_from_purity,
+                                renyi2_stderr)
 from sictomo.povm import (FrameSuperoperator, derive_rng, naimark_unitary,
                           pauli_outcome_distribution, pauli_settings,
                           sample_pauli_shots, sample_sic_shots, sic_frame,
@@ -44,11 +53,13 @@ from sictomo.povm import (FrameSuperoperator, derive_rng, naimark_unitary,
 from sictomo.qstate import (Bipartition, make_ghz, make_rotated_ghz,
                             random_density, random_pure)
 from sictomo.reconstruct import (MLE_MAX_ITER, MLE_TOL, FrequencyVector,
-                                 _project_density, _weight_vector, lininv,
-                                 mle, pls_from_freqs)
-from sictomo.shadows import (ShadowAccumulator, batch_shadows, shadow_expand,
-                             shadow_matrices)
-from sictomo.stream import (ShotFileError, _iter_records, _read_header_lines,
+                                 _max_eigenvalue, _project_density,
+                                 _weight_vector, lininv, mle, pls_from_freqs)
+from sictomo.shadows import (ShadowAccumulator, apply_pair_trace,
+                             batch_shadows, pair_trace, pattern_codes,
+                             shadow_expand, shadow_matrices)
+from sictomo.stream import (OnlineEngine, ShotFileError, TrackerConfig,
+                            _iter_records, _read_header_lines,
                             iter_sic_chunks, read_pauli_shots, read_sic_digits)
 
 FRAME = sic_frame("standard")
@@ -94,10 +105,11 @@ def reference_estimate(slots):
 
 def assert_matches(tracker, slots):
     value, stderr = reference_estimate(slots)
-    assert abs(tracker.value() - value) < TOL
-    assert abs(tracker.stderr() - stderr) < TOL
+    assert abs(tracker.value()[0] - value) < TOL
+    assert abs(tracker.stderr()[0] - stderr) < TOL
     assert tracker.m_batches == int(slots[2].sum())
-    assert abs(tracker.self_overlap_sum - slots[1].sum()) < TOL * slots[1].sum()
+    assert (abs(tracker.self_overlap_sum[0] - slots[1].sum())
+            < TOL * slots[1].sum())
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -105,7 +117,7 @@ def assert_matches(tracker, slots):
 def test_purity_tracker_matches_slot_matrices(k, batch):
     # 361 shots: groups wrap at batch 1, one record stays pending at batch 3
     digits = ghz_shots(361, seed=k)
-    tracker = PurityTracker(7, SUBSETS[k], FRAME, batch=batch)
+    tracker = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
     for chunk in np.array_split(digits, 7):
         tracker.add_records(chunk)
     assert_matches(tracker, reference_slots(digits, SUBSETS[k], batch))
@@ -115,9 +127,9 @@ def test_purity_tracker_matches_slot_matrices(k, batch):
 @pytest.mark.parametrize("k", [2, 6])
 def test_purity_tracker_merge_matches_slot_matrices(k, batch):
     digits = ghz_shots(330, seed=10 + k)
-    left = PurityTracker(7, SUBSETS[k], FRAME, batch=batch)
+    left = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
     left.add_records(digits[:150])
-    right = PurityTracker(7, SUBSETS[k], FRAME, batch=batch)
+    right = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
     right.add_records(digits[150:])
     left.merge(right)
     # each side deals its own batches round-robin from group 0
@@ -130,10 +142,170 @@ def test_purity_tracker_merge_matches_slot_matrices(k, batch):
 @pytest.mark.parametrize("k", [1, 3])
 def test_purity_tracker_add_batch_matches_slot_matrices(k, batch):
     digits = ghz_shots(330, seed=20 + k)
-    tracker = PurityTracker(7, SUBSETS[k], FRAME, batch=batch)
+    tracker = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
     for b in batch_shadows(digits, SUBSETS[k], FRAME, batch):
         tracker.add_batch(b)
     assert_matches(tracker, reference_slots(digits, SUBSETS[k], batch))
+
+
+class PerSubsetTracker:
+    """The per-subset purity tracker the stacked one replaced: G pattern
+    histograms of one subset, and a jackknife that builds every
+    delete-one-group total S - S_g and applies the pair trace to it."""
+
+    def __init__(self, subset, batch, groups=JACKKNIFE_GROUPS):
+        self.subset, self.batch, self.groups = tuple(subset), batch, groups
+        self.hist = np.zeros((groups, 4 ** len(subset)))
+        self.q = np.zeros(groups)
+        self.m = np.zeros(groups, dtype=np.int64)
+        self.seen = 0
+        self.pending = np.empty((0, len(subset)), dtype=np.uint8)
+
+    def add_records(self, digits):
+        self._push(digits[:, list(self.subset)])
+
+    def _push(self, rows):
+        rows = np.concatenate([self.pending, rows])
+        b, k = self.batch, len(self.subset)
+        n_new = len(rows) // b
+        self.pending = rows[n_new * b:]
+        for j in range(n_new):
+            shots = rows[j * b:(j + 1) * b]
+            g = (self.seen + j) % self.groups
+            codes = pattern_codes(shots, range(k))
+            self.hist[g] += np.bincount(codes, minlength=4**k) / b
+            self.q[g] += sum(pair_trace(x, y) for x in shots
+                             for y in shots) / b**2
+            self.m[g] += 1
+        self.seen += n_new
+
+    def add_batch(self, batched):
+        g = self.seen % self.groups
+        h = batched.counts / batched.count
+        self.hist[g] += h
+        self.q[g] += float(h @ apply_pair_trace(h))
+        self.m[g] += 1
+        self.seen += 1
+
+    def merge(self, other):
+        self.hist += other.hist
+        self.q += other.q
+        self.m += other.m
+        self.seen += other.seen
+        self._push(other.pending)
+
+    def value(self):
+        n, m = self.hist.sum(axis=0), self.m.sum()
+        if m < 2:
+            return float("nan")
+        return (n @ apply_pair_trace(n) - self.q.sum()) / (m * (m - 1))
+
+    def stderr(self):
+        rows = np.flatnonzero(self.m)
+        loo_m = self.m.sum() - self.m[rows]
+        if rows.size < 2 or (loo_m < 2).any():
+            return float("nan")
+        loo = self.hist.sum(axis=0) - self.hist[rows]
+        tr2 = np.einsum("gc,gc->g", loo, apply_pair_trace(loo))
+        vals = (tr2 - (self.q.sum() - self.q[rows])) / (loo_m * (loo_m - 1.0))
+        return math.sqrt(max((rows.size - 1) * vals.var(), 0.0))
+
+
+def spread_subsets(k, count, n_qubits=7):
+    combos = list(itertools.combinations(range(n_qubits), k))
+    return [combos[i * len(combos) // count] for i in range(count)]
+
+
+def assert_matches_per_subset(stacked, refs):
+    if stacked.m_batches >= 2:
+        np.testing.assert_allclose(stacked.value(),
+                                   [r.value() for r in refs], rtol=0, atol=TOL)
+    np.testing.assert_allclose(stacked.stderr(), [r.stderr() for r in refs],
+                               rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("k", sorted(SUBSETS))
+def test_stacked_tracker_matches_per_subset_trackers(k, count, batch):
+    subsets = spread_subsets(k, count)
+    digits = ghz_shots(361, seed=30 + k)
+    stacked = PurityTracker(7, subsets, FRAME, batch=batch)
+    refs = [PerSubsetTracker(s, batch) for s in subsets]
+    # ragged chunks; at batch 3 records stay pending between them
+    for chunk in np.split(digits, [1, 2, 52, 103, 260]):
+        stacked.add_records(chunk)
+        for r in refs:
+            r.add_records(chunk)
+        assert_matches_per_subset(stacked, refs)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("k", [2, 6])
+def test_stacked_tracker_merge_matches_per_subset_trackers(k, count, batch):
+    subsets = spread_subsets(k, count)
+    digits = ghz_shots(331, seed=40 + k)
+    left = PurityTracker(7, subsets, FRAME, batch=batch)
+    right = PurityTracker(7, subsets, FRAME, batch=batch)
+    left.add_records(digits[:151])
+    right.add_records(digits[151:])
+    left.merge(right)
+    refs = []
+    for s in subsets:
+        ref, other = PerSubsetTracker(s, batch), PerSubsetTracker(s, batch)
+        ref.add_records(digits[:151])
+        other.add_records(digits[151:])
+        ref.merge(other)
+        refs.append(ref)
+    assert_matches_per_subset(left, refs)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("k", sorted(SUBSETS))
+def test_stacked_tracker_add_batch_matches_per_subset_tracker(k, batch):
+    digits = ghz_shots(330, seed=50 + k)
+    stacked = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
+    ref = PerSubsetTracker(SUBSETS[k], batch)
+    for b in batch_shadows(digits, SUBSETS[k], FRAME, batch):
+        stacked.add_batch(b)
+        ref.add_batch(b)
+    assert_matches_per_subset(stacked, [ref])
+
+
+def test_engine_rows_match_per_subset_trackers():
+    """GHZ-8 with a 6-qubit purity and every Renyi-2 side up to 2 qubits:
+    the engine reports the per-subset trackers' rows in the same order."""
+    digits = ghz_shots(2300, seed=60, n_qubits=8)
+    parts = all_bipartitions(8, 2)
+    cfg = TrackerConfig(n_qubits=8, purity_subsets=[(0, 1, 2, 3, 4, 5)],
+                        renyi_parts=parts, interval=500)
+    engine = OnlineEngine(cfg, FRAME)
+    got = []
+    for chunk in np.split(digits, [7, 900, 1001]):
+        got.extend(engine.feed(chunk))
+    got.extend(engine.finalize())
+
+    refs = {s: PerSubsetTracker(s, 1)
+            for s in [(0, 1, 2, 3, 4, 5)] + [p.smaller_side for p in parts]}
+    want = []
+    for lo in range(0, len(digits), 500):
+        block = digits[lo:lo + 500]
+        for r in refs.values():
+            r.add_records(block)
+        ref = refs[(0, 1, 2, 3, 4, 5)]
+        want.append((lo + len(block), "purity", "0-1-2-3-4-5", ref.value(),
+                     ref.stderr()))
+        for p in parts:
+            ref = refs[p.smaller_side]
+            value, stderr = ref.value(), ref.stderr()
+            want.append((lo + len(block), "renyi2", p.label(),
+                         renyi2_from_purity(value),
+                         renyi2_stderr(value, stderr)))
+    assert [(r.shots, r.quantity, r.subset) for r in got] == \
+        [w[:3] for w in want]
+    np.testing.assert_allclose([(r.value, r.stderr) for r in got],
+                               [w[3:] for w in want], rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -306,6 +478,18 @@ def test_mle_matches_dense_fit(kind, n, frame_name, weights):
     w = _weight_vector(freqs, weights, sup)
     want = reference_mle(freqs, w, kind, n, frame_name)
     np.testing.assert_allclose(got.estimate, want, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("weights", [None, "multinomial"])
+@pytest.mark.parametrize("kind,n,frame_name", SUPEROP_CASES)
+def test_mle_step_size_matches_eigvalsh(kind, n, frame_name, weights):
+    freqs = sampled_freqs(kind, n, frame_name, seed=50)
+    sup = make_superop(kind, n, frame_name)
+    w2 = _weight_vector(freqs, weights, sup) ** 2
+    a = reference_dense(kind, n, frame_name)[0]
+    want = np.linalg.eigvalsh((a.conj().T * w2) @ a)[-1]
+    got = _max_eigenvalue(sup.probability_map(), w2)
+    assert abs(got - want) <= 1e-10 * want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -143,24 +143,24 @@ def test_purity_tracker_matches_naive_pairwise(rng, subset):
 
 def test_purity_tracker_chunked_ingestion_invariant(rng):
     digits = rng.integers(0, 4, size=(50, 2)).astype(np.uint8)
-    whole = PurityTracker(2, (0, 1), FRAME)
+    whole = PurityTracker(2, [(0, 1)], FRAME)
     whole.add_records(digits)
-    pieces = PurityTracker(2, (0, 1), FRAME)
+    pieces = PurityTracker(2, [(0, 1)], FRAME)
     for chunk in np.array_split(digits, 9):
         pieces.add_records(chunk)
-    assert abs(whole.value() - pieces.value()) < 1e-12
+    assert abs(whole.value()[0] - pieces.value()[0]) < 1e-12
     assert whole.m_batches == pieces.m_batches == 50
 
 
 def test_purity_tracker_batched_matches_manual(rng):
     digits = rng.integers(0, 4, size=(11, 2)).astype(np.uint8)
-    tracker = PurityTracker(2, (0, 1), FRAME, batch=3)
+    tracker = PurityTracker(2, [(0, 1)], FRAME, batch=3)
     tracker.add_records(digits)
     assert tracker.m_batches == 3  # two records stay pending
     mats = [b.matrix for b in batch_shadows(digits, (0, 1), FRAME, 3)]
     total = sum(np.trace(a @ b).real
                 for a, b in itertools.permutations(mats, 2))
-    assert abs(tracker.value() - total / 6) < 1e-9
+    assert abs(tracker.value()[0] - total / 6) < 1e-9
     # the pending records complete a batch once one more arrives
     tracker.add_records(digits[:1])
     assert tracker.m_batches == 4
@@ -168,40 +168,44 @@ def test_purity_tracker_batched_matches_manual(rng):
 
 def test_purity_tracker_add_batch_equivalent(rng):
     digits = rng.integers(0, 4, size=(12, 2)).astype(np.uint8)
-    direct = PurityTracker(2, (0, 1), FRAME, batch=4)
+    direct = PurityTracker(2, [(0, 1)], FRAME, batch=4)
     direct.add_records(digits)
-    fed = PurityTracker(2, (0, 1), FRAME, batch=4)
+    fed = PurityTracker(2, [(0, 1)], FRAME, batch=4)
     for b in batch_shadows(digits, (0, 1), FRAME, 4):
         fed.add_batch(b)
-    assert abs(direct.value() - fed.value()) < 1e-12
+    assert abs(direct.value()[0] - fed.value()[0]) < 1e-12
     with pytest.raises(ValueError):
         fed.add_batch(batch_shadows(digits, (0,), FRAME, 4)[0])
 
 
 def test_purity_tracker_merge(rng):
     digits = rng.integers(0, 4, size=(40, 2)).astype(np.uint8)
-    whole = PurityTracker(2, (0,), FRAME)
+    whole = PurityTracker(2, [(0,)], FRAME)
     whole.add_records(digits)
-    left = PurityTracker(2, (0,), FRAME)
+    left = PurityTracker(2, [(0,)], FRAME)
     left.add_records(digits[:15])
-    right = PurityTracker(2, (0,), FRAME)
+    right = PurityTracker(2, [(0,)], FRAME)
     right.add_records(digits[15:])
     left.merge(right)
-    assert abs(left.value() - whole.value()) < 1e-12
+    assert abs(left.value()[0] - whole.value()[0]) < 1e-12
     with pytest.raises(ValueError):
-        left.merge(PurityTracker(2, (0,), FRAME, batch=2))
+        left.merge(PurityTracker(2, [(0,)], FRAME, batch=2))
 
 
 def test_purity_tracker_validation(rng):
     with pytest.raises(ValueError):
-        PurityTracker(2, (0, 1), FRAME, batch=0)
+        PurityTracker(2, [(0, 1)], FRAME, batch=0)
     with pytest.raises(ValueError):
-        PurityTracker(2, (0, 1), FRAME, jackknife_groups=1)
-    t = PurityTracker(2, (0, 1), FRAME)
+        PurityTracker(2, [(0, 1)], FRAME, jackknife_groups=1)
+    with pytest.raises(ValueError):
+        PurityTracker(2, (0, 1), FRAME)  # a flat tuple, not two subsets
+    with pytest.raises(ValueError):
+        PurityTracker(2, [(0,), (0, 1)], FRAME)  # two subset sizes
+    t = PurityTracker(2, [(0, 1)], FRAME)
     t.add_records(np.zeros((1, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         t.value()  # one batch is not enough for a pair statistic
-    assert math.isnan(t.stderr())
+    assert math.isnan(t.stderr()[0])
     with pytest.raises(ValueError):
         t.add_records(np.zeros((1, 3), dtype=np.uint8))
 
@@ -210,7 +214,7 @@ def test_purity_tracker_state_does_not_grow_with_outcomes():
     """K=8 on GHZ-8: more shots bring new patterns but no new state."""
     digits = sample_sic_shots(make_ghz(8), FRAME, 4000,
                               derive_rng(8, "sic-shots"))
-    tracker = PurityTracker(8, range(8), FRAME)
+    tracker = PurityTracker(8, [range(8)], FRAME)
 
     def state_bytes():
         return sum(v.nbytes for v in vars(tracker).values()
@@ -225,9 +229,9 @@ def test_purity_tracker_state_does_not_grow_with_outcomes():
 
 def test_purity_tracker_byte_cap():
     # 100 groups * 4^8 * 8 bytes = 52 MB fits; 4^9 does not
-    PurityTracker(8, range(8), FRAME)
+    PurityTracker(8, [range(8)], FRAME)
     with pytest.raises(CapExceededError, match="209,715,200 bytes"):
-        PurityTracker(9, range(9), FRAME)
+        PurityTracker(9, [range(9)], FRAME)
 
 
 def test_purity_jackknife_stderr_calibrated():
@@ -238,10 +242,10 @@ def test_purity_jackknife_stderr_calibrated():
     for rep in range(30):
         digits = sample_sic_shots(rho, FRAME, 400,
                                   derive_rng(77, "sic-shots", rep))
-        t = PurityTracker(1, (0,), FRAME)
+        t = PurityTracker(1, [(0,)], FRAME)
         t.add_records(digits)
-        values.append(t.value())
-        stderrs.append(t.stderr())
+        values.append(t.value()[0])
+        stderrs.append(t.stderr()[0])
     assert all(np.isfinite(stderrs)) and min(stderrs) > 0
     spread = np.std(values, ddof=1)
     ratio = np.median(stderrs) / spread

@@ -232,6 +232,17 @@ def test_sample_sic_shots_validation(rng):
                          mode="bogus")
 
 
+def test_pershot_sampler_byte_cap():
+    # 16 qubits, 4096 shots per block: level 6 holds 4096 prefixes, each
+    # with 4 branches of 2^9 amplitudes; 100 shots stay at 16.8 MB
+    frame = sic_frame("standard")
+    with pytest.raises(CapExceededError, match="134,217,728 bytes"):
+        sample_sic_shots(make_ghz(16), frame, 4096, derive_rng(0, "sic-shots"))
+    digits = sample_sic_shots(make_ghz(16), frame, 100,
+                              derive_rng(0, "sic-shots"))
+    assert digits.shape == (100, 16)
+
+
 def test_sampling_modes_agree_pure():
     """Multinomial and per-shot draws follow the same law."""
     frame = sic_frame("standard")

@@ -7,12 +7,14 @@ import pytest
 
 from sictomo.estimators import (
     ObservableSpec,
+    all_bipartitions,
     estimate_purity,
     linear_values,
     observable_lut,
     renyi2_from_purity,
 )
-from sictomo.povm import derive_rng, sample_pauli_shots, sample_sic_shots, sic_frame
+from sictomo.povm import (BYTES_CAP, derive_rng, sample_pauli_shots,
+                          sample_sic_shots, sic_frame)
 from sictomo.qstate import Bipartition, make_ghz, random_pure
 from sictomo.stream import (
     CONVERGENCE_CSV_HEADER,
@@ -305,6 +307,8 @@ def test_tracker_config_validation():
         TrackerConfig(n_qubits=2, purity_subsets=[(0,)], interval=0)
     with pytest.raises(ValueError):
         TrackerConfig(n_qubits=2, renyi_parts=[Bipartition(3, (0,))])
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        TrackerConfig(n_qubits=3, purity_subsets=[(1, 2, 1)])
 
 
 # --- online engine --------------------------------------------------------------------
@@ -402,6 +406,19 @@ def test_online_engine_caps_and_validation(rng):
     engine = OnlineEngine(make_cfg(2), FRAME)
     with pytest.raises(ValueError):
         engine.feed(np.zeros((5, 3), dtype=np.uint8))
+
+
+def test_engine_splits_purity_trackers_under_the_byte_cap():
+    # N=12, every side up to 4 qubits: the 495 four-qubit sides need
+    # 101,376,000 bytes of histograms, more than one tracker may hold
+    engine = OnlineEngine(TrackerConfig(
+        n_qubits=12, renyi_parts=all_bipartitions(12, 4)), FRAME)
+    four = [t for t in engine._trackers if t.subset.shape[0] == 4]
+    assert sum(t._hist.nbytes for t in four) == 101_376_000
+    assert len(four) == 2
+    assert all(t._hist.nbytes <= BYTES_CAP for t in engine._trackers)
+    assert sorted(s for t in engine._trackers for s in t.subsets) == sorted(
+        p.smaller_side for p in all_bipartitions(12, 4))
 
 
 def test_run_online_from_file(rng, tmp_path):
