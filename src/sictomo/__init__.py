@@ -31,9 +31,8 @@ from .qstate import (Bipartition, DensityOperator, PureState, fidelity_pure,
                      p3_moment_exact, partial_trace, partial_transpose,
                      purity_exact, random_density, random_pure, renyi2_exact,
                      save_state, trace_distance)
-from .shadows import (BatchedShadow, ShadowAccumulator, batch_shadows,
-                      inverse_depolarizing, pair_trace, shadow_expand,
-                      shadow_matrices, shadow_mean)
+from .shadows import (ShadowAccumulator, inverse_depolarizing, pair_trace,
+                      shadow_expand, shadow_matrices, shadow_mean)
 from .estimators import (EstimateReport, ObservableSpec, PurityTracker,
                          RunningMoments, all_bipartitions, estimate_linear,
                          estimate_p3, estimate_purity, estimate_renyi2,

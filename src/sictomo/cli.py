@@ -26,7 +26,7 @@ from .qstate import (DensityOperator, PureState, load_state, make_ame5,
 from .reconstruct import FrequencyVector, ReconstructionResult, reconstruct
 from .shadows import ShadowAccumulator, shadow_mean
 from .stream import (Game, OnlineEngine, ShotFileError, ShotFileHeader,
-                     StoppingRule, TrackerConfig, iter_sic_chunks,
+                     StoppingRule, TrackerConfig, drive, iter_sic_chunks,
                      read_header, read_pauli_shots, read_sic_digits,
                      write_shots)
 
@@ -208,12 +208,7 @@ def _cmd_estimate(args):
     with _Sink(args.out) as sink:
         if args.format == "csv":
             sink.line(CSV_HEADER)
-        for chunk in iter_sic_chunks(args.file):
-            for report in engine.feed(chunk):
-                _emit_report(sink, report, args.format)
-            if engine.converged:
-                break
-        for report in engine.finalize():
+        for report in drive(engine, iter_sic_chunks(args.file)):
             _emit_report(sink, report, args.format)
     if args.out != "-":
         _write_manifest(args.out, args, [args.file], [args.out])
@@ -224,6 +219,9 @@ def _cmd_estimate(args):
 
 
 def _cmd_reconstruct(args):
+    if args.weights != "none" and args.method != "mle":
+        raise ValueError(f"--weights {args.weights} applies only to "
+                         "--method mle")
     header = read_header(args.file)
     n = header.n_qubits
     if args.method == "shadow-mean":
@@ -245,7 +243,7 @@ def _cmd_reconstruct(args):
         else:
             _, settings, bits = read_pauli_shots(args.file)
             freqs = FrequencyVector.from_pauli_shots(settings, bits)
-        weights = "multinomial" if args.weights == "multinomial" else None
+        weights = None if args.weights == "none" else args.weights
         result = reconstruct(freqs, superop, args.method, weights=weights)
         shots = freqs.total_shots
     with open(args.out, "w", encoding="ascii") as f:
@@ -313,6 +311,8 @@ GAME_CSV_HEADER = "trial,secret,winner,correct,shots,declared"
 
 
 def _cmd_game(args):
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     game = Game(sic_frame(args.frame))
     results = [game.play(args.seed, trial=t, gap_window=args.gap_window,
                          shot_cap=args.shot_cap) for t in range(args.trials)]

@@ -102,15 +102,6 @@ class RunningMoments:
             return 0.0
         return math.sqrt(self.m2 / (self.count - 1) / self.count)
 
-    def merge(self, other):
-        if other.count:
-            delta = other.mean - self.mean
-            total = self.count + other.count
-            self.mean += delta * other.count / total
-            self.m2 += other.m2 + delta * delta * self.count * other.count / total
-            self.count = total
-        return self
-
 
 class PurityTracker:
     """Streaming pair U-statistics for tr(rho_K^2), one per qubit subset K.
@@ -119,22 +110,20 @@ class PurityTracker:
     state array of shape (S, G, 4^K), checked against BYTES_CAP. Shots
     arrive as digit rows; every `batch` consecutive shots form one batched
     shadow (trailing partial batch stays pending). Batches are dealt
-    round-robin into G = `jackknife_groups` groups, each kept per subset as
-    a pattern histogram (shots weighted 1/batch) and a self-overlap sum,
-    with one batch count per group. `subset` holds the subsets qubit-major,
-    shape (K, S): a batch of records is gathered through it, coded base 4
-    and scatter-added in one call each. value() and stderr() return one
-    entry per subset. value() applies the pair trace V once, to the S
-    totals; stderr() also applies it to all S G group histograms, in blocks.
-    Neither depends on the number of shots M.
+    round-robin into G = JACKKNIFE_GROUPS groups, each kept per subset as a
+    pattern histogram (shots weighted 1/batch) and a self-overlap sum, with
+    one batch count per group. Records enter only through add_records.
+    `subset` holds the subsets qubit-major, shape (K, S): a chunk of records
+    is gathered through it, coded base 4 and scatter-added in one call
+    each. value() and stderr() return one entry per subset. value() applies
+    the pair trace V once, to the S totals; stderr() also applies it to all
+    S G group histograms, in blocks. Neither depends on the number of shots
+    M.
     """
 
-    def __init__(self, n_qubits, subsets, frame, batch=1,
-                 jackknife_groups=JACKKNIFE_GROUPS):
+    def __init__(self, n_qubits, subsets, frame, batch=1):
         if batch < 1:
             raise ValueError("batch size must be >= 1")
-        if jackknife_groups < 2:
-            raise ValueError("need at least 2 jackknife groups")
         if not len(subsets) or any(np.ndim(s) != 1 for s in subsets):
             raise ValueError("subsets must be a non-empty list of qubit "
                              "index tuples")
@@ -146,12 +135,11 @@ class PurityTracker:
         self.subset = np.array(self.subsets, dtype=np.intp).T
         self.frame = frame
         k, s = self.subset.shape
-        self._groups = int(jackknife_groups)
         self._hist = hist_zeros(
-            (s, self._groups, 4**k),
+            (s, JACKKNIFE_GROUPS, 4**k),
             f"purity tracker on {s} subset(s) of {k} qubits")
-        self._slot_q = np.zeros((s, self._groups))
-        self._slot_m = np.zeros(self._groups, dtype=np.int64)
+        self._slot_q = np.zeros((s, JACKKNIFE_GROUPS))
+        self._slot_m = np.zeros(JACKKNIFE_GROUPS, dtype=np.int64)
         self._batches_seen = 0
         self._pending = np.empty((0, k, s), dtype=np.uint8)
 
@@ -159,23 +147,18 @@ class PurityTracker:
 
     def add_records(self, digits):
         digits = np.asarray(digits)
-        if digits.ndim == 1:
-            digits = digits[None, :]
-        if digits.shape[1] != self.n_qubits:
+        if digits.ndim != 2 or digits.shape[1] != self.n_qubits:
             raise ValueError("record length does not match tracker")
-        self._push(digits[:, self.subset])
-
-    def _push(self, rows):
-        """Ingest gathered digit rows, shape (M, K, S); complete batches go
-        to their groups."""
-        rows = np.concatenate([self._pending, rows.astype(np.uint8)])
+        # gathered rows, shape (M, K, S); complete batches go to their groups
+        rows = np.concatenate([self._pending,
+                               digits[:, self.subset].astype(np.uint8)])
         b, n_new = self.batch, rows.shape[0] // self.batch
         self._pending = rows[n_new * b:]
         if n_new == 0:
             return
         rows = rows[:n_new * b]
         k, s = self.subset.shape
-        g, size = self._groups, 4**k
+        g, size = JACKKNIFE_GROUPS, 4**k
         slots = (self._batches_seen + np.arange(n_new)) % g
         self._batches_seen += n_new
         # row of each batch in the flattened (S * G) group axis, per subset
@@ -194,28 +177,6 @@ class PurityTracker:
                                     weights=(q / b**2).ravel(),
                                     minlength=s * g).reshape(s, g)
         self._slot_m += np.bincount(slots, minlength=g)
-
-    def add_batch(self, batched):
-        """Feed one externally averaged batch (one-subset trackers only)."""
-        if [tuple(batched.subset)] != self.subsets:
-            raise ValueError("batch subset does not match tracker")
-        g = self._batches_seen % self._groups
-        h = batched.counts / batched.count
-        self._hist[0, g] += h
-        self._slot_q[0, g] += float(h @ apply_pair_trace(h))
-        self._slot_m[g] += 1
-        self._batches_seen += 1
-
-    def merge(self, other):
-        if (other.subsets != self.subsets or other.batch != self.batch
-                or other._groups != self._groups):
-            raise ValueError("incompatible purity trackers")
-        self._hist += other._hist
-        self._slot_q += other._slot_q
-        self._slot_m += other._slot_m
-        self._batches_seen += other._batches_seen
-        self._push(other._pending)
-        return self
 
     # -- readout -----------------------------------------------------------
 

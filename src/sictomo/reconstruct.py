@@ -49,6 +49,8 @@ class FrequencyVector:
         if kind == "sic":
             if counts.shape != (4**self.n_qubits,):
                 raise ValueError("sic counts must have length 4^N")
+            if not counts.any():
+                raise ValueError("sic counts must hold at least one shot")
         else:
             if counts.shape != (3**self.n_qubits, 2**self.n_qubits):
                 raise ValueError("pauli counts must be (3^N, 2^N)")

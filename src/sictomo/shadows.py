@@ -130,45 +130,9 @@ def pair_trace(digits_a, digits_b, subset=None):
     return float(np.prod(np.where(a == b, 5.0, -1.0)))
 
 
-class BatchedShadow:
-    """Average of `count` consecutive shadows on a qubit subset, kept as the
-    pattern counts of its shots."""
-
-    __slots__ = ("subset", "counts", "frame", "count")
-
-    def __init__(self, subset, counts, frame):
-        self.subset = tuple(subset)
-        self.counts = np.asarray(counts)
-        self.frame = frame
-        self.count = int(self.counts.sum())
-
-    @property
-    def matrix(self):
-        return shadow_sum(self.counts, self.frame) / self.count
-
-
-def batch_shadows(digits, subset, frame, b):
-    """Group consecutive records into batches of b and average each group.
-
-    The final partial group is dropped so every batch carries equal weight.
-    """
-    if b < 1:
-        raise ValueError("batch size must be >= 1")
-    digits = np.asarray(digits)
-    subset = _check_subset(subset, digits.shape[1])
-    n_batches = digits.shape[0] // b
-    codes = pattern_codes(digits[:n_batches * b], subset).reshape(n_batches, b)
-    size = 4 ** len(subset)
-    return [BatchedShadow(subset, np.bincount(row, minlength=size), frame)
-            for row in codes]
-
-
 class ShadowAccumulator:
-    """Running shadow sum, kept as a pattern histogram, and self-overlaps.
-
-    Single writer; merge() lets parallel accumulators fan in. For unbatched
-    SIC shadows self_overlap_sum is exactly count * 5^|subset|.
-    """
+    """Running shadow sum on a qubit subset, kept as its pattern histogram;
+    records enter only through add_records."""
 
     def __init__(self, n_qubits, subset, frame):
         self.n_qubits = n_qubits
@@ -176,19 +140,12 @@ class ShadowAccumulator:
         self.frame = frame
         self.histogram = hist_zeros(
             (4 ** len(self.subset),), f"shadow accumulator on {self.subset}")
-        self.self_overlap_sum = 0.0
         self.count = 0
-
-    @property
-    def running_sum(self):
-        return shadow_sum(self.histogram, self.frame)
 
     def add_records(self, digits, weights=None):
         """Add records; `weights` are non-negative integer repetition counts."""
         digits = np.asarray(digits)
-        if digits.ndim == 1:
-            digits = digits[None, :]
-        if digits.shape[1] != self.n_qubits:
+        if digits.ndim != 2 or digits.shape[1] != self.n_qubits:
             raise ValueError("record length does not match accumulator")
         codes = pattern_codes(digits, self.subset)
         if weights is None:
@@ -201,33 +158,12 @@ class ShadowAccumulator:
                                  "non-negative integer per record")
             total = int(weights.sum())
         np.add.at(self.histogram, codes, weights)
-        self.self_overlap_sum += total * 5.0 ** len(self.subset)
         self.count += total
-
-    def add_record(self, digits_row, weight=1):
-        self.add_records(np.asarray(digits_row)[None, :],
-                         None if weight == 1 else [weight])
-
-    def add_batch(self, batched):
-        if tuple(batched.subset) != self.subset:
-            raise ValueError("batch subset does not match accumulator")
-        h = batched.counts / batched.count
-        self.histogram += h
-        self.self_overlap_sum += float(h @ apply_pair_trace(h))
-        self.count += 1
 
     def mean(self):
         if self.count == 0:
             raise ValueError("empty accumulator")
         return shadow_sum(self.histogram / self.count, self.frame)
-
-    def merge(self, other):
-        if other.subset != self.subset or other.n_qubits != self.n_qubits:
-            raise ValueError("incompatible accumulators")
-        self.histogram += other.histogram
-        self.self_overlap_sum += other.self_overlap_sum
-        self.count += other.count
-        return self
 
 
 def shadow_mean(digits, frame, subset=None):

@@ -458,6 +458,16 @@ class OnlineEngine:
             return nan, nan
 
 
+def drive(engine, chunks):
+    """Feed digit chunks to an OnlineEngine until its stopping rule fires or
+    they run out; yield every report, the flushed partial interval's last."""
+    for chunk in chunks:
+        yield from engine.feed(chunk)
+        if engine.converged:
+            break
+    yield from engine.finalize()
+
+
 def run_online(source, cfg, frame=None, chunk_rows=4096):
     """Drive an OnlineEngine over a shot file path or an iterable of digit
     chunks. Returns (reports, engine); engine.converged tells whether the
@@ -478,13 +488,7 @@ def run_online(source, cfg, frame=None, chunk_rows=4096):
             frame = sic_frame("standard")
         chunks = iter(source)
     engine = OnlineEngine(cfg, frame)
-    reports = []
-    for chunk in chunks:
-        reports.extend(engine.feed(chunk))
-        if engine.converged:
-            break
-    reports.extend(engine.finalize())
-    return reports, engine
+    return list(drive(engine, chunks)), engine
 
 
 # --- state-identification game -------------------------------------------------
@@ -523,6 +527,8 @@ class Game:
         """
         if gap_window < 1:
             raise ValueError("gap_window must be >= 1")
+        if shot_cap < 1:
+            raise ValueError("shot_cap must be >= 1")
         secret = int(derive_rng(seed, "game-secret", trial).integers(16))
         rng = derive_rng(seed, "game-shots", trial)
         n_codes = self.probs.shape[1]

@@ -242,6 +242,33 @@ def test_reconstruct_mle_weights(tmp_path):
     assert abs(np.trace(mat).real - 1) < 1e-9
 
 
+@pytest.mark.parametrize("method", ["lininv", "pls", "mle", "shadow-mean"])
+def test_reconstruct_refuses_empty_shot_file(method, tmp_path, capsys):
+    # a header and no records: every method refuses it and writes nothing
+    path = tmp_path / "empty.sic"
+    write_shots(path, ShotFileHeader(n_qubits=2),
+                np.empty((0, 2), dtype=np.uint8))
+    out = tmp_path / "rho.json"
+    assert run("reconstruct", "--file", str(path), "--method", method,
+               "--out", str(out)) == 3
+    want = ("empty accumulator" if method == "shadow-mean"
+            else "sic counts must hold at least one shot")
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "rho.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("method", ["lininv", "pls", "shadow-mean"])
+def test_reconstruct_weights_only_with_mle(method, tmp_path, capsys):
+    shots = simulate(tmp_path, shots=200)
+    out = tmp_path / "rho.json"
+    assert run("reconstruct", "--file", str(shots), "--method", method,
+               "--weights", "multinomial", "--out", str(out)) == 3
+    assert "--method mle" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "rho.json.manifest.json").exists()
+
+
 def test_reconstruct_mle_cap_exit_code(tmp_path, capsys):
     digits = np.zeros((10, 6), dtype=np.uint8)
     path = tmp_path / "big.sic"
@@ -462,6 +489,15 @@ def test_game_csv_deterministic(tmp_path, capsys):
     assert "correct" in capsys.readouterr().err
     trials = [int(line.split(",")[0]) for line in lines[1:]]
     assert trials == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--shot-cap"])
+def test_game_refuses_empty_runs(flag, tmp_path, capsys):
+    out = tmp_path / "game.csv"
+    assert run("game", flag, "0", "--out", str(out)) == 3
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "game.csv.manifest.json").exists()
 
 
 # --- verify ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ from sictomo.reconstruct import (MLE_MAX_ITER, MLE_TOL, FrequencyVector,
                                  _max_eigenvalue, _project_density,
                                  _weight_vector, lininv, mle, pls_from_freqs)
 from sictomo.shadows import (ShadowAccumulator, apply_pair_trace,
-                             batch_shadows, pair_trace, pattern_codes,
-                             shadow_expand, shadow_matrices)
+                             pair_trace, pattern_codes, shadow_expand,
+                             shadow_matrices, shadow_sum)
 from sictomo.stream import (OnlineEngine, ShotFileError, TrackerConfig,
                             _iter_records, _read_header_lines,
                             iter_sic_chunks, read_pauli_shots, read_sic_digits)
@@ -123,31 +123,6 @@ def test_purity_tracker_matches_slot_matrices(k, batch):
     assert_matches(tracker, reference_slots(digits, SUBSETS[k], batch))
 
 
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("k", [2, 6])
-def test_purity_tracker_merge_matches_slot_matrices(k, batch):
-    digits = ghz_shots(330, seed=10 + k)
-    left = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
-    left.add_records(digits[:150])
-    right = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
-    right.add_records(digits[150:])
-    left.merge(right)
-    # each side deals its own batches round-robin from group 0
-    a = reference_slots(digits[:150], SUBSETS[k], batch)
-    b = reference_slots(digits[150:], SUBSETS[k], batch)
-    assert_matches(left, tuple(x + y for x, y in zip(a, b)))
-
-
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("k", [1, 3])
-def test_purity_tracker_add_batch_matches_slot_matrices(k, batch):
-    digits = ghz_shots(330, seed=20 + k)
-    tracker = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
-    for b in batch_shadows(digits, SUBSETS[k], FRAME, batch):
-        tracker.add_batch(b)
-    assert_matches(tracker, reference_slots(digits, SUBSETS[k], batch))
-
-
 class PerSubsetTracker:
     """The per-subset purity tracker the stacked one replaced: G pattern
     histograms of one subset, and a jackknife that builds every
@@ -162,10 +137,7 @@ class PerSubsetTracker:
         self.pending = np.empty((0, len(subset)), dtype=np.uint8)
 
     def add_records(self, digits):
-        self._push(digits[:, list(self.subset)])
-
-    def _push(self, rows):
-        rows = np.concatenate([self.pending, rows])
+        rows = np.concatenate([self.pending, digits[:, list(self.subset)]])
         b, k = self.batch, len(self.subset)
         n_new = len(rows) // b
         self.pending = rows[n_new * b:]
@@ -178,21 +150,6 @@ class PerSubsetTracker:
                              for y in shots) / b**2
             self.m[g] += 1
         self.seen += n_new
-
-    def add_batch(self, batched):
-        g = self.seen % self.groups
-        h = batched.counts / batched.count
-        self.hist[g] += h
-        self.q[g] += float(h @ apply_pair_trace(h))
-        self.m[g] += 1
-        self.seen += 1
-
-    def merge(self, other):
-        self.hist += other.hist
-        self.q += other.q
-        self.m += other.m
-        self.seen += other.seen
-        self._push(other.pending)
 
     def value(self):
         n, m = self.hist.sum(axis=0), self.m.sum()
@@ -238,39 +195,6 @@ def test_stacked_tracker_matches_per_subset_trackers(k, count, batch):
         for r in refs:
             r.add_records(chunk)
         assert_matches_per_subset(stacked, refs)
-
-
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("count", [1, 5])
-@pytest.mark.parametrize("k", [2, 6])
-def test_stacked_tracker_merge_matches_per_subset_trackers(k, count, batch):
-    subsets = spread_subsets(k, count)
-    digits = ghz_shots(331, seed=40 + k)
-    left = PurityTracker(7, subsets, FRAME, batch=batch)
-    right = PurityTracker(7, subsets, FRAME, batch=batch)
-    left.add_records(digits[:151])
-    right.add_records(digits[151:])
-    left.merge(right)
-    refs = []
-    for s in subsets:
-        ref, other = PerSubsetTracker(s, batch), PerSubsetTracker(s, batch)
-        ref.add_records(digits[:151])
-        other.add_records(digits[151:])
-        ref.merge(other)
-        refs.append(ref)
-    assert_matches_per_subset(left, refs)
-
-
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("k", sorted(SUBSETS))
-def test_stacked_tracker_add_batch_matches_per_subset_tracker(k, batch):
-    digits = ghz_shots(330, seed=50 + k)
-    stacked = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
-    ref = PerSubsetTracker(SUBSETS[k], batch)
-    for b in batch_shadows(digits, SUBSETS[k], FRAME, batch):
-        stacked.add_batch(b)
-        ref.add_batch(b)
-    assert_matches_per_subset(stacked, [ref])
 
 
 def test_engine_rows_match_per_subset_trackers():
@@ -320,13 +244,14 @@ def test_observable_lut_matches_kron(rng, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
-def test_accumulator_running_sum_matches_kron(n):
+def test_accumulator_shadow_sum_matches_kron(n):
     digits = ghz_shots(200, seed=30 + n, n_qubits=max(n, 3))
     acc = ShadowAccumulator(digits.shape[1], range(n), FRAME)
     for chunk in np.array_split(digits, 3):
         acc.add_records(chunk)
     want = sum(shadow_expand(row, range(n), FRAME) for row in digits)
-    np.testing.assert_allclose(acc.running_sum, want, rtol=0, atol=TOL)
+    np.testing.assert_allclose(shadow_sum(acc.histogram, FRAME), want,
+                               rtol=0, atol=TOL)
     np.testing.assert_allclose(acc.mean(), want / 200, rtol=0, atol=TOL)
 
 

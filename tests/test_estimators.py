@@ -31,7 +31,7 @@ from sictomo.povm import (CapExceededError, derive_rng, digits_from_indices,
                           sic_outcome_distribution)
 from sictomo.qstate import (Bipartition, make_ghz, p3_moment_exact,
                             partial_transpose, random_density)
-from sictomo.shadows import batch_shadows, pair_trace, shadow_expand
+from sictomo.shadows import pair_trace, shadow_expand
 
 FRAME = sic_frame("standard")
 
@@ -113,16 +113,6 @@ def test_running_moments_matches_numpy(rng):
     assert abs(rm.stderr() - vals.std(ddof=1) / math.sqrt(137)) < 1e-12
 
 
-def test_running_moments_merge(rng):
-    vals = rng.standard_normal(60)
-    a, b = RunningMoments(), RunningMoments()
-    a.add_values(vals[:23])
-    b.add_values(vals[23:])
-    a.merge(b)
-    assert abs(a.mean - vals.mean()) < 1e-12
-    assert abs(a.stderr() - vals.std(ddof=1) / math.sqrt(60)) < 1e-12
-
-
 def test_running_moments_degenerate():
     rm = RunningMoments()
     assert rm.stderr() == 0.0
@@ -157,7 +147,8 @@ def test_purity_tracker_batched_matches_manual(rng):
     tracker = PurityTracker(2, [(0, 1)], FRAME, batch=3)
     tracker.add_records(digits)
     assert tracker.m_batches == 3  # two records stay pending
-    mats = [b.matrix for b in batch_shadows(digits, (0, 1), FRAME, 3)]
+    mats = [sum(shadow_expand(row, (0, 1), FRAME) for row in digits[lo:lo + 3])
+            / 3 for lo in range(0, 9, 3)]
     total = sum(np.trace(a @ b).real
                 for a, b in itertools.permutations(mats, 2))
     assert abs(tracker.value()[0] - total / 6) < 1e-9
@@ -166,37 +157,9 @@ def test_purity_tracker_batched_matches_manual(rng):
     assert tracker.m_batches == 4
 
 
-def test_purity_tracker_add_batch_equivalent(rng):
-    digits = rng.integers(0, 4, size=(12, 2)).astype(np.uint8)
-    direct = PurityTracker(2, [(0, 1)], FRAME, batch=4)
-    direct.add_records(digits)
-    fed = PurityTracker(2, [(0, 1)], FRAME, batch=4)
-    for b in batch_shadows(digits, (0, 1), FRAME, 4):
-        fed.add_batch(b)
-    assert abs(direct.value()[0] - fed.value()[0]) < 1e-12
-    with pytest.raises(ValueError):
-        fed.add_batch(batch_shadows(digits, (0,), FRAME, 4)[0])
-
-
-def test_purity_tracker_merge(rng):
-    digits = rng.integers(0, 4, size=(40, 2)).astype(np.uint8)
-    whole = PurityTracker(2, [(0,)], FRAME)
-    whole.add_records(digits)
-    left = PurityTracker(2, [(0,)], FRAME)
-    left.add_records(digits[:15])
-    right = PurityTracker(2, [(0,)], FRAME)
-    right.add_records(digits[15:])
-    left.merge(right)
-    assert abs(left.value()[0] - whole.value()[0]) < 1e-12
-    with pytest.raises(ValueError):
-        left.merge(PurityTracker(2, [(0,)], FRAME, batch=2))
-
-
 def test_purity_tracker_validation(rng):
     with pytest.raises(ValueError):
         PurityTracker(2, [(0, 1)], FRAME, batch=0)
-    with pytest.raises(ValueError):
-        PurityTracker(2, [(0, 1)], FRAME, jackknife_groups=1)
     with pytest.raises(ValueError):
         PurityTracker(2, (0, 1), FRAME)  # a flat tuple, not two subsets
     with pytest.raises(ValueError):
@@ -208,6 +171,8 @@ def test_purity_tracker_validation(rng):
     assert math.isnan(t.stderr()[0])
     with pytest.raises(ValueError):
         t.add_records(np.zeros((1, 3), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        t.add_records(np.zeros(2, dtype=np.uint8))  # rows, not one record
 
 
 def test_purity_tracker_state_does_not_grow_with_outcomes():
