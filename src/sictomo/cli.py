@@ -205,10 +205,14 @@ def _cmd_estimate(args):
             window=args.window, tol=args.tol),
     )
     engine = OnlineEngine(cfg, frame)
+    chunks = iter_sic_chunks(args.file)
+    first = next(chunks, None)
+    if first is None:
+        raise ShotFileError(f"{args.file} holds no shot records")
     with _Sink(args.out) as sink:
         if args.format == "csv":
             sink.line(CSV_HEADER)
-        for report in drive(engine, iter_sic_chunks(args.file)):
+        for report in drive(engine, itertools.chain([first], chunks)):
             _emit_report(sink, report, args.format)
     if args.out != "-":
         _write_manifest(args.out, args, [args.file], [args.out])
@@ -276,6 +280,8 @@ BENCH_METHODS = ("shadow-mean", "lininv", "pls")
 
 
 def _cmd_bench(args):
+    if args.repeat < 1:
+        raise ValueError("--repeat must be >= 1")
     n_list = [int(x) for x in args.n_list.split(",")]
     methods = args.methods.split(",")
     for method in methods:
@@ -338,7 +344,7 @@ def _verify_checks(seed):
     from .budget import (coincidence_probability, enumerated_coincidence,
                          exact_quadratic_variance, observable_budget,
                          purity_budget)
-    from .estimators import estimate_p3
+    from .estimators import PurityTracker, estimate_p3
     from .povm import naimark_unitary, sic_outcome_distribution, \
         NAIMARK_STANDARD
     from .qstate import partial_transpose, purity_exact, random_density
@@ -412,6 +418,27 @@ def _verify_checks(seed):
                         for a, b, c in itertools.combinations(pts, 3)])
         assert abs(estimate_p3(digits, part, frame) - want) <= 1e-10
 
+    def purity_jackknife():
+        frame = sic_frame("standard")
+        digits = np.array([[3 * i % 4, i * i // 3 % 4] for i in range(30)],
+                          dtype=np.uint8)
+        mats = [shadow_expand(row, range(2), frame) for row in digits]
+
+        def pair_statistic(ms):
+            total = sum(ms)
+            self_pairs = sum(np.trace(a @ a).real for a in ms)
+            return ((np.trace(total @ total).real - self_pairs)
+                    / (len(ms) * (len(ms) - 1)))
+
+        loo = np.array([pair_statistic(mats[:i] + mats[i + 1:])
+                        for i in range(len(mats))])
+        want = math.sqrt((len(loo) - 1) / len(loo)
+                         * ((loo - loo.mean()) ** 2).sum())
+        tracker = PurityTracker(2, [(0, 1)], frame)
+        tracker.add_records(digits)
+        assert abs(tracker.value()[0] - pair_statistic(mats)) <= 1e-10
+        assert abs(tracker.stderr()[0] - want) <= 1e-10
+
     def budgets():
         assert observable_budget(BudgetQuery(1, 1, 0.1, 0.01)) == 8478
         assert purity_budget(BudgetQuery(2, 1, 0.1, 0.1)) == 54000
@@ -433,6 +460,7 @@ def _verify_checks(seed):
         ("purity-unbiasedness", purity_unbiased),
         ("coincidence-lemma", coincidence),
         ("p3-triple-identity", p3_triples),
+        ("purity-jackknife-identity", purity_jackknife),
         ("measurement-budgets", budgets),
         ("pls-projection", pls_hand_case),
         ("quadratic-variance-hand-case", quadratic_hand_case),

@@ -6,13 +6,13 @@ sum_{m != m'} tr(s_m s_m') = tr(S^2) - Q, Q the running sum of tr(s^2). S is
 kept as its pattern histogram n, and tr(S^2) = n^T V n (see shadows), so a
 batch costs one histogram update whatever number of shots came before. One
 tracker keeps every subset of one size in one array, so a batch is ingested
-for all of them in one scatter-add and a readout applies V once to the
-totals and once to all group histograms: the jackknife's delete-one-group
-traces follow exactly as n^T u - 2 h_g^T u + h_g^T V h_g, with u = V n. The
-PPT moment p3 is the triple U-statistic in the same exact form: the sums
-over all triples, less those with a repeated shot, of the partially
-transposed shadow sum T and of the sum Q2 of squared shadows, both built
-from one N-qubit pattern histogram.
+for all of them in one scatter-add, and a readout applies V once to the
+histograms. Its error is the delete-one-shot jackknife in closed form: every
+delete-one pair sum follows from u = V n alone, so the error costs no apply
+beyond the value's. The PPT moment p3 is the triple U-statistic in the same
+exact form: the sums over all triples, less those with a repeated shot, of
+the partially transposed shadow sum T and of the sum Q2 of squared shadows,
+both built from one N-qubit pattern histogram.
 """
 
 import itertools
@@ -27,7 +27,6 @@ from .shadows import (_check_subset, apply_pair_trace, hist_zeros,
                       pattern_codes, shadow_lut, shadow_matrices, shadow_sum)
 
 RENYI_PURITY_FLOOR = 1e-6
-JACKKNIFE_GROUPS = 100
 
 
 class ObservableSpec:
@@ -107,18 +106,24 @@ class PurityTracker:
     """Streaming pair U-statistics for tr(rho_K^2), one per qubit subset K.
 
     `subsets` is a list of S qubit subsets of one size K; they share one
-    state array of shape (S, G, 4^K), checked against BYTES_CAP. Shots
-    arrive as digit rows; every `batch` consecutive shots form one batched
-    shadow (trailing partial batch stays pending). Batches are dealt
-    round-robin into G = JACKKNIFE_GROUPS groups, each kept per subset as a
-    pattern histogram (shots weighted 1/batch) and a self-overlap sum, with
-    one batch count per group. Records enter only through add_records.
-    `subset` holds the subsets qubit-major, shape (K, S): a chunk of records
-    is gathered through it, coded base 4 and scatter-added in one call
-    each. value() and stderr() return one entry per subset. value() applies
-    the pair trace V once, to the S totals; stderr() also applies it to all
-    S G group histograms, in blocks. Neither depends on the number of shots
-    M.
+    shot-count histogram of shape (S, 4^K), checked against BYTES_CAP. Shots
+    arrive as digit rows, only through add_records; every `batch`
+    consecutive shots form one batched shadow (a trailing partial batch stays
+    pending). Besides the histogram the state is the batch count m_batches
+    and, per subset, the sum of tr(B^2) over batches. `subset` holds the
+    subsets qubit-major, shape (K, S): a chunk of records is gathered
+    through it, coded base 4 and scatter-added in one call. value() and
+    stderr() return one entry per subset and apply the pair trace V once
+    between them, whatever the number of shots.
+
+    stderr() is the delete-one-shot jackknife of the shot-level pair
+    statistic, in closed form. With c the shot-count histogram, u = V c and
+    r = u - 5^K, a shot of pattern j pairs with the other shots to a total
+    r_j, so deleting it leaves the pair sum P - 2 r_j, P = c^T r, and the
+    jackknife variance is 4 sum_j c_j (r_j - P/M)^2 / (M (M-1) (M-2)^2) over
+    M shots. For batch b > 1 the same form over the shots of complete
+    batches keeps the leading Hoeffding term 4 zeta_1 / M, which does not
+    depend on b.
     """
 
     def __init__(self, n_qubits, subsets, frame, batch=1):
@@ -136,12 +141,11 @@ class PurityTracker:
         self.frame = frame
         k, s = self.subset.shape
         self._hist = hist_zeros(
-            (s, JACKKNIFE_GROUPS, 4**k),
-            f"purity tracker on {s} subset(s) of {k} qubits")
-        self._slot_q = np.zeros((s, JACKKNIFE_GROUPS))
-        self._slot_m = np.zeros(JACKKNIFE_GROUPS, dtype=np.int64)
-        self._batches_seen = 0
+            (s, 4**k), f"purity tracker on {s} subset(s) of {k} qubits")
+        self.self_overlap_sum = np.zeros(s)
+        self.m_batches = 0
         self._pending = np.empty((0, k, s), dtype=np.uint8)
+        self._u = None
 
     # -- ingestion ---------------------------------------------------------
 
@@ -149,7 +153,7 @@ class PurityTracker:
         digits = np.asarray(digits)
         if digits.ndim != 2 or digits.shape[1] != self.n_qubits:
             raise ValueError("record length does not match tracker")
-        # gathered rows, shape (M, K, S); complete batches go to their groups
+        # gathered rows, shape (M, K, S); only complete batches are counted
         rows = np.concatenate([self._pending,
                                digits[:, self.subset].astype(np.uint8)])
         b, n_new = self.batch, rows.shape[0] // self.batch
@@ -158,14 +162,8 @@ class PurityTracker:
             return
         rows = rows[:n_new * b]
         k, s = self.subset.shape
-        g, size = JACKKNIFE_GROUPS, 4**k
-        slots = (self._batches_seen + np.arange(n_new)) % g
-        self._batches_seen += n_new
-        # row of each batch in the flattened (S * G) group axis, per subset
-        rows_sg = slots[:, None] + np.arange(s) * g
         codes = np.einsum("mks,k->ms", rows, 4 ** np.arange(k - 1, -1, -1))
-        np.add.at(self._hist.reshape(-1),
-                  np.repeat(rows_sg, b, axis=0) * size + codes, 1.0 / b)
+        np.add.at(self._hist.reshape(-1), codes + np.arange(s) * 4**k, 1.0)
         # tr(B^2): b^-2 times tr(s s') = 5^match (-1)^(K - match) summed over
         # the ordered pairs of the batch's shots, self-pairs included
         pair = 5.0 ** np.arange(k + 1) * (-1.0) ** np.arange(k, -1, -1)
@@ -173,71 +171,41 @@ class PurityTracker:
         q = np.zeros((n_new, s))
         for r in range(b):
             q += pair[(rows[:, r:r + 1] == rows).sum(axis=2)].sum(axis=1)
-        self._slot_q += np.bincount(rows_sg.ravel(),
-                                    weights=(q / b**2).ravel(),
-                                    minlength=s * g).reshape(s, g)
-        self._slot_m += np.bincount(slots, minlength=g)
+        self.self_overlap_sum += q.sum(axis=0) / b**2
+        self.m_batches += n_new
+        self._u = None
 
     # -- readout -----------------------------------------------------------
 
-    @property
-    def m_batches(self):
-        return int(self._slot_m.sum())
-
-    @property
-    def self_overlap_sum(self):
-        """Per subset, the sum of tr(B^2) over all batches, shape (S,)."""
-        return self._slot_q.sum(axis=1)
-
-    def _totals(self):
-        """Per subset, the pattern histogram n of all batches and u = V n."""
-        n = self._hist.sum(axis=1)
-        return n, apply_pair_trace(n)
+    def _pair_traced(self):
+        """u = V c per subset, kept until the next add_records."""
+        if self._u is None:
+            self._u = apply_pair_trace(self._hist)
+        return self._u
 
     def value(self):
         """Pair U-statistic per subset, shape (S,)."""
         m = self.m_batches
         if m < 2:
             raise ValueError("purity estimate needs at least 2 batches")
-        n, u = self._totals()
-        tr2 = np.einsum("sc,sc->s", n, u)
-        return (tr2 - self.self_overlap_sum) / (m * (m - 1))
+        tr2 = np.einsum("sc,sc->s", self._hist, self._pair_traced())
+        return (tr2 / self.batch**2 - self.self_overlap_sum) / (m * (m - 1))
 
     def stderr(self):
-        """Delete-one-group jackknife standard error per subset, shape (S,),
-        nan where undefined.
-
-        With h_g group g's histogram, tr((S - S_g)^2) is
-        n^T u - 2 h_g^T u + h_g^T V h_g, exactly; the last term comes from
-        one blocked pair-trace apply over every group row of every subset.
-        """
-        rows = np.flatnonzero(self._slot_m)
-        loo_m = self.m_batches - self._slot_m[rows]
-        if rows.size < 2 or (loo_m < 2).any():
+        """Closed-form delete-one-shot jackknife standard error per subset,
+        shape (S,); nan below 3 batches."""
+        if self.m_batches < 3:
             return np.full(len(self.subsets), np.nan)
-        n, u = self._totals()
-        flat = self._hist.reshape(-1, n.shape[1])
-        hvh = np.empty(flat.shape[0])
-        # 64 KiB blocks of group rows: their temporaries stay below malloc's
-        # mmap threshold and reuse heap pages (512 KiB blocks, which fault in
-        # fresh pages, made the 50k-shot GHZ-8 estimate take 28 % longer on a
-        # 2-core host)
-        step = max(1, 2**13 // n.shape[1])
-        for i in range(0, flat.shape[0], step):
-            block = flat[i:i + step]
-            hvh[i:i + step] = np.einsum("gc,gc->g", block,
-                                        apply_pair_trace(block))
-        tr2 = (np.einsum("sc,sc->s", n, u)[:, None]
-               - 2 * np.einsum("sgc,sc->sg", self._hist, u)
-               + hvh.reshape(self._slot_q.shape))
-        loo_q = self.self_overlap_sum[:, None] - self._slot_q
-        vals = (tr2 - loo_q)[:, rows] / (loo_m * (loo_m - 1.0))
-        return np.sqrt(np.maximum((rows.size - 1) * vals.var(axis=1), 0.0))
+        m = float(self.batch * self.m_batches)
+        r = self._pair_traced() - 5.0 ** self.subset.shape[0]
+        r_mean = np.einsum("sc,sc->s", self._hist, r)[:, None] / m
+        var = np.einsum("sc,sc->s", self._hist, (r - r_mean) ** 2)
+        return np.sqrt(4 * var / (m * (m - 1) * (m - 2) ** 2))
 
 
 def purity_trackers(n_qubits, subsets, frame, batch=1):
     """PurityTrackers for `subsets`: one per subset size, split so that each
-    tracker's histograms stay within BYTES_CAP (a subset that alone exceeds
+    tracker's histogram stays within BYTES_CAP (a subset that alone exceeds
     it is refused). A subset listed twice is tracked once. Returns the
     trackers and a dict from each checked subset to its (tracker, row)."""
     by_size = {}
@@ -245,7 +213,7 @@ def purity_trackers(n_qubits, subsets, frame, batch=1):
         by_size.setdefault(len(subset), []).append(subset)
     trackers, where = [], {}
     for k, group in by_size.items():
-        per = max(1, BYTES_CAP // (8 * JACKKNIFE_GROUPS * 4**k))
+        per = max(1, BYTES_CAP // (8 * 4**k))
         for lo in range(0, len(group), per):
             for row, subset in enumerate(group[lo:lo + per]):
                 where[subset] = (len(trackers), row)

@@ -258,6 +258,19 @@ def test_reconstruct_refuses_empty_shot_file(method, tmp_path, capsys):
     assert not (tmp_path / "rho.json.manifest.json").exists()
 
 
+def test_estimate_refuses_empty_shot_file(tmp_path, capsys):
+    # a header and no records: refused before any report or manifest
+    path = tmp_path / "empty.sic"
+    write_shots(path, ShotFileHeader(n_qubits=2),
+                np.empty((0, 2), dtype=np.uint8))
+    out = tmp_path / "e.csv"
+    assert run("estimate", "--file", str(path), "--purity", "0,1",
+               "--out", str(out)) == 3
+    assert "holds no shot records" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "e.csv.manifest.json").exists()
+
+
 @pytest.mark.parametrize("method", ["lininv", "pls", "shadow-mean"])
 def test_reconstruct_weights_only_with_mle(method, tmp_path, capsys):
     shots = simulate(tmp_path, shots=200)
@@ -281,14 +294,14 @@ def test_reconstruct_mle_cap_exit_code(tmp_path, capsys):
 
 
 def test_estimate_purity_cap_exit_code(tmp_path, capsys):
-    # a 10-qubit purity tracker needs 100 * 4^10 * 8 bytes of histograms
+    # a 12-qubit purity tracker needs 4^12 * 8 bytes of histogram
     path = tmp_path / "wide.sic"
-    write_shots(path, ShotFileHeader(n_qubits=10),
-                np.zeros((10, 10), dtype=np.uint8))
+    write_shots(path, ShotFileHeader(n_qubits=12),
+                np.zeros((10, 12), dtype=np.uint8))
     out = tmp_path / "report.csv"
     assert run("estimate", "--file", str(path), "--purity", "full",
                "--out", str(out)) == 4
-    assert "838,860,800 bytes" in capsys.readouterr().err
+    assert "134,217,728 bytes" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "report.csv.manifest.json").exists()
 
@@ -323,7 +336,7 @@ def _zeros_file(path, n, povm="sic"):
 
 # every refusal exits 4 with its byte estimate, before any output is written
 @pytest.mark.parametrize("case", [
-    lambda d: ("estimate", "--file", _zeros_file(d / "x.sic", 10),
+    lambda d: ("estimate", "--file", _zeros_file(d / "x.sic", 12),
                "--purity", "full", "--renyi", "all:1"),
     lambda d: ("estimate", "--file", _zeros_file(d / "x.sic", 12),
                "--fidelity", "ghz:12"),
@@ -461,6 +474,16 @@ def test_bench_csv(tmp_path):
         assert float(wall) >= 0.0
 
 
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_bench_refuses_empty_runs(repeat, tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert run("bench", "--n-list", "2", "--shots", "10", "--repeat", repeat,
+               "--out", str(out)) == 3
+    assert "--repeat must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "b.csv.manifest.json").exists()
+
+
 def test_bench_unknown_method(tmp_path):
     assert run("bench", "--n-list", "1", "--methods", "quantum",
                "--shots", "10", "--out", str(tmp_path / "x.csv")) == 3
@@ -508,7 +531,8 @@ def test_verify_all_checks_pass(capsys):
     out = capsys.readouterr().out
     assert "OK: all checks passed" in out
     passes = [l for l in out.strip().split("\n") if l.startswith("PASS ")]
-    assert len(passes) == 10
+    assert len(passes) == 11
     assert "PASS frame-identities" in out
     assert "PASS lininv-shadow-equivalence" in out
     assert "PASS p3-triple-identity" in out
+    assert "PASS purity-jackknife-identity" in out

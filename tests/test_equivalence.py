@@ -1,9 +1,10 @@
 """Site-factorized code against the dense per-shot and per-outcome algorithms.
 
 The shadow references build every shadow with shadow_expand: the purity
-tracker as one dense 2^K x 2^K running sum per jackknife group, scatter-added
-batch by batch, and the lookup table and shadow sum as traces and sums of the
-pattern matrices. The reconstruction references build the frame
+tracker's value as one dense 2^K x 2^K running sum of batched shadows, its
+stderr as the brute-force delete-one-shot jackknife that recomputes every
+delete-one value from the dense sum of the other shots, and the lookup table
+and shadow sum as traces and sums of the pattern matrices. The reconstruction references build the frame
 superoperator densely, one Kronecker chain per outcome, invert it by an
 eigenvalue pseudo-inverse and fit MLE with dense matrix products. The
 site-factorized code must reproduce them to 1e-10 (MLE to 1e-8), and MLE's
@@ -15,8 +16,8 @@ density matrix with one projector stack per setting letter.
 
 The stacked purity tracker, which keeps every subset of one size in one
 array, is held to 1e-10 against a restatement of the per-subset tracker it
-replaced, whose jackknife applies the pair trace to every delete-one-group
-total; so is the online engine's row order.
+replaced, with the same brute-force delete-one-shot jackknife as its stderr,
+at batch 1 and 3; so is the online engine's row order.
 
 The per-shot sampler references keep one conditional state per shot; the
 samplers that keep one per distinct outcome prefix must draw the same digits.
@@ -42,10 +43,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sictomo import povm
-from sictomo.estimators import (JACKKNIFE_GROUPS, ObservableSpec,
-                                PurityTracker, all_bipartitions, estimate_p3,
-                                observable_lut, renyi2_from_purity,
-                                renyi2_stderr)
+from sictomo.estimators import (ObservableSpec, PurityTracker,
+                                all_bipartitions, estimate_p3, observable_lut,
+                                renyi2_from_purity, renyi2_stderr)
 from sictomo.povm import (FrameSuperoperator, derive_rng, naimark_unitary,
                           pauli_outcome_distribution, pauli_settings,
                           sample_pauli_shots, sample_sic_shots, sic_frame,
@@ -72,100 +72,103 @@ def ghz_shots(n_shots, seed, n_qubits=7):
                             derive_rng(seed, "sic-shots"))
 
 
-def reference_slots(digits, subset, batch, groups=JACKKNIFE_GROUPS):
-    """Per-group matrix sums S_g, self-overlaps q_g and batch counts m_g,
-    batches dealt round-robin; a trailing partial batch is left out."""
+def reference_slots(digits, subset, batch):
+    """Dense sum S of the batched shadows, the sum q of their tr(B^2) and the
+    batch count m; a trailing partial batch is left out."""
     dim = 2 ** len(subset)
-    s = np.zeros((groups, dim, dim), dtype=complex)
-    q = np.zeros(groups)
-    m = np.zeros(groups, dtype=np.int64)
-    for j in range(len(digits) // batch):
+    s, q, m = np.zeros((dim, dim), dtype=complex), 0.0, len(digits) // batch
+    for j in range(m):
         rows = digits[j * batch:(j + 1) * batch]
         mat = sum(shadow_expand(row, subset, FRAME) for row in rows) / batch
-        s[j % groups] += mat
-        q[j % groups] += np.trace(mat @ mat).real
-        m[j % groups] += 1
+        s += mat
+        q += np.trace(mat @ mat).real
     return s, q, m
 
 
-def reference_estimate(slots):
-    """Pair U-statistic and its delete-one-group jackknife stderr."""
+def reference_value(slots):
     s, q, m = slots
-    total, q_all, m_all = s.sum(axis=0), q.sum(), m.sum()
-    value = (np.trace(total @ total).real - q_all) / (m_all * (m_all - 1))
-    present = m > 0
-    loo = total - s[present]
-    loo_m = (m_all - m[present]).astype(float)
-    tr2 = np.einsum("gij,gji->g", loo, loo).real
-    vals = (tr2 - (q_all - q[present])) / (loo_m * (loo_m - 1))
-    g = int(present.sum())
-    stderr = math.sqrt((g - 1) / g * ((vals - vals.mean()) ** 2).sum())
-    return value, stderr
+    return (np.trace(s @ s).real - q) / (m * (m - 1))
 
 
-def assert_matches(tracker, slots):
-    value, stderr = reference_estimate(slots)
-    assert abs(tracker.value()[0] - value) < TOL
-    assert abs(tracker.stderr()[0] - stderr) < TOL
-    assert tracker.m_batches == int(slots[2].sum())
-    assert (abs(tracker.self_overlap_sum[0] - slots[1].sum())
-            < TOL * slots[1].sum())
+@functools.lru_cache(maxsize=None)
+def dense_shadow(row):
+    return shadow_expand(row, range(len(row)), FRAME)
+
+
+def reference_jackknife(digits, subset, batch):
+    """Brute-force delete-one-shot jackknife stderr of the pair statistic
+    over the shots of complete batches: every delete-one value is
+    recomputed from the dense sum of the other shots' shadows and their
+    tr(s^2)."""
+    m = len(digits) // batch * batch
+    rows, inv = np.unique(digits[:m, list(subset)], axis=0,
+                          return_inverse=True)
+    mats = np.array([dense_shadow(tuple(r)) for r in rows])[inv.ravel()]
+    total = mats.sum(axis=0)
+    sq = np.einsum("mij,mji->m", mats, mats).real
+    vals = np.empty(m)
+    for lo in range(0, m, 64):
+        rest = total - mats[lo:lo + 64]
+        vals[lo:lo + 64] = ((np.einsum("mij,mji->m", rest, rest).real
+                             - (sq.sum() - sq[lo:lo + 64]))
+                            / ((m - 1) * (m - 2)))
+    return math.sqrt((m - 1) / m * ((vals - vals.mean()) ** 2).sum())
 
 
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("k", sorted(SUBSETS))
 def test_purity_tracker_matches_slot_matrices(k, batch):
-    # 361 shots: groups wrap at batch 1, one record stays pending at batch 3
+    # 361 shots: one record stays pending at batch 3
     digits = ghz_shots(361, seed=k)
     tracker = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
     for chunk in np.array_split(digits, 7):
         tracker.add_records(chunk)
-    assert_matches(tracker, reference_slots(digits, SUBSETS[k], batch))
+    slots = reference_slots(digits, SUBSETS[k], batch)
+    assert abs(tracker.value()[0] - reference_value(slots)) < TOL
+    assert abs(tracker.stderr()[0]
+               - reference_jackknife(digits, SUBSETS[k], batch)) < TOL
+    assert tracker.m_batches == slots[2]
+    assert abs(tracker.self_overlap_sum[0] - slots[1]) < TOL * slots[1]
 
 
 class PerSubsetTracker:
-    """The per-subset purity tracker the stacked one replaced: G pattern
-    histograms of one subset, and a jackknife that builds every
-    delete-one-group total S - S_g and applies the pair trace to it."""
+    """One subset's pair statistic, as the tracker kept it before subsets
+    were stacked: a pattern histogram of batched shots (weighted 1/batch),
+    a self-overlap sum and a batch count. The stderr is the brute-force
+    delete-one-shot jackknife over every record seen."""
 
-    def __init__(self, subset, batch, groups=JACKKNIFE_GROUPS):
-        self.subset, self.batch, self.groups = tuple(subset), batch, groups
-        self.hist = np.zeros((groups, 4 ** len(subset)))
-        self.q = np.zeros(groups)
-        self.m = np.zeros(groups, dtype=np.int64)
-        self.seen = 0
+    def __init__(self, subset, batch):
+        self.subset, self.batch = tuple(subset), batch
+        self.hist = np.zeros(4 ** len(subset))
+        self.q, self.m = 0.0, 0
         self.pending = np.empty((0, len(subset)), dtype=np.uint8)
+        self.seen = np.empty((0, len(subset)), dtype=np.uint8)
 
     def add_records(self, digits):
         rows = np.concatenate([self.pending, digits[:, list(self.subset)]])
+        self.seen = np.concatenate([self.seen, digits[:, list(self.subset)]])
         b, k = self.batch, len(self.subset)
         n_new = len(rows) // b
         self.pending = rows[n_new * b:]
         for j in range(n_new):
             shots = rows[j * b:(j + 1) * b]
-            g = (self.seen + j) % self.groups
             codes = pattern_codes(shots, range(k))
-            self.hist[g] += np.bincount(codes, minlength=4**k) / b
-            self.q[g] += sum(pair_trace(x, y) for x in shots
-                             for y in shots) / b**2
-            self.m[g] += 1
-        self.seen += n_new
+            self.hist += np.bincount(codes, minlength=4**k) / b
+            self.q += sum(pair_trace(x, y) for x in shots
+                          for y in shots) / b**2
+        self.m += n_new
 
     def value(self):
-        n, m = self.hist.sum(axis=0), self.m.sum()
-        if m < 2:
+        if self.m < 2:
             return float("nan")
-        return (n @ apply_pair_trace(n) - self.q.sum()) / (m * (m - 1))
+        n = self.hist
+        return (n @ apply_pair_trace(n) - self.q) / (self.m * (self.m - 1))
 
     def stderr(self):
-        rows = np.flatnonzero(self.m)
-        loo_m = self.m.sum() - self.m[rows]
-        if rows.size < 2 or (loo_m < 2).any():
+        if self.m < 3:
             return float("nan")
-        loo = self.hist.sum(axis=0) - self.hist[rows]
-        tr2 = np.einsum("gc,gc->g", loo, apply_pair_trace(loo))
-        vals = (tr2 - (self.q.sum() - self.q[rows])) / (loo_m * (loo_m - 1.0))
-        return math.sqrt(max((rows.size - 1) * vals.var(), 0.0))
+        return reference_jackknife(self.seen, range(len(self.subset)),
+                                   self.batch)
 
 
 def spread_subsets(k, count, n_qubits=7):

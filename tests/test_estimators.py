@@ -29,8 +29,9 @@ from sictomo.estimators import (
 from sictomo.povm import (CapExceededError, derive_rng, digits_from_indices,
                           sample_sic_shots, sic_frame,
                           sic_outcome_distribution)
-from sictomo.qstate import (Bipartition, make_ghz, p3_moment_exact,
-                            partial_transpose, random_density)
+from sictomo.qstate import (Bipartition, DensityOperator, make_ame5,
+                            make_ghz, p3_moment_exact, partial_trace,
+                            partial_transpose, purity_exact, random_density)
 from sictomo.shadows import pair_trace, shadow_expand
 
 FRAME = sic_frame("standard")
@@ -176,10 +177,10 @@ def test_purity_tracker_validation(rng):
 
 
 def test_purity_tracker_state_does_not_grow_with_outcomes():
-    """K=8 on GHZ-8: more shots bring new patterns but no new state."""
+    """K=7 on GHZ-8: more shots bring new patterns but no new state."""
     digits = sample_sic_shots(make_ghz(8), FRAME, 4000,
                               derive_rng(8, "sic-shots"))
-    tracker = PurityTracker(8, [range(8)], FRAME)
+    tracker = PurityTracker(8, [range(7), range(1, 8)], FRAME)
 
     def state_bytes():
         return sum(v.nbytes for v in vars(tracker).values()
@@ -189,14 +190,15 @@ def test_purity_tracker_state_does_not_grow_with_outcomes():
     after_1k = state_bytes()
     tracker.add_records(digits[1000:])
     assert state_bytes() == after_1k
+    assert tracker._hist.nbytes == 8 * 2 * 4**7  # 8 bytes x S x 4^K
     assert tracker.m_batches == 4000
 
 
 def test_purity_tracker_byte_cap():
-    # 100 groups * 4^8 * 8 bytes = 52 MB fits; 4^9 does not
-    PurityTracker(8, [range(8)], FRAME)
-    with pytest.raises(CapExceededError, match="209,715,200 bytes"):
-        PurityTracker(9, [range(9)], FRAME)
+    # 4^11 * 8 bytes = 33.5 MB fits; 4^12 does not
+    PurityTracker(11, [range(11)], FRAME)
+    with pytest.raises(CapExceededError, match="134,217,728 bytes"):
+        PurityTracker(12, [range(12)], FRAME)
 
 
 def test_purity_jackknife_stderr_calibrated():
@@ -215,6 +217,40 @@ def test_purity_jackknife_stderr_calibrated():
     spread = np.std(values, ddof=1)
     ratio = np.median(stderrs) / spread
     assert 0.5 < ratio < 2.0
+
+
+def _mixed(n):
+    return DensityOperator(np.eye(2**n) / 2**n, check=False)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("name,rho,keep", [
+    ("mixed qubit", _mixed(1), (0,)),
+    ("mixed pair", _mixed(2), (0, 1)),
+    ("GHZ-3 pair", make_ghz(3).density(), (0, 1)),
+    ("GHZ-3 full", make_ghz(3).density(), (0, 1, 2)),
+    ("AME(5) pair", make_ame5().density(), (0, 1)),
+])
+def test_purity_stderr_coverage(name, rho, keep, batch):
+    """Share of 300 seeded runs of 2000 shots whose value lies within two
+    reported stderrs of the exact purity. The degenerate marginals (the
+    maximally mixed ones, AME(5)'s pair) have no first-order term, so the
+    jackknife alone carries them; adding the plug-in second-order term
+    2 zeta_2 / (M (M-1)) covers every run there (100 %), which the upper
+    bound refuses as an overstated error."""
+    k, runs, shots = len(keep), 300, 2000
+    marginal = partial_trace(rho, keep) if k < rho.n_qubits else rho
+    probs = sic_outcome_distribution(marginal, FRAME)
+    rng = np.random.default_rng([batch, *name.encode()])
+    codes = rng.choice(4**k, size=(shots, runs), p=probs / probs.sum())
+    # run r reads qubits r K .. r K + K - 1 of one wide record
+    digits = digits_from_indices(codes.ravel(), k).reshape(shots, runs * k)
+    tracker = PurityTracker(runs * k, [range(r * k, r * k + k)
+                                       for r in range(runs)], FRAME,
+                            batch=batch)
+    tracker.add_records(digits)
+    z = (tracker.value() - purity_exact(marginal)) / tracker.stderr()
+    assert 0.90 <= np.mean(np.abs(z) < 2) <= 0.995, name
 
 
 # --- renyi ----------------------------------------------------------------------

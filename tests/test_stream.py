@@ -1,5 +1,6 @@
 """Shot files, the online engine, the identification game, convergence runs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -409,16 +410,15 @@ def test_online_engine_caps_and_validation(rng):
 
 
 def test_engine_splits_purity_trackers_under_the_byte_cap():
-    # N=12, every side up to 4 qubits: the 495 four-qubit sides need
-    # 101,376,000 bytes of histograms, more than one tracker may hold
+    # N=12, every 7-qubit purity: the 792 subsets need 103,809,024 bytes of
+    # histograms, more than one tracker may hold
+    subsets = list(itertools.combinations(range(12), 7))
     engine = OnlineEngine(TrackerConfig(
-        n_qubits=12, renyi_parts=all_bipartitions(12, 4)), FRAME)
-    four = [t for t in engine._trackers if t.subset.shape[0] == 4]
-    assert sum(t._hist.nbytes for t in four) == 101_376_000
-    assert len(four) == 2
+        n_qubits=12, purity_subsets=subsets), FRAME)
+    assert sum(t._hist.nbytes for t in engine._trackers) == 103_809_024
+    assert len(engine._trackers) == 2
     assert all(t._hist.nbytes <= BYTES_CAP for t in engine._trackers)
-    assert sorted(s for t in engine._trackers for s in t.subsets) == sorted(
-        p.smaller_side for p in all_bipartitions(12, 4))
+    assert sorted(s for t in engine._trackers for s in t.subsets) == subsets
 
 
 def test_run_online_from_file(rng, tmp_path):
