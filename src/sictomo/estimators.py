@@ -164,14 +164,15 @@ class PurityTracker:
         k, s = self.subset.shape
         codes = np.einsum("mks,k->ms", rows, 4 ** np.arange(k - 1, -1, -1))
         np.add.at(self._hist.reshape(-1), codes + np.arange(s) * 4**k, 1.0)
-        # tr(B^2): b^-2 times tr(s s') = 5^match (-1)^(K - match) summed over
-        # the ordered pairs of the batch's shots, self-pairs included
+        # tr(B^2): b^-2 times the exact integer sum of tr(s s') = 5^match
+        # (-1)^(K - match): b self-pairs of 5^K, every other pair twice
         pair = 5.0 ** np.arange(k + 1) * (-1.0) ** np.arange(k, -1, -1)
         rows = rows.reshape(n_new, b, k, s)
-        q = np.zeros((n_new, s))
-        for r in range(b):
-            q += pair[(rows[:, r:r + 1] == rows).sum(axis=2)].sum(axis=1)
-        self.self_overlap_sum += q.sum(axis=0) / b**2
+        q = np.full(s, n_new * b * 5.0**k)
+        for r in range(b - 1):
+            match = (rows[:, r:r + 1] == rows[:, r + 1:]).sum(axis=2)
+            q += 2 * pair[match].sum(axis=(0, 1))
+        self.self_overlap_sum += q / b**2
         self.m_batches += n_new
         self._u = None
 

@@ -153,8 +153,9 @@ def naimark_unitary(frame):
 
 # --- site contractions --------------------------------------------------------
 # Both frames are tensor products of one single-qubit stack M (shape (m, 2, 2):
-# m = 4 for SIC, 6 for Pauli), indexed over K sites by patterns c whose base-m
-# digits c_1 .. c_K have the first site leading.
+# m = 4 for SIC, 6 for Pauli with site outcome 2s + b for setting s and bit
+# b), indexed over K sites by patterns c whose base-m digits c_1 .. c_K have
+# the first site leading: the one outcome order of both frames.
 
 def n_sites(size, m=4):
     """K with m^K == size; ValueError if size is not a power of m."""
@@ -296,10 +297,11 @@ def digits_from_indices(indices, n_qubits):
     return ((np.asarray(indices, dtype=np.int64)[:, None] // shifts) % 4).astype(np.uint8)
 
 
-def indices_from_digits(digits):
+def indices_from_digits(digits, base=4):
+    """Encode (M, N) base-`base` digit rows as flat outcome indices."""
     digits = np.asarray(digits, dtype=np.int64)
     n = digits.shape[1]
-    shifts = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    shifts = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return digits @ shifts
 
 
@@ -438,6 +440,8 @@ _LETTER_CODE = {"X": 0, "Y": 1, "Z": 2}
 def sample_pauli_shots(state, n_shots, rng):
     """Sample all 3^N settings. Returns (settings, bits), both (n_shots, N)
     uint8, grouped by setting in lexicographic order."""
+    if n_shots < 1:
+        raise ValueError("n_shots must be >= 1")
     rng = _as_rng(rng)
     n = state.n_qubits
     alloc = allocate_pauli_shots(n_shots, n)
@@ -466,16 +470,6 @@ _PAULI_PROJECTORS = np.array([np.outer(v, v.conj()) for ch in "XYZ"
                               for v in _PAULI_EIGVECS[ch].T])
 
 
-def _grouped_order(n, dims):
-    """Site-pattern index (a1 b1 a2 b2 ..) of each position in the grouped
-    order (a1 a2 .. b1 b2 ..) of a per-site index with factors `dims`; the
-    flat Pauli outcome j = s * 2^N + b groups (s, b)."""
-    k = len(dims)
-    idx = np.arange(math.prod(dims) ** n).reshape(tuple(dims) * n)
-    return idx.transpose([site * k + f for f in range(k)
-                          for site in range(n)]).ravel()
-
-
 def _site_gram(site):
     """sum_i |M_i>><<M_i| over a stack of 2x2 matrices, row-major vec."""
     rows = site.reshape(-1, 4)
@@ -488,9 +482,9 @@ class FrameSuperoperator:
     Each site measures the same single-qubit effects E_i with canonical
     duals D_i = S_1^-1 E_i, so sum_i |D_i>><<E_i| = identity: SIC effects
     P_i / 2 with duals 3 P_i - I, or Pauli effects |b><b|_s / 3 (site
-    outcome 2s + b) with duals 3 |b><b|_s - I. Outcomes use the flat order of
-    FrequencyVector (Pauli: j = s * 2^N + b). With A the map with rows
-    <<E_j|, forward, adjoint and dual apply A, A^dagger and
+    outcome 2s + b) with duals 3 |b><b|_s - I. Outcome j is a site pattern,
+    one base-m digit per qubit as in FrequencyVector. With A the map with
+    rows <<E_j|, forward, adjoint and dual apply A, A^dagger and
     S_p^-1 A^dagger (S_p = A^dagger A) as site contractions. The dense
     views probability_map, matrix and pinv_matrix are Kronecker powers of
     their single-site counterparts, in row-major vec order.
@@ -503,45 +497,36 @@ class FrameSuperoperator:
     def __init__(self, kind, n_qubits, frame=None):
         if kind == "sic":
             self.frame = frame if frame is not None else sic_frame("standard")
-            self.effects = self.frame.effects
-            projectors, dims = self.frame.projectors, (4,)
+            projectors, self.effects = self.frame.projectors, self.frame.effects
         elif kind == "pauli":
             self.frame = None
-            self.effects = _PAULI_PROJECTORS / 3
-            projectors, dims = _PAULI_PROJECTORS, (3, 2)
+            projectors, self.effects = _PAULI_PROJECTORS, _PAULI_PROJECTORS / 3
         else:
             raise ValueError(f"unknown povm kind {kind!r}")
-        # the largest arrays made here and by the maps: a complex 2^N x 2^N
-        # dual estimate and the int64 outcome order
-        check_bytes(max(16 * 4**n_qubits, 8 * math.prod(dims) ** n_qubits),
+        # the largest array the maps make: the complex outcome vector or the
+        # 2^N x 2^N estimate
+        check_bytes(16 * max(4, len(projectors)) ** n_qubits,
                     f"{kind} frame superoperator on {n_qubits} qubits")
         self.kind = kind
         self.n_qubits = n_qubits
         self.duals = 3 * projectors - np.eye(2)
-        self._dims = dims
-        self._order = _grouped_order(n_qubits, dims)  # flat j -> site pattern
         self._map = None
 
     @property
     def n_outcomes(self):
-        return self._order.size
+        return len(self.effects) ** self.n_qubits
 
     def forward(self, rho):
         """A vec(rho): tr(E_j rho) for every outcome j."""
-        return frame_traces(rho, self.effects)[self._order]
-
-    def _sums(self, y, site):
-        w = np.empty(self.n_outcomes, dtype=np.result_type(y, complex))
-        w[self._order] = y
-        return frame_sums(w, site)
+        return frame_traces(rho, self.effects)
 
     def adjoint(self, y):
         """A^dagger y = sum_j y_j E_j, a 2^N x 2^N matrix."""
-        return self._sums(y, self.effects)
+        return frame_sums(y, self.effects)
 
     def dual(self, freqs):
         """S_p^-1 A^dagger f = sum_j f_j D_j, a 2^N x 2^N matrix."""
-        return self._sums(freqs, self.duals)
+        return frame_sums(freqs, self.duals)
 
     def _dense(self, site):
         """Kronecker power of one site's tensor with each of its axes grouped
@@ -565,8 +550,7 @@ class FrameSuperoperator:
         """Dense A, shape (outcomes, 4^N): A @ vec(rho) = forward(rho).
         Built once per instance and returned read-only."""
         if self._map is None:
-            self._map = self._dense(
-                self.effects.conj().reshape(self._dims + (2, 2)))
+            self._map = self._dense(self.effects.conj())
             self._map.flags.writeable = False
         return self._map
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .povm import _LETTER_CODE, cap_error, indices_from_digits
+from .povm import cap_error, indices_from_digits
 from .qstate import DensityOperator
 
 MLE_CAP = 5  # qubits; the fit solves repeatedly in dimension 4^N
@@ -32,10 +32,12 @@ _WEIGHT_VAR_FLOOR = 1e-4
 class FrequencyVector:
     """Outcome counts for one dataset, convertible to frequency estimates.
 
-    SIC: counts indexed by the base-4 outcome word, frequencies n_j / M.
-    Pauli: counts shaped (3^N settings, 2^N outcomes); the frequency of the
-    flat outcome j = s * 2^N + b is n_{s,b} / (N_s * 3^N), which estimates
-    tr(E_j rho) for the uniform-setting POVM and needs N_s >= 1 everywhere.
+    Both kinds hold one flat histogram of site patterns: one base-m digit per
+    qubit, qubit 0 leading, m = 4 for SIC and 6 for Pauli (digit 2s + b for
+    setting s and bit b). SIC frequencies are n_j / M. The Pauli frequency
+    of outcome j is n_j / (N_s * 3^N), N_s the shots of j's setting; it
+    estimates tr(E_j rho) for the uniform-setting POVM and needs N_s >= 1
+    for every setting.
     """
 
     def __init__(self, kind, n_qubits, counts):
@@ -46,17 +48,14 @@ class FrequencyVector:
         counts = np.asarray(counts)
         if np.any(counts < 0) or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be non-negative integers")
-        if kind == "sic":
-            if counts.shape != (4**self.n_qubits,):
-                raise ValueError("sic counts must have length 4^N")
-            if not counts.any():
-                raise ValueError("sic counts must hold at least one shot")
-        else:
-            if counts.shape != (3**self.n_qubits, 2**self.n_qubits):
-                raise ValueError("pauli counts must be (3^N, 2^N)")
-            if (counts.sum(axis=1) == 0).any():
-                raise ValueError("every Pauli setting needs at least one shot")
+        m = 4 if kind == "sic" else 6
+        if counts.shape != (m**self.n_qubits,):
+            raise ValueError(f"{kind} counts must have length {m}^N")
         self.counts = counts
+        if kind == "sic" and not counts.any():
+            raise ValueError("sic counts must hold at least one shot")
+        if kind == "pauli" and not self._setting_shots().all():
+            raise ValueError("every Pauli setting needs at least one shot")
 
     @classmethod
     def from_sic_shots(cls, digits, n_qubits=None):
@@ -69,38 +68,34 @@ class FrequencyVector:
 
     @classmethod
     def from_pauli_shots(cls, settings, bits):
-        """settings: (M, N) codes 0/1/2 for X/Y/Z, or a sequence of strings."""
-        bits = np.asarray(bits)
-        n = bits.shape[1]
-        if isinstance(settings, np.ndarray) and settings.dtype != object:
-            codes = settings.astype(np.int64)
-        else:
-            codes = np.array([[_LETTER_CODE[c] for c in s] for s in settings],
-                             dtype=np.int64)
-        pow3 = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        s_idx = codes @ pow3
-        b_idx = bits.astype(np.int64) @ (2 ** np.arange(n - 1, -1, -1, dtype=np.int64))
-        counts = np.zeros((3**n, 2**n), dtype=np.int64)
-        np.add.at(counts, (s_idx, b_idx), 1)
-        return cls("pauli", n, counts)
+        """settings: (M, N) codes 0/1/2 for X/Y/Z; bits: (M, N) 0/1."""
+        digits = 2 * np.asarray(settings) + np.asarray(bits)
+        n = digits.shape[1]
+        return cls("pauli", n, np.bincount(indices_from_digits(digits, 6),
+                                           minlength=6**n))
 
     @property
     def total_shots(self):
         return int(self.counts.sum())
 
+    def _setting_shots(self):
+        """Pauli shots per setting: counts summed over the bit axes."""
+        n = self.n_qubits
+        return self.counts.reshape((3, 2) * n).sum(
+            axis=tuple(range(1, 2 * n, 2)), keepdims=True)
+
     def frequencies(self):
         """Flat estimates of the POVM outcome probabilities, summing to 1."""
         if self.kind == "sic":
             return self.counts / self.total_shots
-        per_setting = self.counts.sum(axis=1, keepdims=True)
-        return (self.counts / per_setting / 3**self.n_qubits).ravel()
+        return self.counts / self.per_outcome_shots() / 3**self.n_qubits
 
     def per_outcome_shots(self):
         """Shots behind each flat frequency entry (for statistical weights)."""
         if self.kind == "sic":
             return np.full(self.counts.size, float(self.total_shots))
-        per_setting = self.counts.sum(axis=1, keepdims=True)
-        return np.broadcast_to(per_setting, self.counts.shape).ravel().astype(float)
+        return np.broadcast_to(self._setting_shots(),
+                               (3, 2) * self.n_qubits).ravel().astype(float)
 
 
 @dataclass

@@ -117,6 +117,16 @@ def test_simulate_pauli(tmp_path):
     assert len(body) == 90
 
 
+@pytest.mark.parametrize("shots", ["0", "-3"])
+def test_simulate_pauli_refuses_no_shots(shots, tmp_path, capsys):
+    out = tmp_path / "p.pauli"
+    assert run("simulate", "--state", "ghz:2", "--povm", "pauli",
+               "--shots", shots, "--out", str(out)) == 3
+    assert "n_shots must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "p.pauli.manifest.json").exists()
+
+
 def test_simulate_bad_state(tmp_path, capsys):
     out = tmp_path / "x"
     assert run("simulate", "--state", "nope:1", "--shots", "5",

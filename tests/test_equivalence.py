@@ -4,20 +4,29 @@ The shadow references build every shadow with shadow_expand: the purity
 tracker's value as one dense 2^K x 2^K running sum of batched shadows, its
 stderr as the brute-force delete-one-shot jackknife that recomputes every
 delete-one value from the dense sum of the other shots, and the lookup table
-and shadow sum as traces and sums of the pattern matrices. The reconstruction references build the frame
-superoperator densely, one Kronecker chain per outcome, invert it by an
+and shadow sum as traces and sums of the pattern matrices.
+
+The reconstruction references build the frame superoperator densely, one
+Kronecker chain per outcome. Both frames index outcomes by site pattern:
+one base-4 (SIC) or base-6 (Pauli, digit 2s + b for setting s and bit b)
+digit per qubit, qubit 0 leading. The references invert the dense map by an
 eigenvalue pseudo-inverse and fit MLE with dense matrix products. The
 site-factorized code must reproduce them to 1e-10 (MLE to 1e-8), and MLE's
 power-iteration step size must match eigvalsh of the dense Gram matrix to
-1e-10. The PPT
-moment reference enumerates every triple of a per-shot stack of partially
-transposed shadows, and the Pauli distribution reference contracts a
-density matrix with one projector stack per setting letter.
+1e-10. The setting-major Pauli layout, outcome s * 2^N + b, stays as a
+reference: permuted through the reorder table the superoperator once built,
+the site-pattern counts and frequencies must equal it exactly, and forward
+and adjoint must equal its dense map to 1e-12. The PPT moment reference
+enumerates every triple of a per-shot stack of partially transposed
+shadows, and the Pauli distribution reference contracts a density matrix
+with one projector stack per setting letter.
 
 The stacked purity tracker, which keeps every subset of one size in one
 array, is held to 1e-10 against a restatement of the per-subset tracker it
 replaced, with the same brute-force delete-one-shot jackknife as its stderr,
-at batch 1 and 3; so is the online engine's row order.
+at batch 1 and 3; so is the online engine's row order. Its self-overlap sum,
+which takes the self-pairs in closed form, must equal the sum over every
+ordered pair of a batch's shots exactly, at batch 1, 3 and 4.
 
 The per-shot sampler references keep one conditional state per shot; the
 samplers that keep one per distinct outcome prefix must draw the same digits.
@@ -129,6 +138,41 @@ def test_purity_tracker_matches_slot_matrices(k, batch):
                - reference_jackknife(digits, SUBSETS[k], batch)) < TOL
     assert tracker.m_batches == slots[2]
     assert abs(tracker.self_overlap_sum[0] - slots[1]) < TOL * slots[1]
+
+
+def reference_self_overlap(chunks, subsets, batch):
+    """Sum of tr(B^2) over the complete batches, as the tracker summed it
+    before the self-pairs were taken in closed form: every ordered pair of a
+    batch's shots, self-pairs included, per add_records call."""
+    subset = np.array(subsets, dtype=np.intp).T
+    k, s = subset.shape
+    pair = 5.0 ** np.arange(k + 1) * (-1.0) ** np.arange(k, -1, -1)
+    pending, total = np.empty((0, k, s), dtype=np.uint8), np.zeros(s)
+    for chunk in chunks:
+        rows = np.concatenate([pending, chunk[:, subset].astype(np.uint8)])
+        n_new = rows.shape[0] // batch
+        pending = rows[n_new * batch:]
+        if n_new == 0:
+            continue
+        rows = rows[:n_new * batch].reshape(n_new, batch, k, s)
+        q = np.zeros((n_new, s))
+        for r in range(batch):
+            q += pair[(rows[:, r:r + 1] == rows).sum(axis=2)].sum(axis=1)
+        total += q.sum(axis=0) / batch**2
+    return total
+
+
+@pytest.mark.parametrize("batch", [1, 3, 4])
+@pytest.mark.parametrize("k", sorted(SUBSETS))
+def test_self_overlap_sum_matches_all_pairs(k, batch):
+    # the terms are integers below 2^53, so both sums are exact
+    subsets = spread_subsets(k, 5)
+    chunks = np.split(ghz_shots(361, seed=70 + k), [1, 2, 52, 103, 260])
+    tracker = PurityTracker(7, subsets, FRAME, batch=batch)
+    for chunk in chunks:
+        tracker.add_records(chunk)
+    assert (tracker.self_overlap_sum
+            == reference_self_overlap(chunks, subsets, batch)).all()
 
 
 class PerSubsetTracker:
@@ -275,19 +319,41 @@ def make_superop(kind, n, frame_name):
 
 
 def reference_effect(kind, n, frame_name, j):
-    """Effect of flat outcome j as one Kronecker chain over the qubits."""
+    """Effect of flat outcome j as one Kronecker chain over the qubits; a
+    Pauli site's base-6 digit of j is 2s + b."""
     out = np.ones((1, 1), dtype=complex)
     if kind == "sic":
         effects = sic_frame(frame_name).effects
         for k in range(n):
             out = np.kron(out, effects[(j // 4**(n - 1 - k)) % 4])
         return out
+    for k in range(n):
+        s_k, b_k = divmod((j // 6**(n - 1 - k)) % 6, 2)
+        ket = PAULI_KETS["XYZ"[s_k]][b_k]
+        out = np.kron(out, np.outer(ket, ket.conj()))
+    return out / 3**n
+
+
+def setting_major_effect(n, j):
+    """Pauli effect of outcome j = s * 2^N + b in the setting-major order
+    that FrequencyVector and FrameSuperoperator used before site patterns."""
     s_idx, b_idx = divmod(j, 2**n)
+    out = np.ones((1, 1), dtype=complex)
     for k in range(n):
         ket = PAULI_KETS["XYZ"[(s_idx // 3**(n - 1 - k)) % 3]][
             (b_idx >> (n - 1 - k)) & 1]
         out = np.kron(out, np.outer(ket, ket.conj()))
     return out / 3**n
+
+
+def grouped_order(n, dims):
+    """Site-pattern index (a1 b1 a2 b2 ..) of each position in the grouped
+    order (a1 a2 .. b1 b2 ..) of a per-site index with factors `dims`; the
+    flat Pauli outcome j = s * 2^N + b groups (s, b)."""
+    k = len(dims)
+    idx = np.arange(math.prod(dims) ** n).reshape(tuple(dims) * n)
+    return idx.transpose([site * k + f for f in range(k)
+                          for site in range(n)]).ravel()
 
 
 @functools.lru_cache(maxsize=None)
@@ -375,6 +441,38 @@ def test_superop_dense_views_match_per_outcome_chains(rng, kind, n, frame_name):
     y = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
     np.testing.assert_allclose(sup.forward(x), a @ x.ravel(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(sup.adjoint(y).ravel(), a.conj().T @ y,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_site_patterns_match_setting_major_layout(rng, n):
+    """Counts, frequencies, forward and adjoint in site-pattern order,
+    permuted through grouped_order, give the setting-major (3^N, 2^N)
+    layout: its counts scatter-added per (setting, bits) pair, its maps
+    built from setting_major_effect."""
+    settings, bits = sample_pauli_shots(random_density(n, rng), 20 * 3**n,
+                                        rng)
+    fv = FrequencyVector.from_pauli_shots(settings, bits)
+    order = grouped_order(n, (3, 2))
+    place = 2 ** np.arange(n - 1, -1, -1)
+    old = np.zeros((3**n, 2**n), dtype=np.int64)
+    np.add.at(old, (settings @ 3 ** np.arange(n - 1, -1, -1), bits @ place), 1)
+    np.testing.assert_array_equal(fv.counts[order].reshape(old.shape), old)
+    np.testing.assert_array_equal(
+        fv.frequencies()[order],
+        (old / old.sum(axis=1, keepdims=True) / 3**n).ravel())
+
+    sup = FrameSuperoperator("pauli", n)
+    a_old = np.array([setting_major_effect(n, j).reshape(-1).conj()
+                      for j in range(6**n)])
+    dim = 2**n
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    y = rng.standard_normal(6**n) + 1j * rng.standard_normal(6**n)
+    np.testing.assert_allclose(sup.forward(x)[order], a_old @ x.ravel(),
+                               rtol=0, atol=1e-12)
+    y_new = np.empty_like(y)
+    y_new[order] = y
+    np.testing.assert_allclose(sup.adjoint(y_new).ravel(), a_old.conj().T @ y,
                                rtol=0, atol=1e-12)
 
 

@@ -351,11 +351,11 @@ def test_superop_effects_sum_to_identity():
 
 
 def test_superop_caps():
-    # the constructor's largest array: the complex 2^N x 2^N dual estimate
-    # (SIC) or the int64 order of the 6^N outcomes (Pauli)
+    # the largest array the maps make: the complex 2^N x 2^N dual estimate
+    # (SIC) or the complex vector of the 6^N outcomes (Pauli)
     with pytest.raises(CapExceededError, match="268,435,456 bytes"):
         FrameSuperoperator("sic", 12)
-    with pytest.raises(CapExceededError, match="80,621,568 bytes"):
+    with pytest.raises(CapExceededError, match="161,243,136 bytes"):
         FrameSuperoperator("pauli", 9)
     # the dense views have their own cap, which the SIC N=6 Gram matrix meets
     with pytest.raises(CapExceededError, match="4,294,967,296 bytes"):

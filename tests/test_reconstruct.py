@@ -9,6 +9,8 @@ from sictomo.povm import (
     CapExceededError,
     FrameSuperoperator,
     derive_rng,
+    pauli_outcome_distribution,
+    pauli_settings,
     sample_pauli_shots,
     sample_sic_shots,
     sic_frame,
@@ -43,12 +45,15 @@ def test_frequency_vector_validation():
         FrequencyVector("sic", 1, np.array([0.5, 0.5, 0.0, 0.0]))
     with pytest.raises(ValueError):
         FrequencyVector("sic", 2, np.zeros(4, dtype=np.int64))
-    with pytest.raises(ValueError):
-        FrequencyVector("pauli", 1, np.zeros(6, dtype=np.int64))
-    starved = np.ones((3, 2), dtype=np.int64)
-    starved[1] = 0  # a setting with no shots cannot be frequency-normalized
-    with pytest.raises(ValueError):
-        FrequencyVector("pauli", 1, starved)
+    with pytest.raises(ValueError, match="length 6"):
+        FrequencyVector("pauli", 1, np.ones((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="length 6"):
+        FrequencyVector("pauli", 2, np.ones(6, dtype=np.int64))
+    starved = np.ones(36, dtype=np.int64)
+    # setting YX without shots cannot be frequency-normalized
+    starved.reshape(3, 2, 3, 2)[1, :, 0, :] = 0
+    with pytest.raises(ValueError, match="every Pauli setting"):
+        FrequencyVector("pauli", 2, starved)
 
 
 def test_from_sic_shots_counts(rng):
@@ -66,19 +71,16 @@ def test_from_sic_shots_counts(rng):
             FrequencyVector.from_sic_shots(digits, n_qubits)
 
 
-def test_from_pauli_shots_string_and_code_routes(rng):
+def test_from_pauli_shots_counts(rng):
     psi = random_pure(1, rng)
     settings, bits = sample_pauli_shots(psi, 30, derive_rng(1, "pauli-shots"))
-    fv_codes = FrequencyVector.from_pauli_shots(settings, bits)
-    strings = ["".join("XYZ"[c] for c in row) for row in settings]
-    fv_strings = FrequencyVector.from_pauli_shots(strings, bits)
-    np.testing.assert_array_equal(fv_codes.counts, fv_strings.counts)
-    assert fv_codes.counts.shape == (3, 2)
-    assert abs(fv_codes.frequencies().sum() - 1) < 1e-12
+    fv = FrequencyVector.from_pauli_shots(settings, bits)
+    assert fv.counts.shape == (6,)
+    assert abs(fv.frequencies().sum() - 1) < 1e-12
     # each flat entry is backed by its setting's shot count
     np.testing.assert_array_equal(
-        fv_codes.per_outcome_shots().reshape(3, 2).sum(axis=1),
-        2 * fv_codes.counts.sum(axis=1))
+        fv.per_outcome_shots().reshape(3, 2).sum(axis=1),
+        2 * fv.counts.reshape(3, 2).sum(axis=1))
 
 
 # --- linear inversion -------------------------------------------------------------
@@ -95,6 +97,27 @@ def test_lininv_exact_recovery(rng, n):
     np.testing.assert_allclose(res.estimate, res.estimate.conj().T, atol=0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lininv_pauli_exact_recovery_from_setting_distributions(rng, n):
+    """Each setting's exact distribution over 3^N, placed at the site
+    patterns its letters and bits spell (digit 2s + b, qubit 0 leading),
+    inverts to the state: the outcome order agrees with the sampler's
+    setting and bit conventions."""
+    rho, psi = random_density(n, rng), random_pure(n, rng)
+    for state, want in ((rho, rho.matrix), (psi, psi.density().matrix)):
+        f = np.empty(6**n)
+        for setting in pauli_settings(n):
+            probs = pauli_outcome_distribution(state, setting)
+            for b in range(2**n):
+                j = 0
+                for k, letter in enumerate(setting):
+                    bit = (b >> (n - 1 - k)) & 1
+                    j = 6 * j + 2 * "XYZ".index(letter) + bit
+                f[j] = probs[b] / 3**n
+        res = lininv(f, FrameSuperoperator("pauli", n))
+        np.testing.assert_allclose(res.estimate, want, rtol=0, atol=1e-10)
+
+
 def test_lininv_counts_equal_bare_frequencies(rng):
     digits = rng.integers(0, 4, size=(300, 1)).astype(np.uint8)
     sup = FrameSuperoperator("sic", 1, FRAME)
@@ -108,7 +131,7 @@ def test_lininv_mismatch_errors(rng):
     sup = FrameSuperoperator("sic", 1, FRAME)
     with pytest.raises(ValueError):
         lininv(np.zeros(5), sup)
-    pauli_fv = FrequencyVector("pauli", 1, np.ones((3, 2), dtype=np.int64))
+    pauli_fv = FrequencyVector("pauli", 1, np.ones(6, dtype=np.int64))
     with pytest.raises(ValueError):
         lininv(pauli_fv, sup)
 
