@@ -1,6 +1,6 @@
 """Command-line frontend.
 
-Subcommands: simulate, estimate, reconstruct, budget, bench, game, verify.
+Subcommands: simulate, estimate, reconstruct, budget, game, verify.
 Exit codes: 0 success (estimate: stopping rule converged), 2 shots exhausted
 before convergence, 3 invalid input, 4 resource cap exceeded.
 """
@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .qstate import (DensityOperator, PureState, load_state, make_ame5,
                      make_ghz, make_linear_cluster, make_product,
                      make_rotated_ghz, random_pure, Bipartition)
 from .reconstruct import FrequencyVector, ReconstructionResult, reconstruct
-from .shadows import ShadowAccumulator, shadow_mean
+from .shadows import ShadowAccumulator
 from .stream import (Game, OnlineEngine, ShotFileError, ShotFileHeader,
                      StoppingRule, TrackerConfig, drive, iter_sic_chunks,
                      read_header, read_pauli_shots, read_sic_digits,
@@ -78,14 +77,10 @@ def parse_state(spec, seed=0):
 
 
 def _write_manifest(out_path, args, inputs, outputs):
-    params = {}
-    for key, value in vars(args).items():
-        if key == "func" or callable(value):
-            continue
-        params[key] = value
     manifest = {
         "subcommand": args.cmd,
-        "parameters": params,
+        "parameters": {key: value for key, value in vars(args).items()
+                       if not callable(value)},
         "seed": getattr(args, "seed", None),
         "inputs": list(inputs),
         "outputs": list(outputs),
@@ -126,12 +121,11 @@ def _cmd_simulate(args):
     state = parse_state(args.state, args.seed)
     n = state.n_qubits
     header = ShotFileHeader(n_qubits=n, povm=args.povm, frame=args.frame,
-                            seed=args.seed, batch=args.batch)
+                            seed=args.seed)
     if args.povm == "sic":
         frame = sic_frame(args.frame)
         rng = derive_rng(args.seed, "sic-shots")
-        digits = sample_sic_shots(state, frame, args.shots, rng,
-                                  mode=args.mode)
+        digits = sample_sic_shots(state, frame, args.shots, rng)
         write_shots(args.out, header, digits)
     else:
         rng = derive_rng(args.seed, "pauli-shots")
@@ -272,44 +266,6 @@ def _cmd_budget(args):
     return EXIT_OK
 
 
-# --- bench ----------------------------------------------------------------
-
-
-BENCH_CSV_HEADER = "n_qubits,method,shots,wall_ms"
-BENCH_METHODS = ("shadow-mean", "lininv", "pls")
-
-
-def _cmd_bench(args):
-    if args.repeat < 1:
-        raise ValueError("--repeat must be >= 1")
-    n_list = [int(x) for x in args.n_list.split(",")]
-    methods = args.methods.split(",")
-    for method in methods:
-        if method not in BENCH_METHODS:
-            raise ValueError(f"unknown bench method {method!r}")
-    frame = sic_frame("standard")
-    with _Sink(args.out) as sink:
-        sink.line(BENCH_CSV_HEADER)
-        for n in n_list:
-            state = make_product("0" * n)
-            digits = sample_sic_shots(state, frame, args.shots,
-                                      derive_rng(args.seed, "bench", n))
-            for method in methods:
-                for _ in range(args.repeat):
-                    t0 = time.perf_counter()
-                    if method == "shadow-mean":
-                        shadow_mean(digits, frame)
-                    else:
-                        superop = FrameSuperoperator("sic", n, frame=frame)
-                        freqs = FrequencyVector.from_sic_shots(digits, n)
-                        reconstruct(freqs, superop, method)
-                    wall = (time.perf_counter() - t0) * 1000.0
-                    sink.line(f"{n},{method},{args.shots},{wall:.3f}")
-    if args.out != "-":
-        _write_manifest(args.out, args, [], [args.out])
-    return EXIT_OK
-
-
 # --- game -----------------------------------------------------------------
 
 
@@ -345,12 +301,11 @@ def _verify_checks(seed):
                          exact_quadratic_variance, observable_budget,
                          purity_budget)
     from .estimators import PurityTracker, estimate_p3
-    from .povm import naimark_unitary, sic_outcome_distribution, \
-        NAIMARK_STANDARD
+    from .povm import (NAIMARK_STANDARD, digits_from_indices,
+                       naimark_unitary, sic_outcome_distribution)
     from .qstate import partial_transpose, purity_exact, random_density
     from .reconstruct import lininv, pls
     from .shadows import shadow_expand, PAIR_TRACE
-    from .povm import digits_from_indices
 
     def frames():
         for name in ("standard", "rotated"):
@@ -503,10 +458,6 @@ def build_parser():
                      default="standard")
     sim.add_argument("--shots", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--mode", choices=("auto", "multinomial", "pershot"),
-                     default="auto")
-    sim.add_argument("--batch", type=int, default=1,
-                     help="batch-size hint recorded in the header")
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -546,15 +497,6 @@ def build_parser():
     bud.add_argument("--hs-norm-sq", type=float, default=None)
     bud.add_argument("--out", default="-")
     bud.set_defaults(func=_cmd_budget)
-
-    ben = sub.add_parser("bench", help="reconstruction wall-time scaling")
-    ben.add_argument("--n-list", default="2,3,4")
-    ben.add_argument("--methods", default="shadow-mean,lininv")
-    ben.add_argument("--shots", type=int, default=2000)
-    ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--repeat", type=int, default=1)
-    ben.add_argument("--out", default="-")
-    ben.set_defaults(func=_cmd_bench)
 
     gam = sub.add_parser("game",
                          help="cluster-state identification from single shots")

@@ -205,16 +205,16 @@ def _state_parts(state):
     return state.matrix, None, state.n_qubits
 
 
-def sic_outcome_distribution(state, frame, cap=DIST_CAP):
+def sic_outcome_distribution(state, frame):
     """Pr[i1..iN | rho] = 2^-N <psi_i1...psi_iN| rho |psi_i1...psi_iN>.
 
     Returns a length 4^N vector indexed with qubit 0 as the most significant
     base-4 digit. Tiny negative entries from roundoff are clamped to 0.
     """
     mat, amp, n = _state_parts(state)
-    if n > cap:
+    if n > DIST_CAP:
         raise cap_error(f"outcome distribution over 4^{n} outcomes",
-                        8 * 4**n, f"{cap} qubits")
+                        8 * 4**n, f"{DIST_CAP} qubits")
     if amp is not None:
         # contract each qubit with the bra tensor; probabilities are the
         # squared magnitudes of the resulting outcome-amplitude tensor
@@ -267,7 +267,6 @@ STREAM_IDS = {
     "pauli-shots": 1,
     "game-secret": 2,
     "game-shots": 3,
-    "bench": 5,
     "convergence": 6,
     "variance-mc": 7,
     "state": 8,
@@ -291,10 +290,11 @@ def _as_rng(rng):
     return np.random.default_rng(rng)
 
 
-def digits_from_indices(indices, n_qubits):
-    """Decode flat outcome indices into (M, N) base-4 digit rows."""
-    shifts = 4 ** np.arange(n_qubits - 1, -1, -1, dtype=np.int64)
-    return ((np.asarray(indices, dtype=np.int64)[:, None] // shifts) % 4).astype(np.uint8)
+def digits_from_indices(indices, n_qubits, base=4):
+    """Decode flat outcome indices into (M, N) base-`base` digit rows."""
+    shifts = base ** np.arange(n_qubits - 1, -1, -1, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)[:, None]
+    return ((indices // shifts) % base).astype(np.uint8)
 
 
 def indices_from_digits(digits, base=4):
@@ -305,51 +305,49 @@ def indices_from_digits(digits, base=4):
     return digits @ shifts
 
 
-def sample_sic_shots(state, frame, n_shots, rng, mode="auto", chunk=4096):
+_PERSHOT_CHUNK = 4096  # shots per block of the pure-state per-shot sampler
+
+
+def _draw(probs, n_shots, rng):
+    """n_shots iid outcome indices from `probs`: multinomial counts, their
+    expansion shuffled (the same law as independent draws)."""
+    counts = rng.multinomial(n_shots, probs / probs.sum())
+    flat = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    rng.shuffle(flat)
+    return flat
+
+
+def sample_sic_shots(state, frame, n_shots, rng):
     """Draw SIC outcome digit rows, shape (n_shots, N) dtype uint8.
 
-    mode 'multinomial' materializes the exact 4^N distribution, draws counts
-    and shuffles the expansion (same law as iid draws). mode 'pershot' samples
-    each qubit conditionally and never builds the 4^N vector. 'auto' picks
-    multinomial whenever N is within the distribution cap.
-
-    The per-shot samplers keep one conditional state per distinct outcome
-    prefix, not one per shot: after k qubits, m shots share at most
-    min(m, 4^k) prefixes. For a pure state that is min(m, 4^k) vectors of
-    2^(N-k) amplitudes, so a block of m shots costs sum_k min(m, 4^k) 2^(N-k)
-    amplitude contractions in all; a level's states never exceed sqrt(m) 2^N
-    amplitudes (64 x 2^N at m = 4096), their four outcome branches twice
-    that; the largest level's branches are checked against BYTES_CAP before
-    any shot is drawn. For a density matrix the conditional blocks of a
-    level fill at most 4^N entries, kept in one buffer. `chunk` fixes the
-    draw order of pure states, one rng.random(m) per qubit for each block of
-    m <= chunk shots, so the digits depend on it, and it bounds the prefixes
-    a pure-state level can hold.
+    Up to DIST_CAP qubits the shots come from the exact 4^N outcome
+    distribution. Above it a per-shot sampler measures qubit by qubit and
+    keeps one conditional state per distinct outcome prefix, not one per
+    shot: after k qubits, m shots share at most min(m, 4^k) prefixes. A pure
+    state is drawn in blocks of m <= _PERSHOT_CHUNK shots, one rng.random(m)
+    per qubit per block; a block costs sum_k min(m, 4^k) 2^(N-k) amplitude
+    contractions, a level holds at most sqrt(m) 2^N amplitudes (64 x 2^N at
+    m = 4096) and its four outcome branches twice that, and the largest
+    level's branches are checked against BYTES_CAP before any shot is drawn.
+    A density matrix keeps a level's conditional blocks, at most 4^N
+    entries, in one buffer.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     rng = _as_rng(rng)
     n = state.n_qubits
-    if mode == "auto":
-        mode = "multinomial" if n <= DIST_CAP else "pershot"
-    if mode == "multinomial":
-        probs = sic_outcome_distribution(state, frame)
-        total = probs.sum()
-        counts = rng.multinomial(n_shots, probs / total)
-        flat = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        rng.shuffle(flat)
+    if n <= DIST_CAP:
+        flat = _draw(sic_outcome_distribution(state, frame), n_shots, rng)
         return digits_from_indices(flat, n)
-    if mode != "pershot":
-        raise ValueError(f"unknown sampling mode {mode!r}")
     amp = getattr(state, "amplitudes", None)
     if amp is not None:
         # level k's branches, 4 x min(m, 4^k) complex vectors of 2^(N-k-1)
-        m = min(n_shots, chunk)
+        m = min(n_shots, _PERSHOT_CHUNK)
         check_bytes(max(32 * min(m, 4**k) * 2**(n - k) for k in range(n)),
                     f"per-shot sampler on {n} qubits, {m} shots per block")
         out = np.empty((n_shots, n), dtype=np.uint8)
-        for lo in range(0, n_shots, chunk):
-            hi = min(lo + chunk, n_shots)
+        for lo in range(0, n_shots, m):
+            hi = min(lo + m, n_shots)
             out[lo:hi] = _pershot_pure(amp, frame, hi - lo, n, rng)
         return out
     return _pershot_mixed(state.matrix, frame, n_shots, n, rng)
@@ -452,13 +450,9 @@ def sample_pauli_shots(state, n_shots, rng):
         m = int(alloc[s_idx])
         if m == 0:
             continue
-        probs = pauli_outcome_distribution(state, setting)
-        counts = rng.multinomial(m, probs / probs.sum())
-        flat = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        rng.shuffle(flat)
-        shifts = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        flat = _draw(pauli_outcome_distribution(state, setting), m, rng)
         settings[row:row + m] = [_LETTER_CODE[c] for c in setting]
-        bits[row:row + m] = ((flat[:, None] // shifts) % 2).astype(np.uint8)
+        bits[row:row + m] = digits_from_indices(flat, n, 2)
         row += m
     return settings, bits
 
@@ -516,17 +510,25 @@ class FrameSuperoperator:
     def n_outcomes(self):
         return len(self.effects) ** self.n_qubits
 
+    def _operand(self, x, shape):
+        if np.shape(x) != shape:
+            raise ValueError(f"{self.kind} frame on {self.n_qubits} qubits: "
+                             f"operand of shape {np.shape(x)}, not {shape}")
+        return x
+
     def forward(self, rho):
         """A vec(rho): tr(E_j rho) for every outcome j."""
-        return frame_traces(rho, self.effects)
+        dim = 2**self.n_qubits
+        return frame_traces(self._operand(rho, (dim, dim)), self.effects)
 
     def adjoint(self, y):
         """A^dagger y = sum_j y_j E_j, a 2^N x 2^N matrix."""
-        return frame_sums(y, self.effects)
+        return frame_sums(self._operand(y, (self.n_outcomes,)), self.effects)
 
     def dual(self, freqs):
         """S_p^-1 A^dagger f = sum_j f_j D_j, a 2^N x 2^N matrix."""
-        return frame_sums(freqs, self.duals)
+        return frame_sums(self._operand(freqs, (self.n_outcomes,)),
+                          self.duals)
 
     def _dense(self, site):
         """Kronecker power of one site's tensor with each of its axes grouped

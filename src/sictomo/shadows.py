@@ -69,7 +69,10 @@ def inverse_depolarizing(a, sites):
 
 
 def _check_subset(subset, n_qubits):
-    subset = tuple(sorted(set(int(q) for q in subset)))
+    qubits = [int(q) for q in subset]
+    subset = tuple(sorted(set(qubits)))
+    if len(subset) != len(qubits):
+        raise ValueError(f"duplicate qubits in subset {tuple(qubits)}")
     if not subset:
         raise ValueError("subset must be non-empty")
     if subset[0] < 0 or subset[-1] >= n_qubits:

@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,13 +278,13 @@ class StoppingRule:
     def __post_init__(self):
         if self.window < 2:
             raise ValueError("window must be >= 2")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, not {self.tol}")
 
     def satisfied(self, values):
         if len(values) < self.window:
             return False
-        tail = np.asarray(values[-self.window:], dtype=float)
+        tail = np.asarray(values, dtype=float)[-self.window:]
         if not np.isfinite(tail).all():
             return False
         spread = float(tail.max() - tail.min())
@@ -308,8 +309,7 @@ class TrackerConfig:
                 or self.purity_subsets or self.renyi_parts):
             raise ValueError("at least one tracked quantity is required")
         for subset in self.purity_subsets:
-            if len(set(subset)) != len(tuple(subset)):
-                raise ValueError(f"duplicate qubits in purity subset {subset}")
+            _check_subset(subset, self.n_qubits)
         for part in self.renyi_parts:
             if part.n_qubits != self.n_qubits:
                 raise ValueError("bipartition size does not match n_qubits")
@@ -395,8 +395,7 @@ class OnlineEngine:
         """Flush a trailing partial interval (stream ended)."""
         if self.converged or self._buf_count == 0:
             return []
-        rows = self._process_interval(self._take(self._buf_count))
-        return rows
+        return self._process_interval(self._take(self._buf_count))
 
     def _take(self, m):
         parts, need = [], m
@@ -437,17 +436,17 @@ class OnlineEngine:
                 rows.append(("renyi2", label, float("nan"), float("nan")))
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
-        reports = []
-        for quantity, subset, value, stderr in rows:
-            self._histories.setdefault((quantity, subset), []).append(value)
-            reports.append(EstimateReport(
-                shots=self.shots_seen, method="shadows", quantity=quantity,
-                subset=subset, value=value, stderr=stderr, wall_ms=wall_ms))
         rule = self.cfg.stopping
-        if rule is not None and all(
-                rule.satisfied(h) for h in self._histories.values()):
-            self.converged = True
-        return reports
+        if rule is not None:  # the rule reads only the last `window` values
+            for quantity, subset, value, _ in rows:
+                self._histories.setdefault(
+                    (quantity, subset), deque(maxlen=rule.window)).append(value)
+            self.converged = all(
+                rule.satisfied(h) for h in self._histories.values())
+        return [EstimateReport(shots=self.shots_seen, method="shadows",
+                               quantity=quantity, subset=subset, value=value,
+                               stderr=stderr, wall_ms=wall_ms)
+                for quantity, subset, value, stderr in rows]
 
     @staticmethod
     def _purity_report(tracker):

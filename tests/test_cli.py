@@ -2,11 +2,14 @@
 
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from sictomo.cli import BENCH_CSV_HEADER, GAME_CSV_HEADER, main, parse_state
+from sictomo.cli import GAME_CSV_HEADER, build_parser, main, parse_state
 from sictomo.estimators import CSV_HEADER
 from sictomo.povm import digits_from_indices
 from sictomo.qstate import DensityOperator, PureState, save_state, random_pure
@@ -34,6 +37,24 @@ def load_matrix(path):
 
 
 # --- parser basics ---------------------------------------------------------------
+
+
+def readme_commands():
+    """Every `sictomo ...` command in the README's shell blocks, with its
+    backslash continuations joined."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").split("\n")
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("sictomo ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "simulate", "estimate", "reconstruct", "budget", "game", "verify"}
+    for argv in commands:
+        build_parser().parse_args(argv)  # a stale flag exits 3
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -85,6 +106,26 @@ def test_simulate_bit_reproducible(tmp_path, capsys):
     assert "wrote 2000 sic shots" in capsys.readouterr().out
     header = read_header(a)
     assert header.n_qubits == 2 and header.seed == 9
+
+
+def test_simulate_writes_batch_one(tmp_path):
+    out = simulate(tmp_path, seed=3)
+    assert out.read_text().split("\n")[1].endswith(',"batch":1}')
+    assert read_header(out).batch == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("bench",), "invalid choice: 'bench'"),
+    (("simulate", "--state", "ghz:2", "--shots", "10", "--mode", "pershot"),
+     "unrecognized arguments: --mode pershot"),
+    (("simulate", "--state", "ghz:2", "--shots", "10", "--batch", "4"),
+     "unrecognized arguments: --batch 4"),
+], ids=["bench", "mode", "batch"])
+def test_removed_cli_surface_is_usage_error(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_manifest(tmp_path):
@@ -204,6 +245,17 @@ def test_estimate_refuses_duplicate_purity_qubits(tmp_path, capsys):
                "--no-stopping", "--out", str(out)) == 3
     assert "duplicate qubits" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_estimate_refuses_tol_not_finite(tol, tmp_path, capsys):
+    shots = simulate(tmp_path, shots=100, seed=4)
+    out = tmp_path / "report.csv"
+    assert run("estimate", "--file", str(shots), "--purity", "full",
+               "--tol", tol, "--out", str(out)) == 3
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "report.csv.manifest.json").exists()
 
 
 # --- reconstruct --------------------------------------------------------------------
@@ -328,15 +380,6 @@ def test_estimate_fidelity_lut_cap_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_simulate_multinomial_dist_cap_exit_code(tmp_path, capsys):
-    # the exact 11-qubit distribution would need 4^11 float64 entries
-    out = tmp_path / "wide.sic"
-    assert run("simulate", "--state", "ghz:11", "--shots", "10",
-               "--mode", "multinomial", "--out", str(out)) == 4
-    assert "33,554,432 bytes" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def _zeros_file(path, n, povm="sic"):
     digits = np.zeros((10, n), dtype=np.uint8)
     write_shots(path, ShotFileHeader(n_qubits=n, povm=povm),
@@ -354,15 +397,12 @@ def _zeros_file(path, n, povm="sic"):
                "--method", "lininv"),
     lambda d: ("reconstruct", "--file", _zeros_file(d / "x.pauli", 9, "pauli"),
                "--method", "pls"),
-    lambda d: ("simulate", "--state", "ghz:11", "--shots", "10",
-               "--mode", "multinomial"),
     lambda d: ("reconstruct", "--file", _zeros_file(d / "x.sic", 6),
                "--method", "mle"),
     lambda d: ("simulate", "--state", "ghz:40", "--shots", "10"),
     lambda d: ("simulate", "--state", "mixed:20", "--shots", "10"),
     lambda d: ("simulate", "--state", "ghz:16", "--shots", "4096"),
-], ids=["purity", "lut", "superoperator", "pauli-superoperator",
-        "multinomial", "mle", "pure-state", "mixed-state", "pershot-sampler"])
+], ids=["purity", "lut", "superoperator", "pauli-superoperator", "mle", "pure-state", "mixed-state", "pershot-sampler"])
 def test_every_cli_refusal_states_bytes(case, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(*case(tmp_path), "--out", str(out)) == 4
@@ -438,7 +478,7 @@ def test_record_cut_across_lines_is_refused(argv, tmp_path, capsys):
 @pytest.mark.parametrize("cmd", [
     ("simulate", "--state", "ghz:1", "--shots", "1", "--out", "x.sic"),
     ("estimate", "--file", "x.sic", "--purity", "full"),
-    ("bench",),
+    ("reconstruct", "--file", "x.sic", "--method", "pls", "--out", "x.json"),
     ("game",),
 ])
 def test_threads_flag_removed(cmd, capsys):
@@ -465,46 +505,6 @@ def test_budget_file_and_validation(tmp_path, capsys):
     assert (tmp_path / "b.csv.manifest.json").exists()
     assert run("budget", "--k", "1", "--epsilon", "2.0",
                "--delta", "0.1") == 3
-
-
-# --- bench ----------------------------------------------------------------------------
-
-
-def test_bench_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run("bench", "--n-list", "1,2", "--methods", "shadow-mean,lininv",
-               "--shots", "40", "--repeat", "2", "--out", str(out)) == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == BENCH_CSV_HEADER
-    assert len(lines) == 1 + 2 * 2 * 2
-    for line in lines[1:]:
-        n, method, shots, wall = line.split(",")
-        assert int(n) in (1, 2) and method in ("shadow-mean", "lininv")
-        assert int(shots) == 40
-        assert float(wall) >= 0.0
-
-
-@pytest.mark.parametrize("repeat", ["0", "-2"])
-def test_bench_refuses_empty_runs(repeat, tmp_path, capsys):
-    out = tmp_path / "b.csv"
-    assert run("bench", "--n-list", "2", "--shots", "10", "--repeat", repeat,
-               "--out", str(out)) == 3
-    assert "--repeat must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-    assert not (tmp_path / "b.csv.manifest.json").exists()
-
-
-def test_bench_unknown_method(tmp_path):
-    assert run("bench", "--n-list", "1", "--methods", "quantum",
-               "--shots", "10", "--out", str(tmp_path / "x.csv")) == 3
-
-
-def test_bench_checks_methods_before_writing(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    assert run("bench", "--n-list", "1", "--methods", "lininv,foo",
-               "--shots", "10", "--out", str(out)) == 3
-    assert "unknown bench method 'foo'" in capsys.readouterr().err
-    assert not out.exists()
 
 
 # --- game -----------------------------------------------------------------------------

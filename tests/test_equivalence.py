@@ -30,6 +30,10 @@ ordered pair of a batch's shots exactly, at batch 1, 3 and 4.
 
 The per-shot sampler references keep one conditional state per shot; the
 samplers that keep one per distinct outcome prefix must draw the same digits.
+The multinomial reference is the draw each sampler once wrote out on its
+own: counts from rng.multinomial on the normalized distribution, their
+expansion shuffled, then decoded in base 4 (SIC) or base 2 (Pauli bits); the
+one shared draw must give the same digits.
 
 The rotated GHZ reference applies the dense Kronecker power of the
 single-qubit rotation; rotating one tensor axis at a time must agree to
@@ -651,9 +655,10 @@ def reference_pershot(state, n_shots, seed, chunk=4096):
     *[(random_density(n, np.random.default_rng(50 + n)), 1000)
       for n in (1, 3, 5)],
 ], ids=["ghz12", "pure1", "pure5", "pure11", "mixed1", "mixed3", "mixed5"])
-def test_pershot_sampler_matches_one_state_per_shot(state, n_shots):
-    got = sample_sic_shots(state, FRAME, n_shots, derive_rng(7, "sic-shots"),
-                           mode="pershot")
+def test_pershot_sampler_matches_one_state_per_shot(monkeypatch, state,
+                                                    n_shots):
+    monkeypatch.setattr(povm, "DIST_CAP", 0)  # the per-shot sampler at any N
+    got = sample_sic_shots(state, FRAME, n_shots, derive_rng(7, "sic-shots"))
     np.testing.assert_array_equal(got, reference_pershot(state, n_shots, 7))
 
 
@@ -662,9 +667,9 @@ def test_mixed_sampler_matches_in_small_blocks(monkeypatch, block):
     # blocks smaller than one conditional matrix split every level's
     # contraction and move-down into several steps
     monkeypatch.setattr(povm, "_MIXED_BLOCK", block)
+    monkeypatch.setattr(povm, "DIST_CAP", 0)
     rho = random_density(4, np.random.default_rng(60))
-    got = sample_sic_shots(rho, FRAME, 700, derive_rng(8, "sic-shots"),
-                           mode="pershot")
+    got = sample_sic_shots(rho, FRAME, 700, derive_rng(8, "sic-shots"))
     np.testing.assert_array_equal(got, reference_pershot(rho, 700, 8))
 
 
@@ -676,13 +681,53 @@ def test_pershot_ghz12_chunk_memory_is_bounded():
     code = ("import re, sictomo\n"
             "from sictomo.qstate import make_ghz\n"
             "sictomo.povm.sample_sic_shots(make_ghz(12),"
-            " sictomo.povm.sic_frame('standard'), 4096, 0, mode='pershot')\n"
+            " sictomo.povm.sic_frame('standard'), 4096, 0)\n"
             "status = open('/proc/self/status').read()\n"
             "print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert int(out) / 1024 < 200
+
+
+def reference_multinomial(probs, n_shots, rng, n, base):
+    counts = rng.multinomial(n_shots, probs / probs.sum())
+    flat = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    rng.shuffle(flat)
+    shifts = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return ((flat[:, None] // shifts) % base).astype(np.uint8)
+
+
+@pytest.mark.parametrize("state", [
+    *[random_pure(n, np.random.default_rng(70 + n)) for n in (1, 4, 10)],
+    *[random_density(n, np.random.default_rng(80 + n)) for n in (1, 3, 5)],
+], ids=["pure1", "pure4", "pure10", "mixed1", "mixed3", "mixed5"])
+def test_sic_sampler_matches_multinomial_reference(state):
+    n = state.n_qubits
+    got = sample_sic_shots(state, FRAME, 3000, derive_rng(9, "sic-shots"))
+    want = reference_multinomial(sic_outcome_distribution(state, FRAME),
+                                 3000, derive_rng(9, "sic-shots"), n, 4)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("state,n_shots", [
+    (random_pure(1, np.random.default_rng(90)), 7),
+    (random_pure(3, np.random.default_rng(91)), 2000),  # a remainder
+    (random_density(2, np.random.default_rng(92)), 900),
+], ids=["pure1", "pure3", "mixed2"])
+def test_pauli_sampler_matches_multinomial_reference(state, n_shots):
+    n = state.n_qubits
+    settings, bits = sample_pauli_shots(state, n_shots,
+                                        derive_rng(10, "pauli-shots"))
+    rng = derive_rng(10, "pauli-shots")
+    alloc = povm.allocate_pauli_shots(n_shots, n)
+    want = [reference_multinomial(pauli_outcome_distribution(state, setting),
+                                  int(m), rng, n, 2)
+            for setting, m in zip(pauli_settings(n), alloc) if m]
+    np.testing.assert_array_equal(bits, np.concatenate(want))
+    letters = [["XYZ".index(c) for c in s]
+               for s, m in zip(pauli_settings(n), alloc) for _ in range(m)]
+    np.testing.assert_array_equal(settings, letters)
 
 
 def reference_rotated_ghz(n, angle):

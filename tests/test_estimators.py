@@ -176,6 +176,17 @@ def test_purity_tracker_validation(rng):
         t.add_records(np.zeros(2, dtype=np.uint8))  # rows, not one record
 
 
+def test_repeated_qubits_are_refused(rng):
+    # merging a repeated qubit would return the (0, 1) purity for (0, 0, 1)
+    digits = rng.integers(0, 4, size=(50, 3)).astype(np.uint8)
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        estimate_purity(digits, (0, 0, 1), FRAME)
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        PurityTracker(3, [(1, 1)], FRAME)
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        PurityTracker(3, [(0, 2), (2, 0, 2)], FRAME)
+
+
 def test_purity_tracker_state_does_not_grow_with_outcomes():
     """K=7 on GHZ-8: more shots bring new patterns but no new state."""
     digits = sample_sic_shots(make_ghz(8), FRAME, 4000,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chi2_contingency
 
+from sictomo import povm
 from sictomo.povm import (
     CapExceededError,
     FrameSuperoperator,
@@ -132,9 +133,10 @@ def test_sic_distribution_pure_equals_mixed_route(rng, name):
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def test_sic_distribution_cap():
-    with pytest.raises(CapExceededError):
-        sic_outcome_distribution(make_ghz(3), sic_frame("standard"), cap=2)
+def test_sic_distribution_cap(monkeypatch):
+    monkeypatch.setattr(povm, "DIST_CAP", 2)
+    with pytest.raises(CapExceededError, match="capped at 2 qubits"):
+        sic_outcome_distribution(make_ghz(3), sic_frame("standard"))
 
 
 def test_pauli_distribution_matches_projector_loop(rng):
@@ -195,19 +197,20 @@ def test_derive_rng_reproducible_and_disjoint():
         derive_rng(7, "no-such-stream")
 
 
-@given(st.integers(1, 6), st.lists(st.integers(0, 4**6 - 1), min_size=1,
-                                   max_size=40))
-def test_digit_codec_round_trip(n, raw):
-    idx = np.array([v % 4**n for v in raw], dtype=np.int64)
-    digits = digits_from_indices(idx, n)
+@given(st.integers(1, 6), st.sampled_from([2, 4, 6]),
+       st.lists(st.integers(0, 6**6 - 1), min_size=1, max_size=40))
+def test_digit_codec_round_trip(n, base, raw):
+    idx = np.array([v % base**n for v in raw], dtype=np.int64)
+    digits = digits_from_indices(idx, n, base)
     assert digits.shape == (len(raw), n)
-    assert digits.max() <= 3
-    np.testing.assert_array_equal(indices_from_digits(digits), idx)
+    assert digits.max() < base
+    np.testing.assert_array_equal(indices_from_digits(digits, base), idx)
 
 
 def test_digit_codec_ordering():
     # qubit 0 is the most significant digit
     np.testing.assert_array_equal(digits_from_indices([7], 2), [[1, 3]])
+    np.testing.assert_array_equal(digits_from_indices([6], 3, 2), [[1, 1, 0]])
 
 
 # --- sampling -------------------------------------------------------------------
@@ -227,9 +230,6 @@ def test_sample_sic_shots_validation(rng):
     psi = random_pure(1, rng)
     with pytest.raises(ValueError):
         sample_sic_shots(psi, frame, 0, derive_rng(0, "sic-shots"))
-    with pytest.raises(ValueError):
-        sample_sic_shots(psi, frame, 5, derive_rng(0, "sic-shots"),
-                         mode="bogus")
 
 
 def test_pershot_sampler_byte_cap():
@@ -243,26 +243,25 @@ def test_pershot_sampler_byte_cap():
     assert digits.shape == (100, 16)
 
 
-def test_sampling_modes_agree_pure():
-    """Multinomial and per-shot draws follow the same law."""
+def test_sampling_modes_agree_pure(monkeypatch):
+    """Multinomial and per-shot draws follow the same law; a DIST_CAP of 0
+    sends every size to the per-shot sampler."""
     frame = sic_frame("standard")
     psi = random_pure(2, np.random.default_rng(5))
-    a = sample_sic_shots(psi, frame, 4000, derive_rng(0, "sic-shots"),
-                         mode="multinomial")
-    b = sample_sic_shots(psi, frame, 4000, derive_rng(1, "sic-shots"),
-                         mode="pershot")
+    a = sample_sic_shots(psi, frame, 4000, derive_rng(0, "sic-shots"))
+    monkeypatch.setattr(povm, "DIST_CAP", 0)
+    b = sample_sic_shots(psi, frame, 4000, derive_rng(1, "sic-shots"))
     ca = np.bincount(indices_from_digits(a), minlength=16)
     cb = np.bincount(indices_from_digits(b), minlength=16)
     assert chi2_contingency(np.vstack([ca, cb]))[1] > 1e-3
 
 
-def test_sampling_modes_agree_mixed():
+def test_sampling_modes_agree_mixed(monkeypatch):
     frame = sic_frame("standard")
     rho = random_density(1, np.random.default_rng(9))
-    a = sample_sic_shots(rho, frame, 1500, derive_rng(2, "sic-shots"),
-                         mode="multinomial")
-    b = sample_sic_shots(rho, frame, 1500, derive_rng(3, "sic-shots"),
-                         mode="pershot")
+    a = sample_sic_shots(rho, frame, 1500, derive_rng(2, "sic-shots"))
+    monkeypatch.setattr(povm, "DIST_CAP", 0)
+    b = sample_sic_shots(rho, frame, 1500, derive_rng(3, "sic-shots"))
     ca = np.bincount(a[:, 0], minlength=4)
     cb = np.bincount(b[:, 0], minlength=4)
     assert chi2_contingency(np.vstack([ca, cb]))[1] > 1e-3
@@ -348,6 +347,23 @@ def test_superop_effects_sum_to_identity():
     np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
     assert sup.n_outcomes == 6
     assert FrameSuperoperator("sic", 2).n_outcomes == 16
+
+
+@pytest.mark.parametrize("kind", ["sic", "pauli"])
+def test_superop_refuses_operands_of_another_size(kind):
+    sup = FrameSuperoperator(kind, 2)
+    m = sup.n_outcomes
+    for rho in (np.eye(2), np.eye(8), np.ones(16), np.ones((4, 2))):
+        with pytest.raises(ValueError, match="operand of shape"):
+            sup.forward(rho)
+    for y in (np.ones(m - 1), np.ones(m + 1), np.ones((1, m)),
+              np.ones(6 if kind == "sic" else 16)):
+        with pytest.raises(ValueError, match="operand of shape"):
+            sup.adjoint(y)
+        with pytest.raises(ValueError, match="operand of shape"):
+            sup.dual(y)
+    assert sup.forward(np.eye(4)).shape == (m,)
+    assert sup.dual(np.ones(m)).shape == (4, 4)
 
 
 def test_superop_caps():

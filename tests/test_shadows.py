@@ -185,6 +185,8 @@ def test_accumulator_validation(rng):
         acc.add_records(np.zeros(2, dtype=np.uint8))  # rows, not one record
     with pytest.raises(ValueError):
         ShadowAccumulator(2, (0, 5), FRAME)
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        ShadowAccumulator(3, (1, 1), FRAME)
 
 
 def test_histogram_byte_cap():

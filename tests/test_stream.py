@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -276,6 +277,10 @@ def test_stopping_rule_validation():
         StoppingRule(window=1)
     with pytest.raises(ValueError):
         StoppingRule(tol=0.0)
+    # nan never fires, inf fires on any window of finite values
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            StoppingRule(tol=tol)
 
 
 def test_stopping_rule_behavior():
@@ -286,6 +291,7 @@ def test_stopping_rule_behavior():
     assert rule.satisfied([1.0, 1.0, 1.005])
     assert not rule.satisfied([1.0, float("nan"), 1.0])
     assert rule.satisfied([0.0, 0.0, 0.0])  # zero spread at zero value
+    assert rule.satisfied(deque([5.0, 1.0, 1.0, 1.0], maxlen=3))
 
 
 def test_stopping_rule_monotone_in_tol():
@@ -310,6 +316,8 @@ def test_tracker_config_validation():
         TrackerConfig(n_qubits=2, renyi_parts=[Bipartition(3, (0,))])
     with pytest.raises(ValueError, match="duplicate qubits"):
         TrackerConfig(n_qubits=3, purity_subsets=[(1, 2, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        TrackerConfig(n_qubits=3, purity_subsets=[(1, 3)])
 
 
 # --- online engine --------------------------------------------------------------------
@@ -381,6 +389,25 @@ def test_online_purity_nan_until_two_batches(rng):
     assert math.isnan(by_shots[100].value)  # not even one full batch yet
     assert math.isnan(by_shots[300].value)  # one batch: pairs undefined
     assert math.isfinite(by_shots[400].value)
+
+
+@pytest.mark.parametrize("window", [None, 4])
+def test_online_history_is_bounded(rng, window):
+    # 2000 shots at interval 10 give 200 reports per quantity; the stopping
+    # rule reads only its last `window`, and without a rule nothing is kept
+    digits = rng.integers(0, 4, size=(2000, 2)).astype(np.uint8)
+    stopping = None if window is None else StoppingRule(window, tol=1e-12)
+    engine = OnlineEngine(make_cfg(2, interval=10, stopping=stopping), FRAME)
+    rows = engine.feed(digits)
+    assert len(rows) == 200 * 4 and not engine.converged
+    if window is None:
+        assert engine._histories == {}
+    else:
+        assert len(engine._histories) == 4
+        for (quantity, subset), kept in engine._histories.items():
+            want = [r.value for r in rows
+                    if (r.quantity, r.subset) == (quantity, subset)][-window:]
+            assert list(kept) == want
 
 
 def test_online_converges_on_constant_stream():
