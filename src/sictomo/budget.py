@@ -16,7 +16,7 @@ import numpy as np
 from .povm import (cap_error, derive_rng, digits_from_indices,
                    sic_outcome_distribution)
 from .qstate import DensityOperator
-from .shadows import _PAIR_TRACE_POWERS, depolarize, pattern_codes
+from .shadows import PAIR_TRACE_POWERS, depolarize
 
 EXACT_LINEAR_CAP = 3    # enumerates 4^N outcomes
 EXACT_QUADRATIC_CAP = 2  # enumerates 4^N x 4^N outcome pairs via the kernel
@@ -83,10 +83,9 @@ def exact_linear_variance(rho, obs, frame):
         # probability, value and N digits for each of the 4^N outcomes
         raise cap_error(f"exact linear variance over 4^{n} outcomes",
                         (16 + n) * 4**n, f"{EXACT_LINEAR_CAP} qubits")
-    from .estimators import observable_lut
+    from .estimators import linear_values
     probs = sic_outcome_distribution(rho, frame)
-    digits = digits_from_indices(np.arange(4**n), n)
-    x = observable_lut(obs, frame)[pattern_codes(digits, obs.support)]
+    x = linear_values(digits_from_indices(np.arange(4**n), n), obs, frame)
     mean = float(probs @ x)
     return float(probs @ (x * x) - mean * mean)
 
@@ -103,7 +102,7 @@ def exact_quadratic_variance(rho, frame):
         raise cap_error(f"exact quadratic variance's 4^{n} x 4^{n} pair "
                         f"kernel", 8 * 16**n, f"{EXACT_QUADRATIC_CAP} qubits")
     probs = sic_outcome_distribution(rho, frame)
-    v = _PAIR_TRACE_POWERS[n]
+    v = PAIR_TRACE_POWERS[n]
     e1 = float(probs @ v @ probs)
     e2 = float(probs @ (v * v) @ probs)
     return e2 - e1 * e1
@@ -152,7 +151,7 @@ def variance_decomposition_check(rho, m, frame, reps=None, seed=0):
     rhs = (4 * (m - 2) / (m * (m - 1))) * var1 + (2 / (m * (m - 1))) * var2
 
     probs = sic_outcome_distribution(rho, frame)
-    v = _PAIR_TRACE_POWERS[n]
+    v = PAIR_TRACE_POWERS[n]
     pair_norm = m * (m - 1)
     if reps is None:
         if m > _DECOMP_EXACT_M_CAP:

@@ -143,13 +143,9 @@ def _cmd_simulate(args):
 def _parse_subsets(arg, n):
     if not arg:
         return []
-    out = []
-    for piece in arg.split(";"):
-        if piece == "full":
-            out.append(tuple(range(n)))
-        else:
-            out.append(tuple(int(q) for q in piece.split(",")))
-    return out
+    return [tuple(range(n)) if piece == "full"
+            else tuple(int(q) for q in piece.split(","))
+            for piece in arg.split(";")]
 
 
 def _parse_parts(arg, n):
@@ -157,8 +153,7 @@ def _parse_parts(arg, n):
         return []
     if arg.startswith("all:"):
         return all_bipartitions(n, int(arg[4:]))
-    return [Bipartition(n, tuple(int(q) for q in piece.split(",")))
-            for piece in arg.split(";")]
+    return [Bipartition(n, subset) for subset in _parse_subsets(arg, n)]
 
 
 def _emit_report(sink, report, fmt):

@@ -18,26 +18,33 @@ both built from one N-qubit pattern histogram.
 import itertools
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
 from .povm import BYTES_CAP, check_bytes, frame_sums
-from .qstate import Bipartition, partial_transpose
-from .shadows import (_check_subset, apply_pair_trace, hist_zeros,
-                      pattern_codes, shadow_lut, shadow_matrices, shadow_sum)
+from .qstate import Bipartition, partial_transpose, qubit_subset, subset_label
+from .shadows import (apply_pair_trace, hist_zeros, pattern_codes, shadow_lut,
+                      shadow_matrices, shadow_sum)
 
 RENYI_PURITY_FLOOR = 1e-6
 
 
 class ObservableSpec:
-    """Hermitian observable together with the qubits it acts on."""
+    """Hermitian observable together with the qubits it acts on.
+
+    `support` is kept in the caller's order, which is the order of the
+    operator's tensor factors: its first qubit carries the leading factor,
+    as in the pattern codes the observable is read through. Its qubits must
+    be distinct non-negative integers; whether they fit a record width is
+    checked where records are read.
+    """
 
     __slots__ = ("support", "operator", "label")
 
     def __init__(self, support, operator, label=None):
-        self.support = tuple(sorted(set(int(q) for q in support)))
-        if len(self.support) != len(tuple(support)):
-            raise ValueError("duplicate qubits in observable support")
+        self.support = tuple(index(q) for q in support)
+        qubit_subset(self.support, math.inf)
         operator = np.asarray(operator, dtype=complex)
         dim = 2 ** len(self.support)
         if operator.shape != (dim, dim):
@@ -46,7 +53,7 @@ class ObservableSpec:
             raise ValueError("observable must be Hermitian within 1e-12")
         self.operator = operator
         self.label = label if label is not None else (
-            "obs:" + "-".join(str(q) for q in self.support))
+            "obs:" + subset_label(self.support))
 
     def hs_norm_sq(self):
         return float(np.einsum("ij,ji->", self.operator, self.operator).real)
@@ -60,8 +67,8 @@ def observable_lut(obs, frame):
 def linear_values(digits, obs, frame):
     """Per-shot estimates tr(O sigma_m), marginalized to the support."""
     digits = np.asarray(digits)
-    support = _check_subset(obs.support, digits.shape[1])
-    return observable_lut(obs, frame)[pattern_codes(digits, support)]
+    qubit_subset(obs.support, digits.shape[1])
+    return observable_lut(obs, frame)[pattern_codes(digits, obs.support)]
 
 
 def estimate_linear(digits, obs, frame):
@@ -132,7 +139,7 @@ class PurityTracker:
         if not len(subsets) or any(np.ndim(s) != 1 for s in subsets):
             raise ValueError("subsets must be a non-empty list of qubit "
                              "index tuples")
-        self.subsets = [_check_subset(s, n_qubits) for s in subsets]
+        self.subsets = [qubit_subset(s, n_qubits) for s in subsets]
         if len({len(s) for s in self.subsets}) != 1:
             raise ValueError("all subsets of a purity tracker have one size")
         self.n_qubits = n_qubits
@@ -210,7 +217,7 @@ def purity_trackers(n_qubits, subsets, frame, batch=1):
     it is refused). A subset listed twice is tracked once. Returns the
     trackers and a dict from each checked subset to its (tracker, row)."""
     by_size = {}
-    for subset in dict.fromkeys(_check_subset(s, n_qubits) for s in subsets):
+    for subset in dict.fromkeys(qubit_subset(s, n_qubits) for s in subsets):
         by_size.setdefault(len(subset), []).append(subset)
     trackers, where = [], {}
     for k, group in by_size.items():
@@ -286,22 +293,13 @@ def median_of_means(digits, n_groups, estimator):
 
 
 def all_bipartitions(n, max_side):
-    """Every bipartition with smaller side at most max_side, deduplicated.
-
-    At side n/2 each split would appear twice; the lexicographically smaller
-    subset is kept.
-    """
+    """Every bipartition with smaller side at most max_side, each cut once:
+    the one whose side A is its smaller side (Bipartition.smaller_side)."""
     if not 1 <= max_side <= n // 2:
         raise ValueError("max_side must satisfy 1 <= max_side <= n/2")
-    out = []
-    for size in range(1, max_side + 1):
-        for subset in itertools.combinations(range(n), size):
-            if 2 * size == n:
-                comp = tuple(q for q in range(n) if q not in subset)
-                if comp < subset:
-                    continue
-            out.append(Bipartition(n, subset))
-    return out
+    parts = (Bipartition(n, subset) for size in range(1, max_side + 1)
+             for subset in itertools.combinations(range(n), size))
+    return [part for part in parts if part.smaller_side == part.subset_a]
 
 
 REPORT_COLUMNS = ("shots", "method", "quantity", "subset", "value",

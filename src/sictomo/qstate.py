@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 from functools import reduce
+from operator import index
 
 import numpy as np
 
@@ -83,22 +84,39 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+def qubit_subset(qubits, n_qubits):
+    """The qubit-subset rule of the package: a non-empty set of distinct
+    integer indices in 0..n_qubits-1, returned sorted. An index that is not
+    an integer (a float, a string) raises TypeError rather than being
+    truncated; an empty, repeated or out-of-range subset raises ValueError."""
+    given = tuple(index(q) for q in qubits)
+    subset = tuple(sorted(set(given)))
+    if len(subset) != len(given):
+        raise ValueError(f"duplicate qubits in subset {given}")
+    if not subset:
+        raise ValueError("qubit subset must be non-empty")
+    if subset[0] < 0 or subset[-1] >= n_qubits:
+        raise ValueError(f"qubit subset {subset} out of range for "
+                         f"{n_qubits} qubits")
+    return subset
+
+
+def subset_label(qubits):
+    """Qubits joined by dashes, so the label can sit inside a CSV field."""
+    return "-".join(str(q) for q in qubits)
+
+
 class Bipartition:
     """A bipartition (A, complement of A) of qubits 0..n_qubits-1.
 
-    `subset_a` is stored sorted; it must be a non-empty strict subset.
+    `subset_a` is a qubit subset (see qubit_subset), stored sorted; it must
+    be a strict subset.
     """
 
     __slots__ = ("n_qubits", "subset_a")
 
     def __init__(self, n_qubits, subset_a):
-        subset = tuple(sorted(set(int(q) for q in subset_a)))
-        if len(subset) != len(tuple(subset_a)):
-            raise ValueError("duplicate qubit indices in bipartition")
-        if not subset:
-            raise ValueError("bipartition subset must be non-empty")
-        if subset[0] < 0 or subset[-1] >= n_qubits:
-            raise ValueError(f"qubit index out of range for n={n_qubits}")
+        subset = qubit_subset(subset_a, n_qubits)
         if len(subset) >= n_qubits:
             raise ValueError("bipartition subset must be a strict subset")
         self.n_qubits = n_qubits
@@ -119,8 +137,7 @@ class Bipartition:
         return min(self.subset_a, comp)
 
     def label(self):
-        # dash-joined so the label can sit inside a CSV field
-        return "-".join(str(q) for q in self.subset_a)
+        return subset_label(self.subset_a)
 
     def __eq__(self, other):
         return (isinstance(other, Bipartition)
@@ -143,27 +160,18 @@ def tensor(a, b):
     raise TypeError("tensor() requires two PureStates or two DensityOperators")
 
 
-def _partial_trace_matrix(mat, n_qubits, keep):
-    keep = tuple(sorted(keep))
-    drop = [q for q in range(n_qubits) if q not in keep]
-    t = mat.reshape((2,) * (2 * n_qubits))
+def partial_trace(rho, keep):
+    """Reduced state on the `keep` qubits, a qubit subset taken in sorted
+    order."""
+    n = rho.n_qubits
+    keep = qubit_subset(keep, n)
+    t = rho.matrix.reshape((2,) * (2 * n))
     # trace out dropped qubits one at a time, highest axis first so the
     # remaining axis numbers stay valid
-    for q in sorted(drop, reverse=True):
+    for q in reversed([q for q in range(n) if q not in keep]):
         t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
     d = 2 ** len(keep)
-    return t.reshape(d, d)
-
-
-def partial_trace(rho, keep):
-    """Reduced state on the (sorted) `keep` qubits."""
-    keep = tuple(sorted(set(int(q) for q in keep)))
-    if not keep:
-        raise ValueError("keep set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= rho.n_qubits:
-        raise ValueError("keep indices out of range")
-    out = _partial_trace_matrix(rho.matrix, rho.n_qubits, keep)
-    return DensityOperator(out, check=False)
+    return DensityOperator(t.reshape(d, d), check=False)
 
 
 def partial_transpose(rho, part):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .povm import cap_error, indices_from_digits
-from .qstate import DensityOperator
+from .qstate import DensityOperator, state_to_json_dict
 
 MLE_CAP = 5  # qubits; the fit solves repeatedly in dimension 4^N
 MLE_MAX_ITER = 5000
@@ -108,18 +108,12 @@ class ReconstructionResult:
     objective_history: list = field(default_factory=list)
 
     def to_json_dict(self, shots=None):
-        d = {
-            "n_qubits": int(round(math.log2(self.estimate.shape[0]))),
-            "kind": "mixed",
-            "re": self.estimate.real.reshape(-1).tolist(),  # row-major
-            "im": self.estimate.imag.reshape(-1).tolist(),
-            "meta": {"method": self.method, "residual": self.residual,
-                     "iterations": self.iterations,
-                     "converged": self.converged},
-        }
+        meta = {"method": self.method, "residual": self.residual,
+                "iterations": self.iterations, "converged": self.converged}
         if shots is not None:
-            d["meta"]["shots"] = int(shots)
-        return d
+            meta["shots"] = int(shots)
+        return state_to_json_dict(DensityOperator(self.estimate, check=False),
+                                  meta)
 
 
 def _freq_array(freqs, superop):

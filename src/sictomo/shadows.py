@@ -16,13 +16,14 @@ import numpy as np
 
 from .povm import (check_bytes, frame_sums, frame_traces, indices_from_digits,
                    n_sites)
+from .qstate import qubit_subset
 
 # tr(sigma_i sigma_j) factorizes per site into 5 (matching digits) or -1;
 # this holds for every SIC frame since it only uses the 1/3 overlaps
 PAIR_TRACE = np.full((4, 4), -1.0)
 np.fill_diagonal(PAIR_TRACE, 5.0)
-_PAIR_TRACE_POWERS = [functools.reduce(np.kron, [PAIR_TRACE] * s, np.eye(1))
-                      for s in range(4)]
+PAIR_TRACE_POWERS = [functools.reduce(np.kron, [PAIR_TRACE] * s, np.eye(1))
+                     for s in range(4)]
 
 
 def hist_zeros(shape, what):
@@ -68,18 +69,6 @@ def inverse_depolarizing(a, sites):
     return a
 
 
-def _check_subset(subset, n_qubits):
-    qubits = [int(q) for q in subset]
-    subset = tuple(sorted(set(qubits)))
-    if len(subset) != len(qubits):
-        raise ValueError(f"duplicate qubits in subset {tuple(qubits)}")
-    if not subset:
-        raise ValueError("subset must be non-empty")
-    if subset[0] < 0 or subset[-1] >= n_qubits:
-        raise ValueError("subset indices out of range")
-    return subset
-
-
 def pattern_codes(digits, subset):
     """Base-4 word of each record's subset digits, first subset qubit leading."""
     return indices_from_digits(np.asarray(digits)[:, list(subset)])
@@ -108,15 +97,15 @@ def apply_pair_trace(hist):
     out, tail = hist, hist.shape[-1]
     for s in sizes[:-1]:
         tail //= 4**s
-        out = _PAIR_TRACE_POWERS[s] @ out.reshape(-1, 4**s, tail)
-    out = out.reshape(-1, 4 ** sizes[-1]) @ _PAIR_TRACE_POWERS[sizes[-1]]
+        out = PAIR_TRACE_POWERS[s] @ out.reshape(-1, 4**s, tail)
+    out = out.reshape(-1, 4 ** sizes[-1]) @ PAIR_TRACE_POWERS[sizes[-1]]
     return out.reshape(hist.shape)
 
 
 def shadow_expand(digits_row, subset, frame):
     """Materialize the shadow on `subset`, dimension 2^|subset|."""
     digits_row = np.asarray(digits_row)
-    subset = _check_subset(subset, digits_row.size)
+    subset = qubit_subset(subset, digits_row.size)
     mats = shadow_matrices(frame)
     out = np.ones((1, 1), dtype=complex)
     for k in subset:
@@ -139,7 +128,7 @@ class ShadowAccumulator:
 
     def __init__(self, n_qubits, subset, frame):
         self.n_qubits = n_qubits
-        self.subset = _check_subset(subset, n_qubits)
+        self.subset = qubit_subset(subset, n_qubits)
         self.frame = frame
         self.histogram = hist_zeros(
             (4 ** len(self.subset),), f"shadow accumulator on {self.subset}")

@@ -31,7 +31,7 @@ import itertools
 import json
 import math
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +41,10 @@ from .estimators import (EstimateReport, ObservableSpec, RunningMoments,
                          purity_trackers, renyi2_from_purity, renyi2_stderr)
 from .povm import check_bytes, derive_rng, sample_pauli_shots, \
     sample_sic_shots, sic_frame, sic_outcome_distribution, FrameSuperoperator
-from .qstate import PureState, fidelity_pure, make_linear_cluster, purity_exact
+from .qstate import (PureState, fidelity_pure, make_linear_cluster,
+                     purity_exact, qubit_subset, subset_label)
 from .reconstruct import FrequencyVector, reconstruct
-from .shadows import _check_subset, pattern_codes
+from .shadows import pattern_codes
 
 MAGIC = "#TOMO v1"
 DEFAULT_INTERVAL = 100
@@ -91,10 +92,13 @@ class ShotFileHeader:
         missing = {"n_qubits", "povm", "frame", "seed", "batch"} - set(d)
         if missing:
             raise ShotFileError(f"header missing keys: {sorted(missing)}", line=2)
+        for key in ("n_qubits", "seed", "batch"):
+            if type(d[key]) is not int:  # not a subclass: JSON true is a bool
+                raise ShotFileError(f"header {key} must be an integer, not "
+                                    f"{d[key]!r}", line=2)
         try:
-            return cls(n_qubits=int(d["n_qubits"]), povm=d["povm"],
-                       frame=d["frame"], seed=int(d["seed"]),
-                       batch=int(d["batch"]))
+            return cls(n_qubits=d["n_qubits"], povm=d["povm"],
+                       frame=d["frame"], seed=d["seed"], batch=d["batch"])
         except (ValueError, TypeError) as exc:
             raise ShotFileError(str(exc), line=2)
 
@@ -296,7 +300,7 @@ class TrackerConfig:
     n_qubits: int
     fidelity_targets: list = field(default_factory=list)  # (label, PureState)
     observables: list = field(default_factory=list)       # ObservableSpec
-    purity_subsets: list = field(default_factory=list)    # index tuples
+    purity_subsets: list = field(default_factory=list)    # qubit subsets
     renyi_parts: list = field(default_factory=list)       # Bipartition
     batch: int = 1
     interval: int = DEFAULT_INTERVAL
@@ -308,11 +312,21 @@ class TrackerConfig:
         if not (self.fidelity_targets or self.observables
                 or self.purity_subsets or self.renyi_parts):
             raise ValueError("at least one tracked quantity is required")
-        for subset in self.purity_subsets:
-            _check_subset(subset, self.n_qubits)
+        for obs in self.observables:
+            qubit_subset(obs.support, self.n_qubits)
+        self.purity_subsets = [qubit_subset(s, self.n_qubits)
+                               for s in self.purity_subsets]
         for part in self.renyi_parts:
             if part.n_qubits != self.n_qubits:
                 raise ValueError("bipartition size does not match n_qubits")
+        # a quantity tracked twice would be reported twice per interval
+        for what, subsets in (
+                ("purity subset", self.purity_subsets),
+                ("Renyi-2 cut", [p.smaller_side for p in self.renyi_parts])):
+            repeated = [s for s, c in Counter(subsets).items() if c > 1]
+            if repeated:
+                raise ValueError(f"{what} {subset_label(repeated[0])} is "
+                                 "listed more than once")
 
 
 def _fidelity_spec(label, target, n):
@@ -323,11 +337,11 @@ def _fidelity_spec(label, target, n):
 
 
 class _LinearTracker:
-    __slots__ = ("quantity", "subset_label", "cols", "lut", "moments")
+    __slots__ = ("quantity", "subset", "cols", "lut", "moments")
 
-    def __init__(self, quantity, subset_label, support, lut):
+    def __init__(self, quantity, subset, support, lut):
         self.quantity = quantity
-        self.subset_label = subset_label
+        self.subset = subset
         self.cols = list(support)
         self.lut = lut
         self.moments = RunningMoments()
@@ -355,15 +369,13 @@ class OnlineEngine:
         for obs in cfg.observables:
             check_bytes(16 * 4 ** len(obs.support),
                         f"lookup table of observable {obs.label!r}")
-            _check_subset(obs.support, n)
             self._linear.append(_LinearTracker(
-                obs.label, "-".join(str(q) for q in obs.support),
-                obs.support, observable_lut(obs, frame)))
+                obs.label, subset_label(obs.support), obs.support,
+                observable_lut(obs, frame)))
         sides = [part.smaller_side for part in cfg.renyi_parts]
         self._trackers, where = purity_trackers(
             n, [*cfg.purity_subsets, *sides], frame, batch=cfg.batch)
-        self._purity = [("-".join(str(q) for q in sorted(subset)),
-                         where[_check_subset(subset, n)])
+        self._purity = [(subset_label(subset), where[subset])
                         for subset in cfg.purity_subsets]
         self._renyi = [(part.label(), where[part.smaller_side])
                        for part in cfg.renyi_parts]
@@ -374,14 +386,14 @@ class OnlineEngine:
         self.converged = False
 
     def feed(self, digits):
-        """Ingest a chunk of digit rows; returns newly completed reports."""
+        """Ingest an (m, N) chunk of digit rows; returns newly completed
+        reports."""
         if self.converged:
             return []
         digits = np.asarray(digits, dtype=np.uint8)
-        if digits.ndim == 1:
-            digits = digits[None, :]
-        if digits.shape[1] != self.cfg.n_qubits:
-            raise ValueError("record width does not match tracker config")
+        if digits.ndim != 2 or digits.shape[1] != self.cfg.n_qubits:
+            raise ValueError(f"records must be (m, {self.cfg.n_qubits}) "
+                             "digit rows")
         self._buf.append(digits)
         self._buf_count += digits.shape[0]
         out = []
@@ -422,7 +434,7 @@ class OnlineEngine:
         rows = []
         for tracker in self._linear:
             value, stderr = tracker.report()
-            rows.append((tracker.quantity, tracker.subset_label, value, stderr))
+            rows.append((tracker.quantity, tracker.subset, value, stderr))
         purity = [self._purity_report(t) for t in self._trackers]
         for label, (t, row) in self._purity:
             rows.append(("purity", label, purity[t][0][row],

@@ -247,6 +247,38 @@ def test_estimate_refuses_duplicate_purity_qubits(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--purity", "0,1;1,0"), "purity subset 0-1 is listed more than once"),
+    (("--renyi", "0;0;1,2"), "Renyi-2 cut 0 is listed more than once"),
+    (("--renyi", "1,2;0"), "Renyi-2 cut 0 is listed more than once")])
+def test_estimate_refuses_repeated_quantities(flags, message, tmp_path,
+                                              capsys):
+    shots = simulate(tmp_path, state="ghz:3", shots=100, seed=4)
+    out = tmp_path / "report.csv"
+    assert run("estimate", "--file", str(shots), *flags, "--no-stopping",
+               "--out", str(out)) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_qubits", 2.9), ("n_qubits", 2.0), ("n_qubits", "2"), ("seed", "7"),
+    ("seed", None), ("batch", True), ("batch", 1.5)])
+@pytest.mark.parametrize("argv", [
+    ("reconstruct", "--method", "lininv"), ("estimate", "--purity", "full")])
+def test_header_integers_refused(key, value, argv, tmp_path, capsys):
+    # int() would read n_qubits 2.9 as 2 and accept "7" and true
+    header = {"n_qubits": 2, "povm": "sic", "frame": "standard", "seed": 0,
+              "batch": 1, key: value}
+    path = tmp_path / "shots.sic"
+    path.write_text("#TOMO v1\n" + json.dumps(header) + "\n01\n23\n")
+    out = tmp_path / "out"
+    assert run(*argv, "--file", str(path), "--out", str(out)) == 3
+    assert (f"line 2: header {key} must be an integer"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_estimate_refuses_tol_not_finite(tol, tmp_path, capsys):
     shots = simulate(tmp_path, shots=100, seed=4)

@@ -30,8 +30,9 @@ from sictomo.povm import (CapExceededError, derive_rng, digits_from_indices,
                           sample_sic_shots, sic_frame,
                           sic_outcome_distribution)
 from sictomo.qstate import (Bipartition, DensityOperator, make_ame5,
-                            make_ghz, p3_moment_exact, partial_trace,
-                            partial_transpose, purity_exact, random_density)
+                            make_ghz, make_product, p3_moment_exact,
+                            partial_trace, partial_transpose, purity_exact,
+                            random_density)
 from sictomo.shadows import pair_trace, shadow_expand
 
 FRAME = sic_frame("standard")
@@ -63,6 +64,36 @@ def test_observable_spec_validation(rng):
         ObservableSpec((0,), op)  # wrong dimension
     with pytest.raises(ValueError):
         ObservableSpec((0, 1), op + 1j * np.eye(4))  # not Hermitian
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        ObservableSpec((1, 1), op)
+    with pytest.raises(TypeError):
+        ObservableSpec((0.5, 1), op)  # not truncated to qubit 0
+    with pytest.raises(ValueError, match="out of range"):
+        linear_values(np.zeros((3, 2), dtype=np.uint8), spec, FRAME)
+
+
+def test_observable_support_order_is_factor_order():
+    """Support (1, 0) puts qubit 1 in the operator's leading factor."""
+    z, one = np.diag([1.0, -1.0]), np.eye(2)
+    spec = ObservableSpec((1, 0), np.kron(z, one))
+    assert spec.support == (1, 0) and spec.label == "obs:1-0"
+    digits = sample_sic_shots(make_product("01"), FRAME, 20000,
+                              derive_rng(1, "sic-shots"))
+    assert estimate_linear(digits, spec, FRAME)[0] < -0.9  # Z on qubit 1
+    assert estimate_linear(digits, ObservableSpec((1, 0), np.kron(one, z)),
+                           FRAME)[0] > 0.9  # Z on qubit 0
+
+
+def test_unsorted_support_exactly_unbiased(rng):
+    """Over the exact outcome law, support (1, 0) with operator O gives
+    tr(SWAP O SWAP rho)."""
+    rho = random_density(2, rng)
+    op = random_observable(rng, 2)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    records = digits_from_indices(np.arange(16), 2)
+    probs = sic_outcome_distribution(rho, FRAME)
+    got = probs @ linear_values(records, ObservableSpec((1, 0), op), FRAME)
+    assert abs(got - np.trace(swap @ op @ swap @ rho.matrix).real) < 1e-10
 
 
 def test_observable_lut_matches_trace_loop(rng):
@@ -185,6 +216,15 @@ def test_repeated_qubits_are_refused(rng):
         PurityTracker(3, [(1, 1)], FRAME)
     with pytest.raises(ValueError, match="duplicate qubits"):
         PurityTracker(3, [(0, 2), (2, 0, 2)], FRAME)
+
+
+def test_non_integer_qubits_are_refused(rng):
+    # int() would truncate (0.7, 1) to (0, 1) and return that purity
+    digits = rng.integers(0, 4, size=(50, 3)).astype(np.uint8)
+    with pytest.raises(TypeError):
+        estimate_purity(digits, (0.7, 1), FRAME)
+    with pytest.raises(TypeError):
+        PurityTracker(3, [("0", "1")], FRAME)
 
 
 def test_purity_tracker_state_does_not_grow_with_outcomes():

@@ -30,12 +30,14 @@ from sictomo.qstate import (
     pauli_recompose,
     pauli_string_matrix,
     purity_exact,
+    qubit_subset,
     random_density,
     random_pure,
     renyi2_exact,
     save_state,
     state_from_json_dict,
     state_to_json_dict,
+    subset_label,
     tensor,
     trace_distance,
 )
@@ -217,6 +219,30 @@ def test_partial_trace_validation(rng):
         partial_trace(rho, [])
     with pytest.raises(ValueError):
         partial_trace(rho, [5])
+    # a repeated qubit is refused, not merged into a one-qubit marginal
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        partial_trace(rho, (0, 0))
+    with pytest.raises(TypeError):
+        partial_trace(rho, (1.9,))  # not truncated to qubit 1
+
+
+def test_qubit_subset_rule():
+    assert qubit_subset((2, 0), 3) == (0, 2)
+    assert qubit_subset(range(3), 3) == (0, 1, 2)
+    got = qubit_subset(np.array([1, 0], dtype=np.uint8), 2)
+    assert got == (0, 1) and all(type(q) is int for q in got)
+    for bad in [(0.7, 1), (1.0,), ("0",)]:
+        with pytest.raises(TypeError):
+            qubit_subset(bad, 3)
+    with pytest.raises(ValueError, match="non-empty"):
+        qubit_subset((), 3)
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        qubit_subset((2, 0, 2), 3)
+    for bad in [(3,), (-1, 0)]:
+        with pytest.raises(ValueError, match="out of range"):
+            qubit_subset(bad, 3)
+    assert subset_label((0, 2)) == "0-2"
+    assert subset_label((3, 1)) == "3-1"  # labels keep the order given
 
 
 @pytest.mark.parametrize("subset", [(0,), (1,), (0, 1), (1, 2)])
@@ -338,6 +364,8 @@ def test_bipartition_validation():
         Bipartition(3, [3])
     with pytest.raises(ValueError):
         Bipartition(3, [0, 0])
+    with pytest.raises(TypeError):
+        Bipartition(3, (0.5,))  # not truncated to qubit 0
 
 
 @given(st.integers(2, 8), st.data())

@@ -15,7 +15,8 @@ from sictomo.povm import (
     sample_sic_shots,
     sic_frame,
 )
-from sictomo.qstate import random_density, random_pure, trace_distance
+from sictomo.qstate import (DensityOperator, random_density, random_pure,
+                            state_to_json_dict, trace_distance)
 from sictomo.reconstruct import (
     FrequencyVector,
     lininv,
@@ -274,6 +275,11 @@ def test_result_json_dict(rng):
     sup = FrameSuperoperator("sic", 1, FRAME)
     res = lininv(exact_sic_freqs(rho, sup), sup)
     d = res.to_json_dict(shots=500)
+    assert d == state_to_json_dict(DensityOperator(res.estimate, check=False),
+                                   d["meta"])
+    assert list(d) == ["n_qubits", "kind", "re", "im", "meta"]
+    assert list(d["meta"]) == ["method", "residual", "iterations",
+                               "converged", "shots"]
     assert d["n_qubits"] == 1 and d["kind"] == "mixed"
     assert len(d["re"]) == 4 and len(d["im"]) == 4  # flat row-major
     assert d["meta"]["method"] == "lininv"

@@ -318,6 +318,29 @@ def test_tracker_config_validation():
         TrackerConfig(n_qubits=3, purity_subsets=[(1, 2, 1)])
     with pytest.raises(ValueError, match="out of range"):
         TrackerConfig(n_qubits=3, purity_subsets=[(1, 3)])
+    with pytest.raises(TypeError):
+        TrackerConfig(n_qubits=3, purity_subsets=[(0.7, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        TrackerConfig(n_qubits=2, observables=[
+            ObservableSpec((2,), np.eye(2))])
+    cfg = TrackerConfig(n_qubits=3, purity_subsets=[[2, 0], range(3)])
+    assert cfg.purity_subsets == [(0, 2), (0, 1, 2)]
+
+
+def test_tracker_config_refuses_repeated_quantities():
+    # each would be reported twice, or a cut under two labels
+    with pytest.raises(ValueError, match="purity subset 0-1 is listed more"):
+        TrackerConfig(n_qubits=3, purity_subsets=[(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="Renyi-2 cut 0 is listed more"):
+        TrackerConfig(n_qubits=3, renyi_parts=[
+            Bipartition(3, (0,)), Bipartition(3, (1, 2))])
+    with pytest.raises(ValueError, match="Renyi-2 cut 0-1 is listed more"):
+        TrackerConfig(n_qubits=4, renyi_parts=[
+            Bipartition(4, (0, 1)), Bipartition(4, (2, 3))])
+    # a purity subset may also be the smaller side of a tracked cut
+    TrackerConfig(n_qubits=3, purity_subsets=[(0,)],
+                  renyi_parts=[Bipartition(3, (1, 2))])
+    TrackerConfig(n_qubits=8, renyi_parts=all_bipartitions(8, 4))
 
 
 # --- online engine --------------------------------------------------------------------
@@ -434,6 +457,8 @@ def test_online_engine_caps_and_validation(rng):
     engine = OnlineEngine(make_cfg(2), FRAME)
     with pytest.raises(ValueError):
         engine.feed(np.zeros((5, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"records must be \(m, 2\)"):
+        engine.feed(np.zeros(2, dtype=np.uint8))  # rows, not one record
 
 
 def test_engine_splits_purity_trackers_under_the_byte_cap():
