@@ -90,10 +90,7 @@ def ket_to_bloch(psi):
                      (abs(a) ** 2 - abs(b) ** 2)])
 
 
-_SWAP2 = np.zeros((4, 4))
-for _i in range(2):
-    for _j in range(2):
-        _SWAP2[_i * 2 + _j, _j * 2 + _i] = 1.0
+_SWAP2 = np.eye(4)[[0, 2, 1, 3]]  # exchanges the two qubits
 
 
 class SicFrame:
@@ -197,12 +194,13 @@ def frame_sums(weights, site):
 
 # --- outcome distributions --------------------------------------------------
 
-def _state_parts(state):
-    """(matrix_or_none, amplitudes_or_none, n_qubits)."""
-    amp = getattr(state, "amplitudes", None)
-    if amp is not None:
-        return None, amp, state.n_qubits
-    return state.matrix, None, state.n_qubits
+def _ket_probs(amp, bras):
+    """|<b_c|psi>|^2 for every product bra b_c = kron_k bras[k][c_k], where
+    bras[k] stacks qubit k's conjugated kets; qubit 0's digit leads."""
+    t = amp.reshape((2,) * len(bras))
+    for v in bras:  # contract the leading qubit, its outcome axis to the back
+        t = np.tensordot(t, v, axes=[(0,), (1,)])
+    return np.abs(t.reshape(-1)) ** 2
 
 
 def sic_outcome_distribution(state, frame):
@@ -211,22 +209,15 @@ def sic_outcome_distribution(state, frame):
     Returns a length 4^N vector indexed with qubit 0 as the most significant
     base-4 digit. Tiny negative entries from roundoff are clamped to 0.
     """
-    mat, amp, n = _state_parts(state)
+    amp, n = getattr(state, "amplitudes", None), state.n_qubits
     if n > DIST_CAP:
         raise cap_error(f"outcome distribution over 4^{n} outcomes",
                         8 * 4**n, f"{DIST_CAP} qubits")
     if amp is not None:
-        # contract each qubit with the bra tensor; probabilities are the
-        # squared magnitudes of the resulting outcome-amplitude tensor
-        v = frame.kets.conj() / math.sqrt(2)  # v[i, a]
-        t = amp.reshape((2,) * n)
-        for _ in range(n):
-            t = np.tensordot(t, v, axes=[(0,), (1,)])
-        probs = np.abs(t.reshape(-1)) ** 2
+        probs = _ket_probs(amp, [frame.kets.conj() / math.sqrt(2)] * n)
     else:
-        probs = frame_traces(mat, frame.effects).real
-    probs = np.where(probs < 0, 0.0, probs)
-    return probs
+        probs = frame_traces(state.matrix, frame.effects).real
+    return np.where(probs < 0, 0.0, probs)
 
 
 _PAULI_EIGVECS = {
@@ -243,20 +234,17 @@ def pauli_outcome_distribution(state, setting):
     `setting` is a string over X, Y, Z (one letter per qubit). Outcome bit 0
     is the +1 eigenstate. Returns 2^N probabilities.
     """
-    mat, amp, n = _state_parts(state)
+    amp, n = getattr(state, "amplitudes", None), state.n_qubits
     if len(setting) != n:
         raise ValueError("setting length does not match qubit count")
     if any(ch not in "XYZ" for ch in setting):
         raise ValueError("setting letters must be X, Y or Z")
     if amp is not None:
-        t = amp.reshape((2,) * n)
-        for ch in setting:
-            v = _PAULI_EIGVECS[ch].conj().T  # v[b, a]
-            t = np.tensordot(t, v, axes=[(0,), (1,)])
-        probs = np.abs(t.reshape(-1)) ** 2
+        probs = _ket_probs(amp, [_PAULI_EIGVECS[c].conj().T for c in setting])
     else:
         proj = _PAULI_PROJECTORS.reshape(3, 2, 2, 2)  # proj[s, b] = |v_b><v_b|
-        probs = frame_traces(mat, [proj[_LETTER_CODE[c]] for c in setting]).real
+        probs = frame_traces(state.matrix,
+                             [proj[_LETTER_CODE[c]] for c in setting]).real
     return np.where(probs < 0, 0.0, probs)
 
 
@@ -284,28 +272,28 @@ def derive_rng(seed, stream, index=0):
         np.random.SeedSequence(entropy=int(seed), spawn_key=(sid, int(index))))
 
 
-def _as_rng(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def digits_from_indices(indices, n_qubits, base=4):
-    """Decode flat outcome indices into (M, N) base-`base` digit rows."""
-    shifts = base ** np.arange(n_qubits - 1, -1, -1, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)[:, None]
-    return ((indices // shifts) % base).astype(np.uint8)
+    """Decode flat outcome indices into (M, N) base-`base` digit rows, one
+    column at a time: no (M, N) integer temporary."""
+    rest = np.array(indices, dtype=np.int64)  # a copy, divided in place
+    digits = np.empty((rest.size, n_qubits), dtype=np.uint8)
+    for j in range(n_qubits - 1, -1, -1):
+        digits[:, j] = rest % base
+        rest //= base
+    return digits
 
 
 def indices_from_digits(digits, base=4):
-    """Encode (M, N) base-`base` digit rows as flat outcome indices."""
-    digits = np.asarray(digits, dtype=np.int64)
-    n = digits.shape[1]
-    shifts = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return digits @ shifts
+    """Encode (M, N) base-`base` digit rows as flat outcome indices; einsum
+    casts the digits in buffered chunks, so no (M, N) int64 copy is made."""
+    digits = np.asarray(digits)
+    shifts = base ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
+    return np.einsum("mn,n->m", digits, shifts, dtype=np.int64,
+                     casting="unsafe")
 
 
 _PERSHOT_CHUNK = 4096  # shots per block of the pure-state per-shot sampler
+_BLOCK = 1 << 16  # entries a per-shot sampler contracts or gathers per step
 
 
 def _draw(probs, n_shots, rng):
@@ -323,60 +311,70 @@ def sample_sic_shots(state, frame, n_shots, rng):
     Up to DIST_CAP qubits the shots come from the exact 4^N outcome
     distribution. Above it a per-shot sampler measures qubit by qubit and
     keeps one conditional state per distinct outcome prefix, not one per
-    shot: after k qubits, m shots share at most min(m, 4^k) prefixes. A pure
-    state is drawn in blocks of m <= _PERSHOT_CHUNK shots, one rng.random(m)
-    per qubit per block; a block costs sum_k min(m, 4^k) 2^(N-k) amplitude
-    contractions, a level holds at most sqrt(m) 2^N amplitudes (64 x 2^N at
-    m = 4096) and its four outcome branches twice that, and the largest
-    level's branches are checked against BYTES_CAP before any shot is drawn.
-    A density matrix keeps a level's conditional blocks, at most 4^N
-    entries, in one buffer.
+    shot: after k qubits, m shots share at most g_k = min(m, 4^k) prefixes.
+    A pure state is drawn in blocks of m <= _PERSHOT_CHUNK shots, one
+    rng.random((N, m)) per block. A prefix's outcome probabilities come from
+    the 2x2 Gram matrix of its state's halves on the measured qubit, and
+    only the branches the shots chose are built: a level holds g_k states of
+    2^(N-k) amplitudes and the next level g_(k+1) of half that (checked
+    against BYTES_CAP before any shot is drawn) plus one gathered block of
+    at most _BLOCK amplitudes. A density matrix keeps a level's conditional
+    blocks, at most 4^N entries, in one buffer.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes unchanged
     n = state.n_qubits
     if n <= DIST_CAP:
         flat = _draw(sic_outcome_distribution(state, frame), n_shots, rng)
         return digits_from_indices(flat, n)
     amp = getattr(state, "amplitudes", None)
     if amp is not None:
-        # level k's branches, 4 x min(m, 4^k) complex vectors of 2^(N-k-1)
         m = min(n_shots, _PERSHOT_CHUNK)
-        check_bytes(max(32 * min(m, 4**k) * 2**(n - k) for k in range(n)),
+        check_bytes(max(8 * (2 * min(m, 4**k) + min(m, 4**(k + 1)))
+                        * 2**(n - k) for k in range(n)),
                     f"per-shot sampler on {n} qubits, {m} shots per block")
         out = np.empty((n_shots, n), dtype=np.uint8)
         for lo in range(0, n_shots, m):
-            hi = min(lo + m, n_shots)
-            out[lo:hi] = _pershot_pure(amp, frame, hi - lo, n, rng)
+            _pershot_pure(amp, frame, out[lo:lo + m], rng)
         return out
     return _pershot_mixed(state.matrix, frame, n_shots, n, rng)
 
 
-def _pershot_pure(amp, frame, m, n, rng):
-    # cur holds one conditional state per distinct outcome prefix, row[s] is
-    # the prefix of shot s
+def _pershot_pure(amp, frame, digits, rng):
+    # cur[c] holds prefix c's conditional state as halves (c_0, c_1) on
+    # qubit k, row[s] the prefix of shot s. Outcome i has probability
+    # sum_ab v_ia conj(v_ib) <c_b|c_a>, from real dot products of the real
+    # and imaginary parts, and branch v_i0 c_0 + v_i1 c_1, built only for
+    # the outcomes the shots chose and gathered _BLOCK amplitudes at a time
+    m, n = digits.shape  # the block's rows of the caller's array, filled here
     v = frame.kets.conj() / math.sqrt(2)  # v[i, a]
-    cur = amp.reshape(1, amp.size)
+    u = rng.random((n, m))
+    cur = np.ascontiguousarray(amp).reshape(1, 2, amp.size // 2)
     row = np.zeros(m, dtype=np.intp)
-    digits = np.empty((m, n), dtype=np.uint8)
     for k in range(n):
-        g, rest = cur.shape[0], cur.shape[1] // 2
-        cond = np.einsum("ia,cas->ics", v, cur.reshape(g, 2, rest))
-        p = np.einsum("ics,ics->ci", cond, cond.conj()).real
-        p_norm = p / p.sum(axis=1, keepdims=True)
-        u = rng.random(m)
-        cdf = np.cumsum(p_norm, axis=1)[row]
-        d = (u[:, None] > cdf).sum(axis=1).astype(np.uint8)
-        d = np.minimum(d, 3)  # guard the u == 1.0 edge
-        digits[:, k] = d
-        keys, row = np.unique(row * 4 + d, return_inverse=True)
+        x = cur.view(np.float64)
+        a = np.einsum("cas,cbs->cab", x[..., 1::2], x[..., 0::2])
+        r = np.einsum("cas,cbs->cab", x, x) + 1j * (a - a.swapaxes(1, 2))
+        p = np.einsum("ia,ib,cab->ci", v, v.conj(), r).real
+        cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)[row]
+        d = (u[k, :, None] > cdf).sum(axis=1).astype(np.uint8)
+        digits[:, k] = np.minimum(d, 3)  # guard the u == 1.0 edge
+        if k == n - 1:
+            break
+        keys, row = np.unique(row * 4 + digits[:, k], return_inverse=True)
         pre, dk = keys // 4, keys % 4
-        cur = cond[dk, pre, :] / np.sqrt(p[pre, dk])[:, None]
-    return digits
-
-
-_MIXED_BLOCK = 1 << 16  # entries the mixed sampler contracts per step
+        w = v[dk] / np.sqrt(p[pre, dk])[:, None]
+        rest = cur.shape[2]
+        cols = max(1, min(rest, _BLOCK // 2))
+        step = max(1, _BLOCK // (2 * cols))
+        nxt = np.empty((keys.size, rest), dtype=complex)
+        for lo in range(0, keys.size, step):
+            for s in range(0, rest, cols):
+                np.einsum("ca,cas->cs", w[lo:lo + step],
+                          cur[pre[lo:lo + step], :, s:s + cols],
+                          out=nxt[lo:lo + step, s:s + cols])
+        cur = nxt.reshape(keys.size, 2, rest // 2)
 
 
 def _pershot_mixed(mat, frame, m, n, rng):
@@ -394,7 +392,7 @@ def _pershot_mixed(mat, frame, m, n, rng):
     buf = None
     for k in range(n):
         g, dim = cur.shape[0], cur.shape[1] // 2
-        step = max(1, _MIXED_BLOCK // cur[0].size)
+        step = max(1, _BLOCK // cur[0].size)
         if buf is None:  # the caller's matrix stays intact
             cond = np.einsum("iba,gasbt->gist", eff,
                              cur.reshape(g, 2, dim, 2, dim), order="C")
@@ -440,14 +438,13 @@ def sample_pauli_shots(state, n_shots, rng):
     uint8, grouped by setting in lexicographic order."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes unchanged
     n = state.n_qubits
     alloc = allocate_pauli_shots(n_shots, n)
     settings = np.empty((n_shots, n), dtype=np.uint8)
     bits = np.empty((n_shots, n), dtype=np.uint8)
     row = 0
-    for s_idx, setting in enumerate(pauli_settings(n)):
-        m = int(alloc[s_idx])
+    for setting, m in zip(pauli_settings(n), alloc.tolist()):
         if m == 0:
             continue
         flat = _draw(pauli_outcome_distribution(state, setting), m, rng)

@@ -87,8 +87,11 @@ class DensityOperator:
 def qubit_subset(qubits, n_qubits):
     """The qubit-subset rule of the package: a non-empty set of distinct
     integer indices in 0..n_qubits-1, returned sorted. An index that is not
-    an integer (a float, a string) raises TypeError rather than being
+    an integer (a float, a string, a bool) raises TypeError rather than being
     truncated; an empty, repeated or out-of-range subset raises ValueError."""
+    qubits = tuple(qubits)
+    if any(isinstance(q, (bool, np.bool_)) for q in qubits):
+        raise TypeError(f"qubit indices must be integers, not bools: {qubits}")
     given = tuple(index(q) for q in qubits)
     subset = tuple(sorted(set(given)))
     if len(subset) != len(given):

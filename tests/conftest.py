@@ -1,6 +1,9 @@
 """Shared fixtures plus a terminal summary of the acceptance checks."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,3 +34,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+_HWM_CHILD = """\
+import re
+def hwm():
+    status = open('/proc/self/status').read()
+    return 1024 * int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))
+{setup}
+base = hwm()
+{work}
+print(hwm() - base)
+"""
+
+
+@pytest.fixture
+def hwm_growth():
+    """hwm_growth(setup, work): run `setup`, then `work`, in a fresh
+    interpreter, and return the bytes by which `work` raised its VmHWM above
+    the high-water mark that `setup` left. The child reads its own mark: its
+    ru_maxrss would start from this process's, which it inherits across
+    exec."""
+    def run(setup, work):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = _HWM_CHILD.format(setup=setup, work=work)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return int(out)
+    return run

@@ -47,9 +47,6 @@ the same arrays or raise the same ShotFileError text, line number included.
 import functools
 import itertools
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -666,28 +663,60 @@ def test_pershot_sampler_matches_one_state_per_shot(monkeypatch, state,
 def test_mixed_sampler_matches_in_small_blocks(monkeypatch, block):
     # blocks smaller than one conditional matrix split every level's
     # contraction and move-down into several steps
-    monkeypatch.setattr(povm, "_MIXED_BLOCK", block)
+    monkeypatch.setattr(povm, "_BLOCK", block)
     monkeypatch.setattr(povm, "DIST_CAP", 0)
     rho = random_density(4, np.random.default_rng(60))
     got = sample_sic_shots(rho, FRAME, 700, derive_rng(8, "sic-shots"))
     np.testing.assert_array_equal(got, reference_pershot(rho, 700, 8))
 
 
-def test_pershot_ghz12_chunk_memory_is_bounded():
+@pytest.mark.parametrize("block", [1, 16])
+def test_pure_sampler_matches_in_small_blocks(monkeypatch, block):
+    # blocks narrower than a prefix state split the branch gather by columns
+    # as well as by prefixes
+    monkeypatch.setattr(povm, "_BLOCK", block)
+    monkeypatch.setattr(povm, "DIST_CAP", 0)
+    psi = random_pure(6, np.random.default_rng(61))
+    got = sample_sic_shots(psi, FRAME, 700, derive_rng(8, "sic-shots"))
+    np.testing.assert_array_equal(got, reference_pershot(psi, 700, 8))
+
+
+def test_pershot_ghz12_chunk_memory_is_bounded(hwm_growth):
     """One conditional state per shot held 4096 copies of the 2^12
-    amplitudes (peak near 1.3 GB); one per distinct prefix needs megabytes.
-    The child reads its own high-water mark: its ru_maxrss would start from
-    this process's, which it inherits across exec."""
-    code = ("import re, sictomo\n"
-            "from sictomo.qstate import make_ghz\n"
-            "sictomo.povm.sample_sic_shots(make_ghz(12),"
-            " sictomo.povm.sic_frame('standard'), 4096, 0)\n"
-            "status = open('/proc/self/status').read()\n"
-            "print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert int(out) / 1024 < 200
+    amplitudes (peak near 1.3 GB); one per distinct prefix needs megabytes."""
+    grew = hwm_growth("import sictomo\nfrom sictomo.qstate import make_ghz",
+                      "sictomo.povm.sample_sic_shots(make_ghz(12),"
+                      " sictomo.povm.sic_frame('standard'), 4096, 0)")
+    assert grew / 2**20 < 200
+
+
+def test_pershot_memory_within_its_byte_check(monkeypatch, hwm_growth):
+    """The per-shot check states what the sampler holds at once. The
+    sampler that built all four branches of every prefix peaked at 146 MB
+    on this case, against 67 MB stated."""
+    stated = []
+
+    def record(nbytes, what, cap=None):
+        stated.append(nbytes)
+        raise povm.CapExceededError(what)
+    monkeypatch.setattr(povm, "check_bytes", record)
+    with pytest.raises(povm.CapExceededError):  # the check reads N and m only
+        sample_sic_shots(make_ghz(15), FRAME, 4096, 0)
+    grew = hwm_growth(
+        "import numpy as np\nfrom sictomo.povm import sample_sic_shots,"
+        " sic_frame\nfrom sictomo.qstate import random_pure\n"
+        "st = random_pure(15, np.random.default_rng(3))",
+        "sample_sic_shots(st, sic_frame('standard'), 4096, 1)")
+    assert grew <= stated[0]
+
+
+def test_multinomial_draw_memory_is_bounded(hwm_growth):
+    """A million GHZ-10 shots are 10 MB of digits. Decoding them through
+    (M, N) int64 temporaries raised the peak by about 200 MB."""
+    grew = hwm_growth("from sictomo.povm import sample_sic_shots, sic_frame\n"
+                      "from sictomo.qstate import make_ghz\nst = make_ghz(10)",
+                      "sample_sic_shots(st, sic_frame('standard'), 10**6, 1)")
+    assert grew / 2**20 < 100
 
 
 def reference_multinomial(probs, n_shots, rng, n, base):

@@ -227,6 +227,15 @@ def test_non_integer_qubits_are_refused(rng):
         PurityTracker(3, [("0", "1")], FRAME)
 
 
+def test_boolean_qubits_are_refused(rng):
+    # operator.index(True) is 1, so (False, True) returned the (0, 1) purity
+    digits = rng.integers(0, 4, size=(50, 3)).astype(np.uint8)
+    with pytest.raises(TypeError):
+        estimate_purity(digits, (False, True), FRAME)
+    with pytest.raises(TypeError):
+        PurityTracker(3, [(True, 2)], FRAME)
+
+
 def test_purity_tracker_state_does_not_grow_with_outcomes():
     """K=7 on GHZ-8: more shots bring new patterns but no new state."""
     digits = sample_sic_shots(make_ghz(8), FRAME, 4000,

@@ -233,10 +233,11 @@ def test_sample_sic_shots_validation(rng):
 
 
 def test_pershot_sampler_byte_cap():
-    # 16 qubits, 4096 shots per block: level 6 holds 4096 prefixes, each
-    # with 4 branches of 2^9 amplitudes; 100 shots stay at 16.8 MB
+    # 16 qubits, 4096 shots per block: level 5 holds 1024 prefix states of
+    # 2^11 amplitudes and builds level 6's 4096 of 2^10, 96 MiB in all;
+    # 100 shots stay at 14.9 MB
     frame = sic_frame("standard")
-    with pytest.raises(CapExceededError, match="134,217,728 bytes"):
+    with pytest.raises(CapExceededError, match="100,663,296 bytes"):
         sample_sic_shots(make_ghz(16), frame, 4096, derive_rng(0, "sic-shots"))
     digits = sample_sic_shots(make_ghz(16), frame, 100,
                               derive_rng(0, "sic-shots"))

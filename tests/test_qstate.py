@@ -245,6 +245,13 @@ def test_qubit_subset_rule():
     assert subset_label((3, 1)) == "3-1"  # labels keep the order given
 
 
+def test_boolean_qubits_are_refused():
+    # operator.index(True) is 1, so (False, True) would read as (0, 1)
+    for bad in [(False, True), (np.True_, 0), [True]]:
+        with pytest.raises(TypeError, match="not bools"):
+            qubit_subset(bad, 3)
+
+
 @pytest.mark.parametrize("subset", [(0,), (1,), (0, 1), (1, 2)])
 def test_partial_transpose_matches_naive(rng, subset):
     rho = random_density(3, rng)
