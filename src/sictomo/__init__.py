@@ -32,11 +32,11 @@ from .qstate import (Bipartition, DensityOperator, PureState, fidelity_pure,
                      purity_exact, random_density, random_pure, renyi2_exact,
                      save_state, trace_distance)
 from .shadows import (ShadowAccumulator, inverse_depolarizing, pair_trace,
-                      shadow_expand, shadow_matrices, shadow_mean)
+                      shadow_expand, shadow_matrices)
 from .estimators import (EstimateReport, ObservableSpec, PurityTracker,
-                         RunningMoments, all_bipartitions, estimate_linear,
-                         estimate_p3, estimate_purity, estimate_renyi2,
-                         median_of_means, observable_lut, renyi2_from_purity)
+                         RunningMoments, all_bipartitions, estimate_p3,
+                         estimate_purity, estimate_renyi2, observable_lut,
+                         renyi2_from_purity)
 from .reconstruct import (FrequencyVector, ReconstructionResult, lininv, mle,
                           pls, pls_from_freqs, reconstruct,
                           simplex_projection)
@@ -46,7 +46,6 @@ from .budget import (BudgetQuery, coincidence_probability,
                      observable_budget, purity_budget,
                      quadratic_variance_bound, variance_decomposition_check)
 from .stream import (Game, OnlineEngine, ShotFileError, ShotFileHeader,
-                     StoppingRule, TrackerConfig, convergence_experiment,
-                     run_game, run_online, write_shots)
+                     StoppingRule, TrackerConfig, write_shots)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -76,12 +76,14 @@ def parse_state(spec, seed=0):
     raise ValueError(f"unknown state spec {spec!r}")
 
 
-def _write_manifest(out_path, args, inputs, outputs):
+def _write_manifest(out_path, args, inputs, outputs, seed):
+    """`seed` is the one the run's randomness came from: the command's own,
+    or the one a shot file's header records; None for a run without one."""
     manifest = {
         "subcommand": args.cmd,
         "parameters": {key: value for key, value in vars(args).items()
                        if not callable(value)},
-        "seed": getattr(args, "seed", None),
+        "seed": seed,
         "inputs": list(inputs),
         "outputs": list(outputs),
         "version": __version__,
@@ -132,7 +134,7 @@ def _cmd_simulate(args):
         settings, bits = sample_pauli_shots(state, args.shots, rng)
         write_shots(args.out, header, (settings, bits))
     inputs = [args.state] if args.state.endswith(".json") else []
-    _write_manifest(args.out, args, inputs, [args.out])
+    _write_manifest(args.out, args, inputs, [args.out], args.seed)
     print(f"wrote {args.shots} {args.povm} shots ({n} qubits) to {args.out}")
     return EXIT_OK
 
@@ -204,7 +206,7 @@ def _cmd_estimate(args):
         for report in drive(engine, itertools.chain([first], chunks)):
             _emit_report(sink, report, args.format)
     if args.out != "-":
-        _write_manifest(args.out, args, [args.file], [args.out])
+        _write_manifest(args.out, args, [args.file], [args.out], header.seed)
     return EXIT_OK if engine.converged else EXIT_EXHAUSTED
 
 
@@ -241,7 +243,7 @@ def _cmd_reconstruct(args):
         shots = freqs.total_shots
     with open(args.out, "w", encoding="ascii") as f:
         f.write(json.dumps(result.to_json_dict(shots)) + "\n")
-    _write_manifest(args.out, args, [args.file], [args.out])
+    _write_manifest(args.out, args, [args.file], [args.out], header.seed)
     print(f"{args.method}: wrote {2**n}x{2**n} estimate to {args.out} "
           f"(residual {result.residual:.3g}, iterations {result.iterations})")
     return EXIT_OK
@@ -257,7 +259,7 @@ def _cmd_budget(args):
         sink.line(BUDGET_CSV_HEADER)
         sink.line(budget_csv_row(q))
     if args.out != "-":
-        _write_manifest(args.out, args, [], [args.out])
+        _write_manifest(args.out, args, [], [args.out], None)
     return EXIT_OK
 
 
@@ -284,7 +286,7 @@ def _cmd_game(args):
     print(f"correct {n_correct}/{args.trials}, median shots {median}",
           file=sys.stderr)
     if args.out != "-":
-        _write_manifest(args.out, args, [], [args.out])
+        _write_manifest(args.out, args, [], [args.out], args.seed)
     return EXIT_OK
 
 

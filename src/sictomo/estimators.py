@@ -71,15 +71,6 @@ def linear_values(digits, obs, frame):
     return observable_lut(obs, frame)[pattern_codes(digits, obs.support)]
 
 
-def estimate_linear(digits, obs, frame):
-    """Mean and standard error of the single-shot observable estimator."""
-    vals = linear_values(digits, obs, frame)
-    if vals.size == 0:
-        raise ValueError("no records")
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return float(vals.mean()), stderr
-
-
 class RunningMoments:
     """Streaming mean / variance via chunk merges (single pass, stable)."""
 
@@ -277,19 +268,6 @@ def estimate_p3(digits, part, frame):
     q2 = partial_transpose(frame_sums(hist, site @ site), part)
     triples = np.einsum("ij,ji->", t @ t - 3 * q2, t).real + 2 * m * 7.0**n
     return float(triples / (m * (m - 1) * (m - 2)))
-
-
-def median_of_means(digits, n_groups, estimator):
-    """Median over `n_groups` contiguous groups of the per-group estimate."""
-    digits = np.asarray(digits)
-    if n_groups < 1:
-        raise ValueError("need at least one group")
-    if digits.shape[0] < n_groups:
-        raise ValueError("fewer records than groups")
-    if n_groups == 1:
-        return float(estimator(digits))
-    groups = np.array_split(digits, n_groups, axis=0)
-    return float(np.median([estimator(g) for g in groups]))
 
 
 def all_bipartitions(n, max_side):

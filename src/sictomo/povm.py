@@ -255,7 +255,6 @@ STREAM_IDS = {
     "pauli-shots": 1,
     "game-secret": 2,
     "game-shots": 3,
-    "convergence": 6,
     "variance-mc": 7,
     "state": 8,
 }

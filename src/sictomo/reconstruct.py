@@ -223,12 +223,13 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
     f = _freq_array(freqs, superop)
     w2 = _weight_vector(freqs, weights, superop) ** 2
 
-    def objective(x):
+    def residual(x):
+        """A vec(x) - f and the objective it gives."""
         r = superop.forward(x) - f
-        return float(np.real(np.vdot(r, w2 * r)))
+        return r, float(np.real(np.vdot(r, w2 * r)))
 
-    def gradient(x):
-        g = 2 * superop.adjoint(w2 * (superop.forward(x) - f))
+    def gradient(r):
+        g = 2 * superop.adjoint(w2 * r)
         return (g + g.conj().T) / 2
 
     # Lipschitz constant of the gradient, from the dense map (at most
@@ -236,17 +237,17 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
     lip = 2 * _max_eigenvalue(superop.probability_map(), w2)
 
     x = _project_density(lininv(freqs, superop).estimate)
-    obj = objective(x)
+    r, obj = residual(x)
     history = [obj]
     step = 1.0 / lip
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g = gradient(x)
+        g = gradient(r)  # r is x's residual, from the step that accepted x
         t = min(step * 1.5, 10.0 / lip)
         while True:
             cand = _project_density(x - t * g)
-            cand_obj = objective(cand)
+            cand_r, cand_obj = residual(cand)
             if cand_obj <= obj or t < 1e-18:
                 break
             t /= 2
@@ -254,7 +255,7 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
             converged = True  # no descent direction left at float precision
             break
         moved = float(np.linalg.norm(cand - x))
-        x, obj, step = cand, cand_obj, t
+        x, r, obj, step = cand, cand_r, cand_obj, t
         history.append(obj)
         if moved / t <= tol:
             converged = True

@@ -156,13 +156,3 @@ class ShadowAccumulator:
         if self.count == 0:
             raise ValueError("empty accumulator")
         return shadow_sum(self.histogram / self.count, self.frame)
-
-
-def shadow_mean(digits, frame, subset=None):
-    """Mean shadow matrix over all records (the plain estimator of rho_K)."""
-    digits = np.asarray(digits)
-    if subset is None:
-        subset = range(digits.shape[1])
-    acc = ShadowAccumulator(digits.shape[1], subset, frame)
-    acc.add_records(digits)
-    return acc.mean()

@@ -37,13 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import (EstimateReport, ObservableSpec, RunningMoments,
-                         linear_values, estimate_purity, observable_lut,
-                         purity_trackers, renyi2_from_purity, renyi2_stderr)
-from .povm import check_bytes, derive_rng, sample_pauli_shots, \
-    sample_sic_shots, sic_frame, sic_outcome_distribution, FrameSuperoperator
-from .qstate import (PureState, fidelity_pure, make_linear_cluster,
-                     purity_exact, qubit_subset, subset_label)
-from .reconstruct import FrequencyVector, reconstruct
+                         observable_lut, purity_trackers, renyi2_from_purity,
+                         renyi2_stderr)
+from .povm import check_bytes, derive_rng, sic_frame, sic_outcome_distribution
+from .qstate import make_linear_cluster, qubit_subset, subset_label
 from .shadows import pattern_codes
 
 MAGIC = "#TOMO v1"
@@ -479,29 +476,6 @@ def drive(engine, chunks):
     yield from engine.finalize()
 
 
-def run_online(source, cfg, frame=None, chunk_rows=4096):
-    """Drive an OnlineEngine over a shot file path or an iterable of digit
-    chunks. Returns (reports, engine); engine.converged tells whether the
-    stopping rule fired before the stream ran out."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        header = read_header(source)
-        if header.povm != "sic":
-            raise ShotFileError("online estimation requires a sic shot file")
-        if header.n_qubits != cfg.n_qubits:
-            raise ShotFileError(
-                f"file has n_qubits={header.n_qubits}, config expects "
-                f"{cfg.n_qubits}")
-        if frame is None:
-            frame = sic_frame(header.frame)
-        chunks = iter_sic_chunks(source, chunk_rows)
-    else:
-        if frame is None:
-            frame = sic_frame("standard")
-        chunks = iter(source)
-    engine = OnlineEngine(cfg, frame)
-    return list(drive(engine, chunks)), engine
-
-
 # --- state-identification game -------------------------------------------------
 
 
@@ -583,92 +557,3 @@ class Game:
             "shots": shot_cap, "declared": False, "gap_window": gap_window,
             "final_gap": 0.0, "seed": int(seed), "trial": int(trial)}
 
-
-def run_game(seed, trial=0, gap_window=5, shot_cap=10000, frame=None):
-    return Game(frame).play(seed, trial=trial, gap_window=gap_window,
-                            shot_cap=shot_cap)
-
-
-# --- convergence experiment ------------------------------------------------------
-
-
-CONVERGENCE_CSV_HEADER = "method,shots,batch,rep,quantity,value"
-
-
-def convergence_experiment(state, m_grid, repetitions, seed, kind="sic",
-                           frame=None, methods=None, batch_grid=None,
-                           target=None):
-    """Sample shot sets of increasing size and estimate fidelity + purity
-    under each method; returns plot-ready row dicts.
-
-    With `batch_grid` set, only the shadow purity is computed, once per
-    (shots, batch) cell, which is the 2-D batching grid mode.
-    """
-    frame = frame if frame is not None else sic_frame("standard")
-    n = state.n_qubits
-    if target is None and isinstance(state, PureState):
-        target = state
-    if methods is None:
-        methods = ["shadows", "lininv", "pls"] if kind == "sic" else ["lininv", "pls"]
-        if n <= 3:
-            methods.append("mle")
-    if kind == "pauli" and ("shadows" in methods or batch_grid is not None):
-        raise ValueError("shadow estimates need sic shots")
-    superop = None
-    if batch_grid is None and any(m in methods for m in ("lininv", "pls", "mle")):
-        superop = FrameSuperoperator(kind, n, frame=frame)
-    obs_target = None
-    if target is not None and kind == "sic":
-        obs_target = _fidelity_spec("target", target, n)
-
-    rows = []
-    m_grid = sorted(m_grid)
-    m_max = m_grid[-1]
-    for rep in range(repetitions):
-        rng = derive_rng(seed, "convergence", rep)
-        if kind == "sic":
-            digits = sample_sic_shots(state, frame, m_max, rng)
-        if batch_grid is not None:
-            for m in m_grid:
-                for b in batch_grid:
-                    rows.append({"method": "shadows", "shots": m, "batch": b,
-                                 "rep": rep, "quantity": "purity",
-                                 "value": estimate_purity(
-                                     digits[:m], range(n), frame, batch=b)})
-            continue
-        for m in m_grid:
-            if kind == "sic":
-                freqs = FrequencyVector.from_sic_shots(digits[:m], n)
-            else:
-                settings, bits = sample_pauli_shots(state, m, rng)
-                freqs = FrequencyVector.from_pauli_shots(settings, bits)
-            for method in methods:
-                if method == "shadows":
-                    if obs_target is not None:
-                        fid = float(linear_values(digits[:m], obs_target,
-                                                  frame).mean())
-                        rows.append({"method": method, "shots": m, "batch": 1,
-                                     "rep": rep, "quantity": "fidelity",
-                                     "value": fid})
-                    rows.append({"method": method, "shots": m, "batch": 1,
-                                 "rep": rep, "quantity": "purity",
-                                 "value": estimate_purity(digits[:m],
-                                                          range(n), frame)})
-                    continue
-                res = reconstruct(freqs, superop, method)
-                if target is not None:
-                    rows.append({"method": method, "shots": m, "batch": 1,
-                                 "rep": rep, "quantity": "fidelity",
-                                 "value": fidelity_pure(res.estimate, target)})
-                rows.append({"method": method, "shots": m, "batch": 1,
-                             "rep": rep, "quantity": "purity",
-                             "value": purity_exact(res.estimate)})
-    return rows
-
-
-def convergence_csv(rows):
-    lines = [CONVERGENCE_CSV_HEADER]
-    for r in rows:
-        lines.append(f"{r['method']},{r['shots']},{r['batch']},{r['rep']},"
-                     f"{r['quantity']},{r['value']:.10g}")
-    return "\n".join(lines) + "\n"

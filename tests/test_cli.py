@@ -139,6 +139,19 @@ def test_simulate_manifest(tmp_path):
     assert "version" in manifest
 
 
+def test_manifests_record_the_shot_file_seed(tmp_path):
+    shots = simulate(tmp_path, seed=7)
+    for argv in (("estimate", "--purity", "0", "--no-stopping"),
+                 ("reconstruct", "--method", "lininv")):
+        out = tmp_path / argv[0]
+        assert run(*argv, "--file", str(shots), "--out", str(out)) in (0, 2)
+        manifest = json.loads(
+            (tmp_path / f"{argv[0]}.manifest.json").read_text())
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["seed"] == 7
+        assert manifest["inputs"] == [str(shots)]
+
+
 def test_simulate_from_state_file(tmp_path):
     spath = tmp_path / "psi.json"
     save_state(spath, random_pure(2, np.random.default_rng(8)))

@@ -16,12 +16,10 @@ from sictomo.estimators import (
     PurityTracker,
     RunningMoments,
     all_bipartitions,
-    estimate_linear,
     estimate_p3,
     estimate_purity,
     estimate_renyi2,
     linear_values,
-    median_of_means,
     observable_lut,
     renyi2_from_purity,
     renyi2_stderr,
@@ -79,9 +77,9 @@ def test_observable_support_order_is_factor_order():
     assert spec.support == (1, 0) and spec.label == "obs:1-0"
     digits = sample_sic_shots(make_product("01"), FRAME, 20000,
                               derive_rng(1, "sic-shots"))
-    assert estimate_linear(digits, spec, FRAME)[0] < -0.9  # Z on qubit 1
-    assert estimate_linear(digits, ObservableSpec((1, 0), np.kron(one, z)),
-                           FRAME)[0] > 0.9  # Z on qubit 0
+    assert linear_values(digits, spec, FRAME).mean() < -0.9  # Z on qubit 1
+    assert linear_values(digits, ObservableSpec((1, 0), np.kron(one, z)),
+                         FRAME).mean() > 0.9  # Z on qubit 0
 
 
 def test_unsorted_support_exactly_unbiased(rng):
@@ -120,16 +118,6 @@ def test_linear_estimator_exactly_unbiased(rng):
     probs = sic_outcome_distribution(rho, FRAME)
     got = float(probs @ observable_lut(spec, FRAME))
     assert abs(got - np.trace(op @ rho.matrix).real) < 1e-10
-
-
-def test_estimate_linear_matches_numpy(rng):
-    digits = rng.integers(0, 4, size=(40, 2)).astype(np.uint8)
-    op = random_observable(rng, 1)
-    spec = ObservableSpec((1,), op)
-    vals = linear_values(digits, spec, FRAME)
-    mean, se = estimate_linear(digits, spec, FRAME)
-    assert abs(mean - vals.mean()) < 1e-12
-    assert abs(se - vals.std(ddof=1) / math.sqrt(40)) < 1e-12
 
 
 # --- running moments -------------------------------------------------------------
@@ -422,22 +410,6 @@ def test_p3_validation(rng):
         estimate_p3(np.zeros((2, 2), dtype=np.uint8), part, FRAME)
     with pytest.raises(ValueError):
         estimate_p3(np.zeros((5, 3), dtype=np.uint8), part, FRAME)
-
-
-# --- grouping helpers --------------------------------------------------------------
-
-
-def test_median_of_means_manual(rng):
-    digits = rng.integers(0, 4, size=(30, 1)).astype(np.uint8)
-    est = lambda d: float(d.mean())
-    groups = np.array_split(digits, 4, axis=0)
-    want = float(np.median([g.mean() for g in groups]))
-    assert median_of_means(digits, 4, est) == want
-    assert median_of_means(digits, 1, est) == digits.mean()
-    with pytest.raises(ValueError):
-        median_of_means(digits, 0, est)
-    with pytest.raises(ValueError):
-        median_of_means(digits, 31, est)
 
 
 def test_all_bipartitions_counts():

@@ -1,5 +1,6 @@
 """Frequency bookkeeping and the three reconstruction routes."""
 
+import importlib
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from sictomo.reconstruct import (
 )
 
 FRAME = sic_frame("standard")
+# the module; the package re-exports a function under its name
+RECONSTRUCT = importlib.import_module("sictomo.reconstruct")
 
 
 def exact_sic_freqs(rho, superop):
@@ -237,6 +240,30 @@ def test_mle_multinomial_weights_need_counts(rng):
     # explicit positive weights are accepted
     res = mle(f, sup, weights=np.full(4, 2.0))
     assert trace_distance(res.estimate, rho.matrix) < 1e-4
+
+
+def test_mle_one_forward_per_objective(monkeypatch, rng):
+    """Each objective evaluation's residual also gives the next gradient, so
+    the fit calls forward once per candidate, plus once in lininv."""
+    sup = FrameSuperoperator("sic", 2, FRAME)
+    digits = sample_sic_shots(random_density(2, rng), FRAME, 500,
+                              derive_rng(9, "sic-shots"))
+    calls = {"forward": 0, "objective": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    # every candidate is one projection followed by one objective evaluation
+    monkeypatch.setattr(sup, "forward", counted("forward", sup.forward))
+    monkeypatch.setattr(RECONSTRUCT, "_project_density", counted(
+        "objective", RECONSTRUCT._project_density))
+    res = mle(FrequencyVector.from_sic_shots(digits), sup,
+              weights="multinomial")
+    assert res.iterations >= 5
+    assert calls["forward"] <= calls["objective"] + 1
 
 
 def test_mle_cap():

@@ -16,7 +16,6 @@ from sictomo.shadows import (
     pair_trace,
     shadow_expand,
     shadow_matrices,
-    shadow_mean,
     shadow_sum,
 )
 
@@ -136,22 +135,18 @@ def test_accumulator_matches_shadow_mean(rng):
     acc = ShadowAccumulator(3, (0, 2), FRAME)
     acc.add_records(digits[:20])
     acc.add_records(digits[20:])
-    np.testing.assert_allclose(acc.mean(), shadow_mean(digits, FRAME, (0, 2)),
-                               atol=1e-12)
+    want = sum(shadow_expand(r, (0, 2), FRAME) for r in digits) / 50
+    np.testing.assert_allclose(acc.mean(), want, atol=1e-12)
     assert acc.count == 50
-
-
-def test_shadow_mean_full_subset_default(rng):
-    digits = rng.integers(0, 4, size=(8, 2)).astype(np.uint8)
-    want = sum(shadow_expand(r, (0, 1), FRAME) for r in digits) / 8
-    np.testing.assert_allclose(shadow_mean(digits, FRAME), want, atol=1e-12)
 
 
 def test_shadow_mean_above_stack_cap(rng):
     # six sites: the site-by-site contraction of a 4^6 pattern histogram
     digits = rng.integers(0, 4, size=(3, 6)).astype(np.uint8)
     want = sum(shadow_expand(r, range(6), FRAME) for r in digits) / 3
-    np.testing.assert_allclose(shadow_mean(digits, FRAME), want, atol=1e-10)
+    acc = ShadowAccumulator(6, range(6), FRAME)
+    acc.add_records(digits)
+    np.testing.assert_allclose(acc.mean(), want, atol=1e-10)
 
 
 def test_accumulator_weights_equal_repetition(rng):

@@ -1,4 +1,4 @@
-"""Shot files, the online engine, the identification game, convergence runs."""
+"""Shot files, the online engine and the identification game."""
 
 import itertools
 import math
@@ -12,28 +12,22 @@ from sictomo.estimators import (
     all_bipartitions,
     estimate_purity,
     linear_values,
-    observable_lut,
     renyi2_from_purity,
 )
 from sictomo.povm import (BYTES_CAP, derive_rng, sample_pauli_shots,
                           sample_sic_shots, sic_frame)
 from sictomo.qstate import Bipartition, make_ghz, random_pure
 from sictomo.stream import (
-    CONVERGENCE_CSV_HEADER,
     Game,
     OnlineEngine,
     ShotFileError,
     ShotFileHeader,
     StoppingRule,
     TrackerConfig,
-    convergence_csv,
-    convergence_experiment,
     iter_sic_chunks,
     read_header,
     read_pauli_shots,
     read_sic_digits,
-    run_game,
-    run_online,
     write_shots,
 )
 from test_equivalence import reference_records
@@ -473,37 +467,6 @@ def test_engine_splits_purity_trackers_under_the_byte_cap():
     assert sorted(s for t in engine._trackers for s in t.subsets) == subsets
 
 
-def test_run_online_from_file(rng, tmp_path):
-    digits = sample_sic_shots(make_ghz(2), FRAME, 300,
-                              derive_rng(4, "sic-shots"))
-    path = sic_file(tmp_path, digits)
-    cfg = make_cfg(2, interval=100)
-    reports, engine = run_online(path, cfg)
-    assert engine.shots_seen == 300
-    direct = OnlineEngine(cfg, FRAME)
-    direct_rows = direct.feed(digits) + direct.finalize()
-    assert [r.value for r in reports if np.isfinite(r.value)] == pytest.approx(
-        [r.value for r in direct_rows if np.isfinite(r.value)], abs=1e-12)
-
-    with pytest.raises(ShotFileError, match="n_qubits"):
-        run_online(path, make_cfg(3))
-    psi = random_pure(1, rng)
-    settings, bits = sample_pauli_shots(psi, 9, derive_rng(1, "pauli-shots"))
-    ppath = tmp_path / "p"
-    write_shots(ppath, ShotFileHeader(n_qubits=1, povm="pauli"),
-                (settings, bits))
-    with pytest.raises(ShotFileError, match="sic"):
-        run_online(ppath, TrackerConfig(n_qubits=1, purity_subsets=[(0,)]))
-
-
-def test_run_online_from_iterable(rng):
-    digits = rng.integers(0, 4, size=(120, 1)).astype(np.uint8)
-    cfg = TrackerConfig(n_qubits=1, purity_subsets=[(0,)], interval=40)
-    reports, engine = run_online(np.array_split(digits, 5), cfg, frame=FRAME)
-    assert engine.shots_seen == 120
-    assert [r.shots for r in reports] == [40, 80, 120]
-
-
 # --- identification game ----------------------------------------------------------------
 
 
@@ -518,8 +481,8 @@ def test_game_tables():
 
 
 def test_game_deterministic():
-    a = run_game(seed=3, trial=5)
-    b = run_game(seed=3, trial=5)
+    a = Game(FRAME).play(3, trial=5)
+    b = Game(FRAME).play(3, trial=5)
     assert a == b
     winner, shots, transcript = a
     assert transcript["winner"] == winner
@@ -530,67 +493,19 @@ def test_game_deterministic():
 
 
 def test_game_declares_correctly():
-    winner, shots, transcript = run_game(seed=0, trial=0, gap_window=5,
-                                         shot_cap=500)
+    winner, shots, transcript = Game(FRAME).play(0, trial=0, gap_window=5,
+                                                 shot_cap=500)
     assert transcript["declared"]
     assert transcript["correct"]
     assert shots <= 500
 
 
 def test_game_cap_path():
-    winner, shots, transcript = run_game(seed=0, trial=1, gap_window=10**9,
-                                         shot_cap=30)
+    game = Game(FRAME)
+    winner, shots, transcript = game.play(0, trial=1, gap_window=10**9,
+                                          shot_cap=30)
     assert not transcript["declared"]
     assert shots == 30
     with pytest.raises(ValueError):
-        run_game(seed=0, gap_window=0)
+        game.play(0, gap_window=0)
 
-
-# --- convergence experiment ------------------------------------------------------------
-
-
-def test_convergence_experiment_sic_rows(rng):
-    psi = random_pure(2, rng)
-    rows = convergence_experiment(psi, m_grid=[60, 30], repetitions=2, seed=5)
-    assert {r["method"] for r in rows} == {"shadows", "lininv", "pls", "mle"}
-    assert {r["shots"] for r in rows} == {30, 60}
-    fid = [r for r in rows if r["quantity"] == "fidelity"]
-    pur = [r for r in rows if r["quantity"] == "purity"]
-    assert len(fid) == len(pur) == 4 * 2 * 2  # methods x shots x reps
-    for r in rows:
-        if r["method"] in ("pls", "mle") and r["quantity"] == "purity":
-            assert r["value"] <= 1 + 1e-9
-    again = convergence_experiment(psi, m_grid=[60, 30], repetitions=2, seed=5)
-    assert rows == again
-
-
-def test_convergence_experiment_batch_grid(rng):
-    psi = random_pure(2, rng)
-    rows = convergence_experiment(psi, m_grid=[40], repetitions=1, seed=2,
-                                  batch_grid=[1, 2, 4])
-    assert [r["batch"] for r in rows] == [1, 2, 4]
-    assert all(r["method"] == "shadows" and r["quantity"] == "purity"
-               for r in rows)
-
-
-def test_convergence_experiment_pauli(rng):
-    psi = random_pure(1, rng)
-    rows = convergence_experiment(psi, m_grid=[90], repetitions=1, seed=3,
-                                  kind="pauli")
-    assert {r["method"] for r in rows} == {"lininv", "pls", "mle"}
-    with pytest.raises(ValueError):
-        convergence_experiment(psi, [30], 1, 0, kind="pauli",
-                               methods=["shadows"])
-    with pytest.raises(ValueError):
-        convergence_experiment(psi, [30], 1, 0, kind="pauli", batch_grid=[1])
-
-
-def test_convergence_csv_format(rng):
-    psi = random_pure(1, rng)
-    rows = convergence_experiment(psi, m_grid=[30], repetitions=1, seed=1,
-                                  methods=["lininv"])
-    text = convergence_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == CONVERGENCE_CSV_HEADER
-    assert len(lines) == 1 + len(rows)
-    assert all(line.count(",") == 5 for line in lines)
