@@ -43,6 +43,17 @@ class BudgetQuery:
             raise ValueError("hs_norm_sq must be positive")
 
 
+def _shot_count(what, value, q):
+    """ceil(value(q)), refused with a ValueError that names the count when
+    it lies outside float range (an overflow or a zero epsilon**2)."""
+    try:
+        return math.ceil(value(q))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"{what} for k={q.k}, l={q.l}, epsilon={q.epsilon:g}, "
+            f"delta={q.delta:g} is outside float range") from None
+
+
 def _observable_budget_value(q):
     b = q.hs_norm_sq if q.hs_norm_sq is not None else 2.0**q.k
     return (8 / 3) * 3.0**q.k * b * math.log(2 * q.l / q.delta) / q.epsilon**2
@@ -58,7 +69,7 @@ def observable_budget(q):
             "hs_norm_sq below (5/9)^K: outside the regime the budget "
             "formula was derived for; the returned count may be loose",
             stacklevel=2)
-    return math.ceil(_observable_budget_value(q))
+    return _shot_count("observable budget", _observable_budget_value, q)
 
 
 def _purity_budget_value(q):
@@ -67,7 +78,7 @@ def _purity_budget_value(q):
 
 def purity_budget(q):
     """Shots sufficient to estimate L subsystem purities on <= K qubits."""
-    return math.ceil(_purity_budget_value(q))
+    return _shot_count("purity budget", _purity_budget_value, q)
 
 
 def linear_variance_bound(obs):

@@ -43,6 +43,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+def non_negative_int(text):
+    """The argparse type of --seed: an integer >= 0, as every derived
+    random stream requires."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def parse_state(spec, seed=0):
     """Resolve a state spec: a library name such as `ame5`, `ghz:3`,
     `rotated-ghz:4`, `cluster:++-+`, `product:0+1-`, `mixed:2`,
@@ -255,9 +264,10 @@ def _cmd_reconstruct(args):
 def _cmd_budget(args):
     q = BudgetQuery(k=args.k, l=args.l, epsilon=args.epsilon,
                     delta=args.delta, hs_norm_sq=args.hs_norm_sq)
+    row = budget_csv_row(q)  # a count outside float range writes nothing
     with _Sink(args.out) as sink:
         sink.line(BUDGET_CSV_HEADER)
-        sink.line(budget_csv_row(q))
+        sink.line(row)
     if args.out != "-":
         _write_manifest(args.out, args, [], [args.out], None)
     return EXIT_OK
@@ -454,7 +464,7 @@ def build_parser():
     sim.add_argument("--frame", choices=("standard", "rotated"),
                      default="standard")
     sim.add_argument("--shots", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=non_negative_int, default=0)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -498,7 +508,7 @@ def build_parser():
     gam = sub.add_parser("game",
                          help="cluster-state identification from single shots")
     gam.add_argument("--trials", type=int, default=1)
-    gam.add_argument("--seed", type=int, default=0)
+    gam.add_argument("--seed", type=non_negative_int, default=0)
     gam.add_argument("--gap-window", type=int, default=5)
     gam.add_argument("--shot-cap", type=int, default=10000)
     gam.add_argument("--frame", choices=("standard", "rotated"),
@@ -507,7 +517,7 @@ def build_parser():
     gam.set_defaults(func=_cmd_game)
 
     ver = sub.add_parser("verify", help="run the built-in oracle checks")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=non_negative_int, default=0)
     ver.set_defaults(func=_cmd_verify)
     return p
 

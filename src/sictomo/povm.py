@@ -123,10 +123,6 @@ class SicFrame:
         """The four POVM effects (1/2)|psi_i><psi_i|."""
         return self.projectors / 2
 
-    @property
-    def bloch_vectors(self):
-        return np.array([ket_to_bloch(k) for k in self.kets])
-
     def __repr__(self):
         return f"SicFrame({self.name!r})"
 

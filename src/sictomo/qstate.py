@@ -5,7 +5,6 @@ significant bit of the computational-basis index, so the basis ket
 |q0 q1 ... q_{N-1}> sits at index sum_k q_k * 2**(N-1-k).
 """
 
-import itertools
 import json
 import math
 from functools import reduce
@@ -18,13 +17,6 @@ TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
 EIG_ZERO = 1e-10  # eigenvalues below this magnitude count as zero
 PURITY_CLAMP = 1e-15  # floor before taking logs of exact purities
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _n_qubits_of_dim(dim):
@@ -52,10 +44,6 @@ class PureState:
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()),
                                check=False)
 
-    def overlap(self, other):
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 class DensityOperator:
     """An N-qubit density matrix: Hermitian, PSD (within 1e-10), trace one."""
@@ -78,10 +66,6 @@ class DensityOperator:
             lo = np.linalg.eigvalsh(mat)[0]
             if lo < -PSD_ATOL:
                 raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
 
 def qubit_subset(qubits, n_qubits):
@@ -154,15 +138,6 @@ class Bipartition:
         return f"Bipartition(n={self.n_qubits}, A={self.subset_a})"
 
 
-def tensor(a, b):
-    """Kronecker product of two states of the same kind."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes), check=False)
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(np.kron(a.matrix, b.matrix), check=False)
-    raise TypeError("tensor() requires two PureStates or two DensityOperators")
-
-
 def partial_trace(rho, keep):
     """Reduced state on the `keep` qubits, a qubit subset taken in sorted
     order."""
@@ -195,36 +170,6 @@ def partial_transpose(rho, part):
     for q in part.subset_a:
         axes[q], axes[q + n] = axes[q + n], axes[q]
     return t.transpose(axes).reshape(mat.shape)
-
-
-def pauli_string_matrix(letters):
-    """Tensor product of single-qubit Paulis, e.g. 'XIZ'."""
-    return reduce(np.kron, (PAULI[c] for c in letters))
-
-
-def pauli_decompose(a):
-    """Coefficients r(W) = tr(W A) over all Pauli strings.
-
-    Convention: A = sum_W r(W) * W / 2**N. Returns {string: real coeff}.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = _n_qubits_of_dim(a.shape[0])
-    if np.max(np.abs(a - a.conj().T)) > 1e-10:
-        raise ValueError("pauli_decompose expects a Hermitian matrix")
-    out = {}
-    for letters in itertools.product("IXYZ", repeat=n):
-        s = "".join(letters)
-        out[s] = float(np.trace(pauli_string_matrix(s) @ a).real)
-    return out
-
-
-def pauli_recompose(coeffs, n_qubits):
-    """Inverse of pauli_decompose under the stated convention."""
-    dim = 2**n_qubits
-    a = np.zeros((dim, dim), dtype=complex)
-    for s, r in coeffs.items():
-        a += r * pauli_string_matrix(s)
-    return a / dim
 
 
 def purity_exact(rho):
@@ -397,9 +342,21 @@ def state_to_json_dict(state, meta=None):
 
 
 def state_from_json_dict(d):
-    n = int(d["n_qubits"])
+    if not isinstance(d, dict):
+        raise ValueError("state must be a JSON object")
+    missing = {"n_qubits", "kind", "re", "im"} - set(d)
+    if missing:
+        raise ValueError(f"state missing keys: {sorted(missing)}")
+    n = d["n_qubits"]
+    if type(n) is not int or n < 1:  # not a subclass: JSON true is a bool
+        raise ValueError(f"state n_qubits must be a positive integer, not "
+                         f"{n!r}")
     kind = d["kind"]
-    arr = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
+    try:
+        arr = (np.array(d["re"], dtype=float)
+               + 1j * np.array(d["im"], dtype=float))
+    except TypeError:
+        raise ValueError("state re and im must be lists of numbers") from None
     if kind == "pure":
         if arr.size != 2**n:
             raise ValueError("amplitude length does not match n_qubits")

@@ -377,8 +377,7 @@ class OnlineEngine:
         self._renyi = [(part.label(), where[part.smaller_side])
                        for part in cfg.renyi_parts]
         self._histories = {}
-        self._buf = []
-        self._buf_count = 0
+        self._carry = np.empty((0, n), dtype=np.uint8)  # rows not yet reported
         self.shots_seen = 0
         self.converged = False
 
@@ -391,34 +390,20 @@ class OnlineEngine:
         if digits.ndim != 2 or digits.shape[1] != self.cfg.n_qubits:
             raise ValueError(f"records must be (m, {self.cfg.n_qubits}) "
                              "digit rows")
-        self._buf.append(digits)
-        self._buf_count += digits.shape[0]
-        out = []
-        while self._buf_count >= self.cfg.interval and not self.converged:
-            out.extend(self._process_interval(self._take(self.cfg.interval)))
-        if self.converged:
-            self._buf, self._buf_count = [], 0
+        rows = np.concatenate([self._carry, digits])
+        out, lo, step = [], 0, self.cfg.interval
+        while rows.shape[0] - lo >= step and not self.converged:
+            out.extend(self._process_interval(rows[lo:lo + step]))
+            lo += step
+        self._carry = rows[:0] if self.converged else rows[lo:]
         return out
 
     def finalize(self):
         """Flush a trailing partial interval (stream ended)."""
-        if self.converged or self._buf_count == 0:
+        rows, self._carry = self._carry, self._carry[:0]
+        if self.converged or rows.shape[0] == 0:
             return []
-        return self._process_interval(self._take(self._buf_count))
-
-    def _take(self, m):
-        parts, need = [], m
-        while need:
-            head = self._buf[0]
-            if head.shape[0] <= need:
-                parts.append(self._buf.pop(0))
-                need -= head.shape[0]
-            else:
-                parts.append(head[:need])
-                self._buf[0] = head[need:]
-                need = 0
-        self._buf_count -= m
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+        return self._process_interval(rows)
 
     def _process_interval(self, block):
         t0 = time.perf_counter()

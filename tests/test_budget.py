@@ -62,6 +62,21 @@ def test_observable_budget_warns_outside_regime():
         observable_budget(q)
 
 
+@pytest.mark.parametrize("budget, what, k, epsilon", [
+    (observable_budget, "observable budget", 395, 0.1),  # 3^k 2^k is inf
+    (observable_budget, "observable budget", 647, 0.1),  # 3.0**k raises
+    (purity_budget, "purity budget", 640, 0.1),  # the count is inf
+    (purity_budget, "purity budget", 647, 0.1),
+    (observable_budget, "observable budget", 1, 1e-160),  # 1 / eps^2 is inf
+    (purity_budget, "purity budget", 1, 1e-170),  # eps^2 is zero
+])
+def test_budget_refuses_count_outside_float_range(budget, what, k, epsilon):
+    with pytest.raises(ValueError, match=rf"^{what} for k={k}, l=1, "
+                       rf"epsilon={epsilon:g}, delta=0.1 is outside float "
+                       "range$"):
+        budget(BudgetQuery(k, 1, epsilon, 0.1))
+
+
 def test_budget_monotonicity_grid():
     base = dict(k=1, l=1, epsilon=0.1, delta=0.1)
     for fn in (observable_budget, purity_budget):

@@ -188,6 +188,41 @@ def test_simulate_bad_state(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, message", [
+    pytest.param("{}", "state missing keys: ['im', 'kind', 'n_qubits', 're']",
+                 id="empty"),
+    pytest.param("[1, 2]", "state must be a JSON object", id="list"),
+    pytest.param('{"n_qubits": 2, "kind": "pure", "re": [1, 0, 0, 0]}',
+                 "state missing keys: ['im']", id="no-im"),
+    pytest.param('{"n_qubits": 2.5, "kind": "pure", "re": [1, 0, 0, 0], '
+                 '"im": [0, 0, 0, 0]}',
+                 "state n_qubits must be a positive integer, not 2.5",
+                 id="float-n"),
+    pytest.param('{"n_qubits": true, "kind": "pure", "re": [1, 0], '
+                 '"im": [0, 0]}',
+                 "state n_qubits must be a positive integer, not True",
+                 id="bool-n"),
+    pytest.param('{"n_qubits": 2, "kind": "pure", "re": {"a": 1}, '
+                 '"im": [0, 0, 0, 0]}',
+                 "state re and im must be lists of numbers", id="re-object"),
+])
+@pytest.mark.parametrize("cmd", ["simulate", "estimate"])
+def test_malformed_state_file_is_invalid_input(body, message, cmd, tmp_path,
+                                               capsys):
+    state = tmp_path / "f.json"
+    state.write_text(body)
+    out = tmp_path / "out"
+    if cmd == "simulate":
+        argv = ["simulate", "--state", str(state), "--shots", "10"]
+    else:
+        argv = ["estimate", "--file", str(simulate(tmp_path, shots=200)),
+                "--fidelity", str(state)]
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == 3
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- estimate ----------------------------------------------------------------------
 
 
@@ -550,6 +585,11 @@ def test_budget_file_and_validation(tmp_path, capsys):
     assert (tmp_path / "b.csv.manifest.json").exists()
     assert run("budget", "--k", "1", "--epsilon", "2.0",
                "--delta", "0.1") == 3
+    assert run("budget", "--k", "647", "--epsilon", "0.1",
+               "--delta", "0.1") == 3
+    captured = capsys.readouterr()
+    assert "observable budget for k=647, " in captured.err
+    assert captured.out == ""
 
 
 # --- game -----------------------------------------------------------------------------
@@ -579,6 +619,20 @@ def test_game_refuses_empty_runs(flag, tmp_path, capsys):
 
 
 # --- verify ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--state", "ghz:2", "--shots", "10", "--out", "{out}"],
+    ["game", "--out", "{out}"],
+    ["verify"],
+], ids=["simulate", "game", "verify"])
+def test_negative_seed_is_invalid_input(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [str(out) if arg == "{out}" else arg for arg in argv]
+    assert run(*argv, "--seed", "-1") == 3
+    err = capsys.readouterr().err
+    assert "argument --seed: invalid non_negative_int value: '-1'" in err
+    assert not out.exists()
 
 
 def test_verify_all_checks_pass(capsys):

@@ -67,7 +67,7 @@ def test_frame_identities(name):
 
 @pytest.mark.parametrize("name", ["standard", "rotated"])
 def test_frame_bloch_tetrahedron(name):
-    vecs = sic_frame(name).bloch_vectors
+    vecs = np.array([ket_to_bloch(k) for k in sic_frame(name).kets])
     gram = vecs @ vecs.T
     np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-12)
     off = gram - np.diag(np.diag(gram))
@@ -105,7 +105,8 @@ def test_naimark_unitary(name):
 
 
 def test_bloch_ket_round_trip():
-    for v in sic_frame("rotated").bloch_vectors:
+    for k in sic_frame("rotated").kets:
+        v = ket_to_bloch(k)
         np.testing.assert_allclose(ket_to_bloch(bloch_to_ket(v)), v,
                                    atol=1e-12)
 

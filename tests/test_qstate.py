@@ -26,9 +26,6 @@ from sictomo.qstate import (
     p3_moment_exact,
     partial_trace,
     partial_transpose,
-    pauli_decompose,
-    pauli_recompose,
-    pauli_string_matrix,
     purity_exact,
     qubit_subset,
     random_density,
@@ -38,7 +35,6 @@ from sictomo.qstate import (
     state_from_json_dict,
     state_to_json_dict,
     subset_label,
-    tensor,
     trace_distance,
 )
 
@@ -147,7 +143,8 @@ def test_cluster_states_mutually_orthogonal():
     n = 4
     states = [make_linear_cluster(n, "".join(s))
               for s in itertools.product("+-", repeat=n)]
-    gram = np.array([[a.overlap(b) for b in states] for a in states])
+    gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in states]
+                     for a in states])
     np.testing.assert_allclose(gram, np.eye(16), atol=1e-12)
 
 
@@ -156,13 +153,6 @@ def test_cluster_signs_validation():
         make_linear_cluster(3, "++")
     with pytest.raises(ValueError):
         make_linear_cluster(2, "+0")
-
-
-def test_tensor():
-    a, b = make_product("0"), make_product("1")
-    np.testing.assert_allclose(tensor(a, b).amplitudes, [0, 1, 0, 0])
-    with pytest.raises(TypeError):
-        tensor(a, b.density())
 
 
 def test_random_density_properties(rng):
@@ -286,7 +276,7 @@ def test_bell_negativity_and_p3():
 def test_separable_state_passes_p3(rng):
     rho_a = random_density(1, rng)
     rho_b = random_density(1, rng)
-    rho = tensor(rho_a, rho_b)
+    rho = DensityOperator(np.kron(rho_a.matrix, rho_b.matrix), check=False)
     part = Bipartition(2, [0])
     assert negativity(rho, part) < 1e-12
     lhs, rhs = p3_moment_exact(rho, part)
@@ -319,28 +309,6 @@ def test_fidelity_pure(rng):
     assert abs(fidelity_pure(np.eye(4) / 4, psi) - 0.25) < 1e-12
     with pytest.raises(ValueError):
         fidelity_pure(np.eye(2) / 2, psi)
-
-
-def test_pauli_decompose_round_trip(rng):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    herm = (g + g.conj().T) / 2
-    coeffs = pauli_decompose(herm)
-    assert len(coeffs) == 16
-    np.testing.assert_allclose(pauli_recompose(coeffs, 2), herm, atol=1e-12)
-
-
-def test_pauli_decompose_identity():
-    coeffs = pauli_decompose(np.eye(2) / 2)
-    assert abs(coeffs["I"] - 1.0) < 1e-12
-    for s in "XYZ":
-        assert abs(coeffs[s]) < 1e-12
-    with pytest.raises(ValueError):
-        pauli_decompose(np.array([[0, 1], [0, 0]]))
-
-
-def test_pauli_string_matrix():
-    expected = np.kron(np.array([[0, 1], [1, 0]]), np.diag([1, -1]))
-    np.testing.assert_allclose(pauli_string_matrix("XZ"), expected)
 
 
 # --- bipartitions ------------------------------------------------------------
