@@ -39,8 +39,9 @@ class BudgetQuery:
             raise ValueError("epsilon must lie strictly in (0, 1)")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie strictly in (0, 1)")
-        if self.hs_norm_sq is not None and self.hs_norm_sq <= 0:
-            raise ValueError("hs_norm_sq must be positive")
+        if self.hs_norm_sq is not None and not self.hs_norm_sq > 0:
+            raise ValueError(
+                f"hs_norm_sq must be positive, not {self.hs_norm_sq!r}")
 
 
 def _shot_count(what, value, q):

@@ -199,7 +199,6 @@ def _cmd_estimate(args):
         fidelity_targets=fidelity_targets,
         purity_subsets=_parse_subsets(args.purity, n),
         renyi_parts=_parse_parts(args.renyi, n),
-        batch=args.batch,
         interval=args.interval,
         stopping=None if args.no_stopping else StoppingRule(
             window=args.window, tol=args.tol),
@@ -478,7 +477,6 @@ def build_parser():
     est.add_argument("--renyi", default="",
                      help="'all:K' for every bipartition with smaller side "
                           "<= K, or ';'-separated side-A subsets")
-    est.add_argument("--batch", type=int, default=1)
     est.add_argument("--interval", type=int, default=100)
     est.add_argument("--window", type=int, default=5)
     est.add_argument("--tol", type=float, default=0.01)

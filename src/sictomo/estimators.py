@@ -3,16 +3,17 @@
 Linear observables use a per-outcome-pattern lookup table. Purity is the
 pair U-statistic kept in streaming form through the exact identity
 sum_{m != m'} tr(s_m s_m') = tr(S^2) - Q, Q the running sum of tr(s^2). S is
-kept as its pattern histogram n, and tr(S^2) = n^T V n (see shadows), so a
-batch costs one histogram update whatever number of shots came before. One
-tracker keeps every subset of one size in one array, so a batch is ingested
-for all of them in one scatter-add, and a readout applies V once to the
-histograms. Its error is the delete-one-shot jackknife in closed form: every
-delete-one pair sum follows from u = V n alone, so the error costs no apply
-beyond the value's. The PPT moment p3 is the triple U-statistic in the same
-exact form: the sums over all triples, less those with a repeated shot, of
-the partially transposed shadow sum T and of the sum Q2 of squared shadows,
-both built from one N-qubit pattern histogram.
+kept as its pattern histogram n, tr(S^2) = n^T V n (see shadows) and
+Q = M 5^K, so a chunk of shots costs one histogram update whatever number of
+shots came before. One tracker keeps every subset of one size in one array,
+so a chunk is ingested for all of them in one scatter-add, and a readout
+applies V once to the histograms. Its error is the delete-one-shot
+jackknife in closed form: every delete-one pair sum follows from u = V n
+alone, so the error costs no apply beyond the value's. The PPT moment p3 is
+the triple U-statistic in the same exact form: the sums over all triples,
+less those with a repeated shot, of the partially transposed shadow sum T
+and of the sum Q2 of squared shadows, both built from one N-qubit pattern
+histogram.
 """
 
 import itertools
@@ -104,29 +105,23 @@ class PurityTracker:
     """Streaming pair U-statistics for tr(rho_K^2), one per qubit subset K.
 
     `subsets` is a list of S qubit subsets of one size K; they share one
-    shot-count histogram of shape (S, 4^K), checked against BYTES_CAP. Shots
-    arrive as digit rows, only through add_records; every `batch`
-    consecutive shots form one batched shadow (a trailing partial batch stays
-    pending). Besides the histogram the state is the batch count m_batches
-    and, per subset, the sum of tr(B^2) over batches. `subset` holds the
-    subsets qubit-major, shape (K, S): a chunk of records is gathered
-    through it, coded base 4 and scatter-added in one call. value() and
-    stderr() return one entry per subset and apply the pair trace V once
-    between them, whatever the number of shots.
+    shot-count histogram of shape (S, 4^K), checked against BYTES_CAP. That
+    histogram and the shot count `shots` are the whole state. Shots arrive
+    as digit rows, only through add_records. `subset` holds the subsets
+    qubit-major, shape (K, S): a chunk of records is gathered through it,
+    coded base 4 and scatter-added in one call. value() and stderr() return
+    one entry per subset and apply the pair trace V once between them,
+    whatever the number of shots. Every shot pairs with itself to exactly
+    5^K, so the pair sum over M shots is c^T V c - M 5^K.
 
-    stderr() is the delete-one-shot jackknife of the shot-level pair
-    statistic, in closed form. With c the shot-count histogram, u = V c and
-    r = u - 5^K, a shot of pattern j pairs with the other shots to a total
-    r_j, so deleting it leaves the pair sum P - 2 r_j, P = c^T r, and the
-    jackknife variance is 4 sum_j c_j (r_j - P/M)^2 / (M (M-1) (M-2)^2) over
-    M shots. For batch b > 1 the same form over the shots of complete
-    batches keeps the leading Hoeffding term 4 zeta_1 / M, which does not
-    depend on b.
+    stderr() is the delete-one-shot jackknife of the pair statistic, in
+    closed form. With c the shot-count histogram, u = V c and r = u - 5^K, a
+    shot of pattern j pairs with the other shots to a total r_j, so deleting
+    it leaves the pair sum P - 2 r_j, P = c^T r, and the jackknife variance
+    is 4 sum_j c_j (r_j - P/M)^2 / (M (M-1) (M-2)^2) over M shots.
     """
 
-    def __init__(self, n_qubits, subsets, frame, batch=1):
-        if batch < 1:
-            raise ValueError("batch size must be >= 1")
+    def __init__(self, n_qubits, subsets, frame):
         if not len(subsets) or any(np.ndim(s) != 1 for s in subsets):
             raise ValueError("subsets must be a non-empty list of qubit "
                              "index tuples")
@@ -134,15 +129,12 @@ class PurityTracker:
         if len({len(s) for s in self.subsets}) != 1:
             raise ValueError("all subsets of a purity tracker have one size")
         self.n_qubits = n_qubits
-        self.batch = int(batch)
         self.subset = np.array(self.subsets, dtype=np.intp).T
         self.frame = frame
         k, s = self.subset.shape
         self._hist = hist_zeros(
             (s, 4**k), f"purity tracker on {s} subset(s) of {k} qubits")
-        self.self_overlap_sum = np.zeros(s)
-        self.m_batches = 0
-        self._pending = np.empty((0, k, s), dtype=np.uint8)
+        self.shots = 0
         self._u = None
 
     # -- ingestion ---------------------------------------------------------
@@ -151,27 +143,11 @@ class PurityTracker:
         digits = np.asarray(digits)
         if digits.ndim != 2 or digits.shape[1] != self.n_qubits:
             raise ValueError("record length does not match tracker")
-        # gathered rows, shape (M, K, S); only complete batches are counted
-        rows = np.concatenate([self._pending,
-                               digits[:, self.subset].astype(np.uint8)])
-        b, n_new = self.batch, rows.shape[0] // self.batch
-        self._pending = rows[n_new * b:]
-        if n_new == 0:
-            return
-        rows = rows[:n_new * b]
         k, s = self.subset.shape
-        codes = np.einsum("mks,k->ms", rows, 4 ** np.arange(k - 1, -1, -1))
+        codes = np.einsum("mks,k->ms", digits[:, self.subset].astype(np.uint8),
+                          4 ** np.arange(k - 1, -1, -1))
         np.add.at(self._hist.reshape(-1), codes + np.arange(s) * 4**k, 1.0)
-        # tr(B^2): b^-2 times the exact integer sum of tr(s s') = 5^match
-        # (-1)^(K - match): b self-pairs of 5^K, every other pair twice
-        pair = 5.0 ** np.arange(k + 1) * (-1.0) ** np.arange(k, -1, -1)
-        rows = rows.reshape(n_new, b, k, s)
-        q = np.full(s, n_new * b * 5.0**k)
-        for r in range(b - 1):
-            match = (rows[:, r:r + 1] == rows[:, r + 1:]).sum(axis=2)
-            q += 2 * pair[match].sum(axis=(0, 1))
-        self.self_overlap_sum += q / b**2
-        self.m_batches += n_new
+        self.shots += digits.shape[0]
         self._u = None
 
     # -- readout -----------------------------------------------------------
@@ -184,25 +160,25 @@ class PurityTracker:
 
     def value(self):
         """Pair U-statistic per subset, shape (S,)."""
-        m = self.m_batches
+        m = self.shots
         if m < 2:
-            raise ValueError("purity estimate needs at least 2 batches")
+            raise ValueError("purity estimate needs at least 2 shots")
         tr2 = np.einsum("sc,sc->s", self._hist, self._pair_traced())
-        return (tr2 / self.batch**2 - self.self_overlap_sum) / (m * (m - 1))
+        return (tr2 - m * 5.0 ** self.subset.shape[0]) / (m * (m - 1))
 
     def stderr(self):
         """Closed-form delete-one-shot jackknife standard error per subset,
-        shape (S,); nan below 3 batches."""
-        if self.m_batches < 3:
+        shape (S,); nan below 3 shots."""
+        if self.shots < 3:
             return np.full(len(self.subsets), np.nan)
-        m = float(self.batch * self.m_batches)
+        m = float(self.shots)
         r = self._pair_traced() - 5.0 ** self.subset.shape[0]
         r_mean = np.einsum("sc,sc->s", self._hist, r)[:, None] / m
         var = np.einsum("sc,sc->s", self._hist, (r - r_mean) ** 2)
         return np.sqrt(4 * var / (m * (m - 1) * (m - 2) ** 2))
 
 
-def purity_trackers(n_qubits, subsets, frame, batch=1):
+def purity_trackers(n_qubits, subsets, frame):
     """PurityTrackers for `subsets`: one per subset size, split so that each
     tracker's histogram stays within BYTES_CAP (a subset that alone exceeds
     it is refused). A subset listed twice is tracked once. Returns the
@@ -216,15 +192,14 @@ def purity_trackers(n_qubits, subsets, frame, batch=1):
         for lo in range(0, len(group), per):
             for row, subset in enumerate(group[lo:lo + per]):
                 where[subset] = (len(trackers), row)
-            trackers.append(PurityTracker(n_qubits, group[lo:lo + per], frame,
-                                          batch=batch))
+            trackers.append(PurityTracker(n_qubits, group[lo:lo + per], frame))
     return trackers, where
 
 
-def estimate_purity(digits, subset, frame, batch=1):
+def estimate_purity(digits, subset, frame):
     """Pair U-statistic estimate of tr(rho_subset^2) from digit records."""
     digits = np.asarray(digits)
-    tracker = PurityTracker(digits.shape[1], [subset], frame, batch=batch)
+    tracker = PurityTracker(digits.shape[1], [subset], frame)
     tracker.add_records(digits)
     return float(tracker.value()[0])
 
@@ -238,10 +213,10 @@ def renyi2_stderr(purity, purity_stderr):
     return purity_stderr / (max(purity, RENYI_PURITY_FLOOR) * math.log(2))
 
 
-def estimate_renyi2(digits, part, frame, batch=1):
+def estimate_renyi2(digits, part, frame):
     """Renyi-2 entropy of a bipartition, marginalized to its smaller side."""
     return renyi2_from_purity(
-        estimate_purity(digits, part.smaller_side, frame, batch=batch))
+        estimate_purity(digits, part.smaller_side, frame))
 
 
 def estimate_p3(digits, part, frame):

@@ -64,8 +64,12 @@ class CapExceededError(ValueError):
 
 
 def cap_error(what, nbytes, limit):
-    """The refusal of `what`, which needs `nbytes` bytes, above `limit`."""
-    return CapExceededError(f"{what} needs {nbytes:,} bytes; capped at {limit}")
+    """The refusal of `what`, which needs `nbytes` bytes, above `limit`. A
+    count past 64 bits is stated as a power of ten: Python refuses to turn
+    an integer of more than 4300 digits into text."""
+    count = (f"{nbytes:,}" if nbytes < 2**64
+             else f"about 10^{math.log10(nbytes):.1f}")
+    return CapExceededError(f"{what} needs {count} bytes; capped at {limit}")
 
 
 def check_bytes(nbytes, what, cap=BYTES_CAP):

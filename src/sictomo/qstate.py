@@ -37,8 +37,8 @@ class PureState:
         self.amplitudes = amp
         if check:
             norm = np.vdot(amp, amp).real
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"state not normalized: |amp|^2 = {norm!r}")
+            if not abs(norm - 1.0) <= 1e-12:  # a nan fails it too
+                raise ValueError(f"state not normalized: |amp|^2 = {norm:.12g}")
 
     def density(self):
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()),
@@ -57,11 +57,12 @@ class DensityOperator:
         self.n_qubits = _n_qubits_of_dim(mat.shape[0])
         self.matrix = mat
         if check:
+            # each test is written so that a nan entry fails it
             herm = np.max(np.abs(mat - mat.conj().T))
-            if herm > HERM_ATOL:
+            if not herm <= HERM_ATOL:
                 raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
             tr = mat.trace()
-            if abs(tr - 1.0) > TRACE_ATOL:
+            if not abs(tr - 1.0) <= TRACE_ATOL:
                 raise ValueError(f"trace is {tr!r}, expected 1")
             lo = np.linalg.eigvalsh(mat)[0]
             if lo < -PSD_ATOL:
@@ -254,6 +255,8 @@ def make_rotated_ghz(n, angle=math.pi / 4):
     qubit, so the state is aligned with no tomography basis. The rotation
     acts on one tensor axis of the amplitudes at a time, never as a dense
     2^n x 2^n matrix."""
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, not {angle!r}")
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     ry = np.array([[c, -s], [s, c]], dtype=complex)
     amp = make_ghz(n).amplitudes.reshape((2,) * n)

@@ -70,6 +70,8 @@ class ShotFileHeader:
             raise ValueError("povm must be 'sic' or 'pauli'")
         if self.frame not in ("standard", "rotated"):
             raise ValueError("frame must be 'standard' or 'rotated'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.batch < 1:
             raise ValueError("batch hint must be >= 1")
 
@@ -116,9 +118,14 @@ _RECORDS = {
 def _layout(povm, n):
     """Code tables of an N-qubit record line, one row per column, newline
     included: encode[j, code] is the byte of a symbol code in column j, and
-    decode[j, byte] its code, or 255 for a byte outside that alphabet."""
+    decode[j, byte] its code, or 255 for a byte outside that alphabet. The
+    tables grow with N, which a header states, so they are checked against
+    the byte cap before they are made."""
+    runs = _RECORDS[povm][1]
+    check_bytes(len(runs) * (n + 1) * (4 + 256),
+                f"{povm} record tables for {n} qubits")
     columns = []
-    for alphabet, _ in _RECORDS[povm][1]:
+    for alphabet, _ in runs:
         columns += [alphabet] * n + [" "]
     columns[-1] = "\n"
     encode = np.zeros((len(columns), 4), dtype=np.uint8)
@@ -299,13 +306,12 @@ class TrackerConfig:
     observables: list = field(default_factory=list)       # ObservableSpec
     purity_subsets: list = field(default_factory=list)    # qubit subsets
     renyi_parts: list = field(default_factory=list)       # Bipartition
-    batch: int = 1
     interval: int = DEFAULT_INTERVAL
     stopping: StoppingRule = None
 
     def __post_init__(self):
-        if self.batch < 1 or self.interval < 1:
-            raise ValueError("batch and interval must be >= 1")
+        if self.interval < 1:
+            raise ValueError("interval must be >= 1")
         if not (self.fidelity_targets or self.observables
                 or self.purity_subsets or self.renyi_parts):
             raise ValueError("at least one tracked quantity is required")
@@ -371,7 +377,7 @@ class OnlineEngine:
                 observable_lut(obs, frame)))
         sides = [part.smaller_side for part in cfg.renyi_parts]
         self._trackers, where = purity_trackers(
-            n, [*cfg.purity_subsets, *sides], frame, batch=cfg.batch)
+            n, [*cfg.purity_subsets, *sides], frame)
         self._purity = [(subset_label(subset), where[subset])
                         for subset in cfg.purity_subsets]
         self._renyi = [(part.label(), where[part.smaller_side])

@@ -30,7 +30,8 @@ FRAME = sic_frame("standard")
 
 def test_budget_query_validation():
     for bad in (dict(k=0), dict(l=0), dict(epsilon=0.0), dict(epsilon=1.0),
-                dict(delta=0.0), dict(delta=1.0), dict(hs_norm_sq=0.0)):
+                dict(delta=0.0), dict(delta=1.0), dict(hs_norm_sq=0.0),
+                dict(hs_norm_sq=math.nan)):
         kwargs = dict(k=1, l=1, epsilon=0.1, delta=0.1)
         kwargs.update(bad)
         with pytest.raises(ValueError):

@@ -120,7 +120,9 @@ def test_simulate_writes_batch_one(tmp_path):
      "unrecognized arguments: --mode pershot"),
     (("simulate", "--state", "ghz:2", "--shots", "10", "--batch", "4"),
      "unrecognized arguments: --batch 4"),
-], ids=["bench", "mode", "batch"])
+    (("estimate", "--file", "shots.sic", "--purity", "full", "--batch", "4"),
+     "unrecognized arguments: --batch 4"),
+], ids=["bench", "mode", "batch", "estimate-batch"])
 def test_removed_cli_surface_is_usage_error(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 3
@@ -181,6 +183,16 @@ def test_simulate_pauli_refuses_no_shots(shots, tmp_path, capsys):
     assert not (tmp_path / "p.pauli.manifest.json").exists()
 
 
+@pytest.mark.parametrize("angle", ["inf", "nan"])
+def test_rotated_ghz_angle_must_be_finite(angle, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run("simulate", "--state", f"rotated-ghz:3:{angle}", "--shots",
+               "5", "--out", str(out)) == 3
+    assert (f"error: rotation angle must be finite, not {angle}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_simulate_bad_state(tmp_path, capsys):
     out = tmp_path / "x"
     assert run("simulate", "--state", "nope:1", "--shots", "5",
@@ -205,6 +217,12 @@ def test_simulate_bad_state(tmp_path, capsys):
     pytest.param('{"n_qubits": 2, "kind": "pure", "re": {"a": 1}, '
                  '"im": [0, 0, 0, 0]}',
                  "state re and im must be lists of numbers", id="re-object"),
+    pytest.param('{"n_qubits": 1, "kind": "pure", "re": [NaN, 0], '
+                 '"im": [0, 0]}',
+                 "state not normalized: |amp|^2 = nan", id="nan-pure"),
+    pytest.param('{"n_qubits": 1, "kind": "mixed", "re": [NaN, 0, 0, 0], '
+                 '"im": [0, 0, 0, 0]}',
+                 "not Hermitian: max deviation nan", id="nan-mixed"),
 ])
 @pytest.mark.parametrize("cmd", ["simulate", "estimate"])
 def test_malformed_state_file_is_invalid_input(body, message, cmd, tmp_path,
@@ -259,14 +277,17 @@ def test_estimate_jsonl(tmp_path):
     shots = simulate(tmp_path, shots=250, seed=3)
     out = tmp_path / "r.jsonl"
     code = run("estimate", "--file", str(shots), "--purity", "full",
-               "--renyi", "all:1", "--batch", "200", "--no-stopping",
+               "--renyi", "all:1", "--interval", "1", "--no-stopping",
                "--format", "jsonl", "--out", str(out))
     assert code == 2
     rows = [json.loads(line) for line in out.read_text().strip().split("\n")]
     assert all(row["method"] == "shadows" for row in rows)
-    # with batch 200 the first interval has no complete pair: value is null
-    first_purity = [r for r in rows if r["quantity"] == "purity"][0]
-    assert first_purity["value"] is None
+    # one shot has no pair: value and stderr are null; two have a value,
+    # but the jackknife needs three
+    purity = [r for r in rows if r["quantity"] == "purity"]
+    assert purity[0]["value"] is None and purity[0]["stderr"] is None
+    assert purity[1]["value"] is not None and purity[1]["stderr"] is None
+    assert None not in (purity[2]["value"], purity[2]["stderr"])
 
 
 def test_estimate_rejects_pauli_file(tmp_path, capsys):
@@ -325,6 +346,21 @@ def test_header_integers_refused(key, value, argv, tmp_path, capsys):
     assert (f"line 2: header {key} must be an integer"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("reconstruct", "--method", "lininv"),
+    ("estimate", "--fidelity", "random-pure:2")])
+def test_header_negative_seed_refused(argv, tmp_path, capsys):
+    header = {"n_qubits": 2, "povm": "sic", "frame": "standard", "seed": -3,
+              "batch": 1}
+    path = tmp_path / "shots.sic"
+    path.write_text("#TOMO v1\n" + json.dumps(header) + "\n01\n23\n")
+    out = tmp_path / "out"
+    assert run(*argv, "--file", str(path), "--out", str(out)) == 3
+    assert "line 2: seed must be >= 0, not -3" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -467,6 +503,12 @@ def _zeros_file(path, n, povm="sic"):
     return str(path)
 
 
+def _claim_file(path, n):
+    """A shot file with no records whose header claims n qubits."""
+    path.write_text(f"#TOMO v1\n{ShotFileHeader(n_qubits=n).to_json()}\n")
+    return str(path)
+
+
 # every refusal exits 4 with its byte estimate, before any output is written
 @pytest.mark.parametrize("case", [
     lambda d: ("estimate", "--file", _zeros_file(d / "x.sic", 12),
@@ -482,7 +524,15 @@ def _zeros_file(path, n, povm="sic"):
     lambda d: ("simulate", "--state", "ghz:40", "--shots", "10"),
     lambda d: ("simulate", "--state", "mixed:20", "--shots", "10"),
     lambda d: ("simulate", "--state", "ghz:16", "--shots", "4096"),
-], ids=["purity", "lut", "superoperator", "pauli-superoperator", "mle", "pure-state", "mixed-state", "pershot-sampler"])
+    # past 4300 digits Python refuses to print the byte count in full
+    lambda d: ("simulate", "--state", "ghz:20000", "--shots", "10"),
+    lambda d: ("simulate", "--state", "mixed:8000", "--shots", "10"),
+    # the record tables grow with the header's claim, before any record
+    lambda d: ("estimate", "--file", _claim_file(d / "x.sic", 300000),
+               "--purity", "0"),
+], ids=["purity", "lut", "superoperator", "pauli-superoperator", "mle",
+        "pure-state", "mixed-state", "pershot-sampler", "huge-pure-state",
+        "huge-mixed-state", "record-tables"])
 def test_every_cli_refusal_states_bytes(case, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(*case(tmp_path), "--out", str(out)) == 4

@@ -1,10 +1,10 @@
 """Site-factorized code against the dense per-shot and per-outcome algorithms.
 
 The shadow references build every shadow with shadow_expand: the purity
-tracker's value as one dense 2^K x 2^K running sum of batched shadows, its
-stderr as the brute-force delete-one-shot jackknife that recomputes every
-delete-one value from the dense sum of the other shots, and the lookup table
-and shadow sum as traces and sums of the pattern matrices.
+tracker's value as one dense 2^K x 2^K running sum of shadows, its stderr as
+the brute-force delete-one-shot jackknife that recomputes every delete-one
+value from the dense sum of the other shots, and the lookup table and shadow
+sum as traces and sums of the pattern matrices.
 
 The reconstruction references build the frame superoperator densely, one
 Kronecker chain per outcome. Both frames index outcomes by site pattern:
@@ -23,10 +23,9 @@ with one projector stack per setting letter.
 
 The stacked purity tracker, which keeps every subset of one size in one
 array, is held to 1e-10 against a restatement of the per-subset tracker it
-replaced, with the same brute-force delete-one-shot jackknife as its stderr,
-at batch 1 and 3; so is the online engine's row order. Its self-overlap sum,
-which takes the self-pairs in closed form, must equal the sum over every
-ordered pair of a batch's shots exactly, at batch 1, 3 and 4.
+replaced, with the same brute-force delete-one-shot jackknife as its stderr;
+so is the online engine's row order. The tracker takes the self-pairs in
+closed form, M 5^K; both references sum tr(s^2) shot by shot.
 
 The per-shot sampler references keep one conditional state per shot; the
 samplers that keep one per distinct outcome prefix must draw the same digits.
@@ -82,17 +81,16 @@ def ghz_shots(n_shots, seed, n_qubits=7):
                             derive_rng(seed, "sic-shots"))
 
 
-def reference_slots(digits, subset, batch):
-    """Dense sum S of the batched shadows, the sum q of their tr(B^2) and the
-    batch count m; a trailing partial batch is left out."""
+def reference_slots(digits, subset):
+    """Dense sum S of the shadows, the sum q of their tr(s^2) and the shot
+    count m."""
     dim = 2 ** len(subset)
-    s, q, m = np.zeros((dim, dim), dtype=complex), 0.0, len(digits) // batch
-    for j in range(m):
-        rows = digits[j * batch:(j + 1) * batch]
-        mat = sum(shadow_expand(row, subset, FRAME) for row in rows) / batch
+    s, q = np.zeros((dim, dim), dtype=complex), 0.0
+    for row in digits:
+        mat = shadow_expand(row, subset, FRAME)
         s += mat
         q += np.trace(mat @ mat).real
-    return s, q, m
+    return s, q, len(digits)
 
 
 def reference_value(slots):
@@ -105,13 +103,12 @@ def dense_shadow(row):
     return shadow_expand(row, range(len(row)), FRAME)
 
 
-def reference_jackknife(digits, subset, batch):
-    """Brute-force delete-one-shot jackknife stderr of the pair statistic
-    over the shots of complete batches: every delete-one value is
-    recomputed from the dense sum of the other shots' shadows and their
-    tr(s^2)."""
-    m = len(digits) // batch * batch
-    rows, inv = np.unique(digits[:m, list(subset)], axis=0,
+def reference_jackknife(digits, subset):
+    """Brute-force delete-one-shot jackknife stderr of the pair statistic:
+    every delete-one value is recomputed from the dense sum of the other
+    shots' shadows and their tr(s^2)."""
+    m = len(digits)
+    rows, inv = np.unique(digits[:, list(subset)], axis=0,
                           return_inverse=True)
     mats = np.array([dense_shadow(tuple(r)) for r in rows])[inv.ravel()]
     total = mats.sum(axis=0)
@@ -125,95 +122,49 @@ def reference_jackknife(digits, subset, batch):
     return math.sqrt((m - 1) / m * ((vals - vals.mean()) ** 2).sum())
 
 
-@pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("k", sorted(SUBSETS))
-def test_purity_tracker_matches_slot_matrices(k, batch):
-    # 361 shots: one record stays pending at batch 3
+def test_purity_tracker_matches_slot_matrices(k):
     digits = ghz_shots(361, seed=k)
-    tracker = PurityTracker(7, [SUBSETS[k]], FRAME, batch=batch)
+    tracker = PurityTracker(7, [SUBSETS[k]], FRAME)
     for chunk in np.array_split(digits, 7):
         tracker.add_records(chunk)
-    slots = reference_slots(digits, SUBSETS[k], batch)
+    slots = reference_slots(digits, SUBSETS[k])
     assert abs(tracker.value()[0] - reference_value(slots)) < TOL
     assert abs(tracker.stderr()[0]
-               - reference_jackknife(digits, SUBSETS[k], batch)) < TOL
-    assert tracker.m_batches == slots[2]
-    assert abs(tracker.self_overlap_sum[0] - slots[1]) < TOL * slots[1]
-
-
-def reference_self_overlap(chunks, subsets, batch):
-    """Sum of tr(B^2) over the complete batches, as the tracker summed it
-    before the self-pairs were taken in closed form: every ordered pair of a
-    batch's shots, self-pairs included, per add_records call."""
-    subset = np.array(subsets, dtype=np.intp).T
-    k, s = subset.shape
-    pair = 5.0 ** np.arange(k + 1) * (-1.0) ** np.arange(k, -1, -1)
-    pending, total = np.empty((0, k, s), dtype=np.uint8), np.zeros(s)
-    for chunk in chunks:
-        rows = np.concatenate([pending, chunk[:, subset].astype(np.uint8)])
-        n_new = rows.shape[0] // batch
-        pending = rows[n_new * batch:]
-        if n_new == 0:
-            continue
-        rows = rows[:n_new * batch].reshape(n_new, batch, k, s)
-        q = np.zeros((n_new, s))
-        for r in range(batch):
-            q += pair[(rows[:, r:r + 1] == rows).sum(axis=2)].sum(axis=1)
-        total += q.sum(axis=0) / batch**2
-    return total
-
-
-@pytest.mark.parametrize("batch", [1, 3, 4])
-@pytest.mark.parametrize("k", sorted(SUBSETS))
-def test_self_overlap_sum_matches_all_pairs(k, batch):
-    # the terms are integers below 2^53, so both sums are exact
-    subsets = spread_subsets(k, 5)
-    chunks = np.split(ghz_shots(361, seed=70 + k), [1, 2, 52, 103, 260])
-    tracker = PurityTracker(7, subsets, FRAME, batch=batch)
-    for chunk in chunks:
-        tracker.add_records(chunk)
-    assert (tracker.self_overlap_sum
-            == reference_self_overlap(chunks, subsets, batch)).all()
+               - reference_jackknife(digits, SUBSETS[k])) < TOL
+    assert tracker.shots == slots[2]
 
 
 class PerSubsetTracker:
     """One subset's pair statistic, as the tracker kept it before subsets
-    were stacked: a pattern histogram of batched shots (weighted 1/batch),
-    a self-overlap sum and a batch count. The stderr is the brute-force
-    delete-one-shot jackknife over every record seen."""
+    were stacked: a pattern histogram of shots, a self-overlap sum and a
+    shot count. The stderr is the brute-force delete-one-shot jackknife over
+    every record seen."""
 
-    def __init__(self, subset, batch):
-        self.subset, self.batch = tuple(subset), batch
+    def __init__(self, subset):
+        self.subset = tuple(subset)
         self.hist = np.zeros(4 ** len(subset))
-        self.q, self.m = 0.0, 0
-        self.pending = np.empty((0, len(subset)), dtype=np.uint8)
+        self.q = 0.0
         self.seen = np.empty((0, len(subset)), dtype=np.uint8)
 
     def add_records(self, digits):
-        rows = np.concatenate([self.pending, digits[:, list(self.subset)]])
-        self.seen = np.concatenate([self.seen, digits[:, list(self.subset)]])
-        b, k = self.batch, len(self.subset)
-        n_new = len(rows) // b
-        self.pending = rows[n_new * b:]
-        for j in range(n_new):
-            shots = rows[j * b:(j + 1) * b]
-            codes = pattern_codes(shots, range(k))
-            self.hist += np.bincount(codes, minlength=4**k) / b
-            self.q += sum(pair_trace(x, y) for x in shots
-                          for y in shots) / b**2
-        self.m += n_new
+        shots = digits[:, list(self.subset)]
+        self.seen = np.concatenate([self.seen, shots])
+        codes = pattern_codes(shots, range(len(self.subset)))
+        self.hist += np.bincount(codes, minlength=4 ** len(self.subset))
+        self.q += sum(pair_trace(x, x) for x in shots)
 
     def value(self):
-        if self.m < 2:
+        m = len(self.seen)
+        if m < 2:
             return float("nan")
         n = self.hist
-        return (n @ apply_pair_trace(n) - self.q) / (self.m * (self.m - 1))
+        return (n @ apply_pair_trace(n) - self.q) / (m * (m - 1))
 
     def stderr(self):
-        if self.m < 3:
+        if len(self.seen) < 3:
             return float("nan")
-        return reference_jackknife(self.seen, range(len(self.subset)),
-                                   self.batch)
+        return reference_jackknife(self.seen, range(len(self.subset)))
 
 
 def spread_subsets(k, count, n_qubits=7):
@@ -222,22 +173,21 @@ def spread_subsets(k, count, n_qubits=7):
 
 
 def assert_matches_per_subset(stacked, refs):
-    if stacked.m_batches >= 2:
+    if stacked.shots >= 2:
         np.testing.assert_allclose(stacked.value(),
                                    [r.value() for r in refs], rtol=0, atol=TOL)
     np.testing.assert_allclose(stacked.stderr(), [r.stderr() for r in refs],
                                rtol=0, atol=TOL)
 
 
-@pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("count", [1, 5])
 @pytest.mark.parametrize("k", sorted(SUBSETS))
-def test_stacked_tracker_matches_per_subset_trackers(k, count, batch):
+def test_stacked_tracker_matches_per_subset_trackers(k, count):
     subsets = spread_subsets(k, count)
     digits = ghz_shots(361, seed=30 + k)
-    stacked = PurityTracker(7, subsets, FRAME, batch=batch)
-    refs = [PerSubsetTracker(s, batch) for s in subsets]
-    # ragged chunks; at batch 3 records stay pending between them
+    stacked = PurityTracker(7, subsets, FRAME)
+    refs = [PerSubsetTracker(s) for s in subsets]
+    # ragged chunks, the first two of one record each
     for chunk in np.split(digits, [1, 2, 52, 103, 260]):
         stacked.add_records(chunk)
         for r in refs:
@@ -258,7 +208,7 @@ def test_engine_rows_match_per_subset_trackers():
         got.extend(engine.feed(chunk))
     got.extend(engine.finalize())
 
-    refs = {s: PerSubsetTracker(s, 1)
+    refs = {s: PerSubsetTracker(s)
             for s in [(0, 1, 2, 3, 4, 5)] + [p.smaller_side for p in parts]}
     want = []
     for lo in range(0, len(digits), 500):

@@ -159,27 +159,10 @@ def test_purity_tracker_chunked_ingestion_invariant(rng):
     for chunk in np.array_split(digits, 9):
         pieces.add_records(chunk)
     assert abs(whole.value()[0] - pieces.value()[0]) < 1e-12
-    assert whole.m_batches == pieces.m_batches == 50
-
-
-def test_purity_tracker_batched_matches_manual(rng):
-    digits = rng.integers(0, 4, size=(11, 2)).astype(np.uint8)
-    tracker = PurityTracker(2, [(0, 1)], FRAME, batch=3)
-    tracker.add_records(digits)
-    assert tracker.m_batches == 3  # two records stay pending
-    mats = [sum(shadow_expand(row, (0, 1), FRAME) for row in digits[lo:lo + 3])
-            / 3 for lo in range(0, 9, 3)]
-    total = sum(np.trace(a @ b).real
-                for a, b in itertools.permutations(mats, 2))
-    assert abs(tracker.value()[0] - total / 6) < 1e-9
-    # the pending records complete a batch once one more arrives
-    tracker.add_records(digits[:1])
-    assert tracker.m_batches == 4
+    assert whole.shots == pieces.shots == 50
 
 
 def test_purity_tracker_validation(rng):
-    with pytest.raises(ValueError):
-        PurityTracker(2, [(0, 1)], FRAME, batch=0)
     with pytest.raises(ValueError):
         PurityTracker(2, (0, 1), FRAME)  # a flat tuple, not two subsets
     with pytest.raises(ValueError):
@@ -187,7 +170,7 @@ def test_purity_tracker_validation(rng):
     t = PurityTracker(2, [(0, 1)], FRAME)
     t.add_records(np.zeros((1, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
-        t.value()  # one batch is not enough for a pair statistic
+        t.value()  # one shot is not enough for a pair statistic
     assert math.isnan(t.stderr()[0])
     with pytest.raises(ValueError):
         t.add_records(np.zeros((1, 3), dtype=np.uint8))
@@ -239,7 +222,7 @@ def test_purity_tracker_state_does_not_grow_with_outcomes():
     tracker.add_records(digits[1000:])
     assert state_bytes() == after_1k
     assert tracker._hist.nbytes == 8 * 2 * 4**7  # 8 bytes x S x 4^K
-    assert tracker.m_batches == 4000
+    assert tracker.shots == 4000
 
 
 def test_purity_tracker_byte_cap():
@@ -271,7 +254,6 @@ def _mixed(n):
     return DensityOperator(np.eye(2**n) / 2**n, check=False)
 
 
-@pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("name,rho,keep", [
     ("mixed qubit", _mixed(1), (0,)),
     ("mixed pair", _mixed(2), (0, 1)),
@@ -279,7 +261,7 @@ def _mixed(n):
     ("GHZ-3 full", make_ghz(3).density(), (0, 1, 2)),
     ("AME(5) pair", make_ame5().density(), (0, 1)),
 ])
-def test_purity_stderr_coverage(name, rho, keep, batch):
+def test_purity_stderr_coverage(name, rho, keep):
     """Share of 300 seeded runs of 2000 shots whose value lies within two
     reported stderrs of the exact purity. The degenerate marginals (the
     maximally mixed ones, AME(5)'s pair) have no first-order term, so the
@@ -289,13 +271,12 @@ def test_purity_stderr_coverage(name, rho, keep, batch):
     k, runs, shots = len(keep), 300, 2000
     marginal = partial_trace(rho, keep) if k < rho.n_qubits else rho
     probs = sic_outcome_distribution(marginal, FRAME)
-    rng = np.random.default_rng([batch, *name.encode()])
+    rng = np.random.default_rng([1, *name.encode()])
     codes = rng.choice(4**k, size=(shots, runs), p=probs / probs.sum())
     # run r reads qubits r K .. r K + K - 1 of one wide record
     digits = digits_from_indices(codes.ravel(), k).reshape(shots, runs * k)
     tracker = PurityTracker(runs * k, [range(r * k, r * k + k)
-                                       for r in range(runs)], FRAME,
-                            batch=batch)
+                                       for r in range(runs)], FRAME)
     tracker.add_records(digits)
     z = (tracker.value() - purity_exact(marginal)) / tracker.stderr()
     assert 0.90 <= np.mean(np.abs(z) < 2) <= 0.995, name

@@ -396,16 +396,15 @@ def test_online_chunking_invariance(rng):
             math.isnan(a.value) and math.isnan(b.value))
 
 
-def test_online_purity_nan_until_two_batches(rng):
-    digits = rng.integers(0, 4, size=(400, 1)).astype(np.uint8)
-    cfg = TrackerConfig(n_qubits=1, purity_subsets=[(0,)], batch=200,
-                        interval=100)
+def test_online_purity_nan_until_two_shots(rng):
+    digits = rng.integers(0, 4, size=(3, 1)).astype(np.uint8)
+    cfg = TrackerConfig(n_qubits=1, purity_subsets=[(0,)], interval=1)
     engine = OnlineEngine(cfg, FRAME)
-    rows = engine.feed(digits)
-    by_shots = {r.shots: r for r in rows}
-    assert math.isnan(by_shots[100].value)  # not even one full batch yet
-    assert math.isnan(by_shots[300].value)  # one batch: pairs undefined
-    assert math.isfinite(by_shots[400].value)
+    by_shots = {r.shots: r for r in engine.feed(digits)}
+    assert math.isnan(by_shots[1].value)  # one shot: pairs undefined
+    assert math.isfinite(by_shots[2].value)
+    assert math.isnan(by_shots[2].stderr)  # the jackknife needs three
+    assert math.isfinite(by_shots[3].stderr)
 
 
 @pytest.mark.parametrize("window", [None, 4])
