@@ -157,8 +157,8 @@ def variance_decomposition_check(rho, m, frame, reps=None, seed=0):
     if m < 2:
         raise ValueError("need at least 2 shots for the pair estimator")
     from .estimators import ObservableSpec
-    var1 = exact_linear_variance(
-        rho, ObservableSpec(range(n), rho.matrix, "state-overlap"), frame)
+    var1 = exact_linear_variance(rho, ObservableSpec(range(n), rho.matrix),
+                                 frame)
     var2 = exact_quadratic_variance(rho, frame)
     rhs = (4 * (m - 2) / (m * (m - 1))) * var1 + (2 / (m * (m - 1))) * var2
 

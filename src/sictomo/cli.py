@@ -395,7 +395,7 @@ def _verify_checks(seed):
                         for i in range(len(mats))])
         want = math.sqrt((len(loo) - 1) / len(loo)
                          * ((loo - loo.mean()) ** 2).sum())
-        tracker = PurityTracker(2, [(0, 1)], frame)
+        tracker = PurityTracker(2, [(0, 1)])
         tracker.add_records(digits)
         assert abs(tracker.value()[0] - pair_statistic(mats)) <= 1e-10
         assert abs(tracker.stderr()[0] - want) <= 1e-10

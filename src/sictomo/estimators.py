@@ -24,7 +24,7 @@ from operator import index
 import numpy as np
 
 from .povm import BYTES_CAP, check_bytes, frame_sums
-from .qstate import Bipartition, partial_transpose, qubit_subset, subset_label
+from .qstate import Bipartition, partial_transpose, qubit_subset
 from .shadows import (apply_pair_trace, hist_zeros, pattern_codes, shadow_lut,
                       shadow_matrices, shadow_sum)
 
@@ -41,9 +41,9 @@ class ObservableSpec:
     checked where records are read.
     """
 
-    __slots__ = ("support", "operator", "label")
+    __slots__ = ("support", "operator")
 
-    def __init__(self, support, operator, label=None):
+    def __init__(self, support, operator):
         self.support = tuple(index(q) for q in support)
         qubit_subset(self.support, math.inf)
         operator = np.asarray(operator, dtype=complex)
@@ -53,8 +53,6 @@ class ObservableSpec:
         if not np.allclose(operator, operator.conj().T, atol=1e-12):
             raise ValueError("observable must be Hermitian within 1e-12")
         self.operator = operator
-        self.label = label if label is not None else (
-            "obs:" + subset_label(self.support))
 
     def hs_norm_sq(self):
         return float(np.einsum("ij,ji->", self.operator, self.operator).real)
@@ -121,7 +119,7 @@ class PurityTracker:
     is 4 sum_j c_j (r_j - P/M)^2 / (M (M-1) (M-2)^2) over M shots.
     """
 
-    def __init__(self, n_qubits, subsets, frame):
+    def __init__(self, n_qubits, subsets):
         if not len(subsets) or any(np.ndim(s) != 1 for s in subsets):
             raise ValueError("subsets must be a non-empty list of qubit "
                              "index tuples")
@@ -130,7 +128,6 @@ class PurityTracker:
             raise ValueError("all subsets of a purity tracker have one size")
         self.n_qubits = n_qubits
         self.subset = np.array(self.subsets, dtype=np.intp).T
-        self.frame = frame
         k, s = self.subset.shape
         self._hist = hist_zeros(
             (s, 4**k), f"purity tracker on {s} subset(s) of {k} qubits")
@@ -178,7 +175,7 @@ class PurityTracker:
         return np.sqrt(4 * var / (m * (m - 1) * (m - 2) ** 2))
 
 
-def purity_trackers(n_qubits, subsets, frame):
+def purity_trackers(n_qubits, subsets):
     """PurityTrackers for `subsets`: one per subset size, split so that each
     tracker's histogram stays within BYTES_CAP (a subset that alone exceeds
     it is refused). A subset listed twice is tracked once. Returns the
@@ -192,14 +189,16 @@ def purity_trackers(n_qubits, subsets, frame):
         for lo in range(0, len(group), per):
             for row, subset in enumerate(group[lo:lo + per]):
                 where[subset] = (len(trackers), row)
-            trackers.append(PurityTracker(n_qubits, group[lo:lo + per], frame))
+            trackers.append(PurityTracker(n_qubits, group[lo:lo + per]))
     return trackers, where
 
 
 def estimate_purity(digits, subset, frame):
-    """Pair U-statistic estimate of tr(rho_subset^2) from digit records."""
+    """Pair U-statistic estimate of tr(rho_subset^2) from digit records. The
+    pair trace is the same for every SIC frame, so `frame` does not change
+    the value."""
     digits = np.asarray(digits)
-    tracker = PurityTracker(digits.shape[1], [subset], frame)
+    tracker = PurityTracker(digits.shape[1], [subset])
     tracker.add_records(digits)
     return float(tracker.value()[0])
 

@@ -207,16 +207,16 @@ def sic_outcome_distribution(state, frame):
     """Pr[i1..iN | rho] = 2^-N <psi_i1...psi_iN| rho |psi_i1...psi_iN>.
 
     Returns a length 4^N vector indexed with qubit 0 as the most significant
-    base-4 digit. Tiny negative entries from roundoff are clamped to 0.
+    base-4 digit. A density matrix's tiny negative entries from roundoff are
+    clamped to 0; a ket's entries are squared moduli, never negative.
     """
     amp, n = getattr(state, "amplitudes", None), state.n_qubits
     if n > DIST_CAP:
         raise cap_error(f"outcome distribution over 4^{n} outcomes",
                         8 * 4**n, f"{DIST_CAP} qubits")
     if amp is not None:
-        probs = _ket_probs(amp, [frame.kets.conj() / math.sqrt(2)] * n)
-    else:
-        probs = frame_traces(state.matrix, frame.effects).real
+        return _ket_probs(amp, [frame.kets.conj() / math.sqrt(2)] * n)
+    probs = frame_traces(state.matrix, frame.effects).real
     return np.where(probs < 0, 0.0, probs)
 
 
@@ -240,11 +240,10 @@ def pauli_outcome_distribution(state, setting):
     if any(ch not in "XYZ" for ch in setting):
         raise ValueError("setting letters must be X, Y or Z")
     if amp is not None:
-        probs = _ket_probs(amp, [_PAULI_EIGVECS[c].conj().T for c in setting])
-    else:
-        proj = _PAULI_PROJECTORS.reshape(3, 2, 2, 2)  # proj[s, b] = |v_b><v_b|
-        probs = frame_traces(state.matrix,
-                             [proj[_LETTER_CODE[c]] for c in setting]).real
+        return _ket_probs(amp, [_PAULI_EIGVECS[c].conj().T for c in setting])
+    proj = _PAULI_PROJECTORS.reshape(3, 2, 2, 2)  # proj[s, b] = |v_b><v_b|
+    probs = frame_traces(state.matrix,
+                         [proj[_LETTER_CODE[c]] for c in setting]).real
     return np.where(probs < 0, 0.0, probs)
 
 
@@ -486,10 +485,9 @@ class FrameSuperoperator:
 
     def __init__(self, kind, n_qubits, frame=None):
         if kind == "sic":
-            self.frame = frame if frame is not None else sic_frame("standard")
-            projectors, self.effects = self.frame.projectors, self.frame.effects
+            frame = frame if frame is not None else sic_frame("standard")
+            projectors, self.effects = frame.projectors, frame.effects
         elif kind == "pauli":
-            self.frame = None
             projectors, self.effects = _PAULI_PROJECTORS, _PAULI_PROJECTORS / 3
         else:
             raise ValueError(f"unknown povm kind {kind!r}")
@@ -500,7 +498,6 @@ class FrameSuperoperator:
         self.kind = kind
         self.n_qubits = n_qubits
         self.duals = 3 * projectors - np.eye(2)
-        self._map = None
 
     @property
     def n_outcomes(self):
@@ -545,12 +542,9 @@ class FrameSuperoperator:
         return out.reshape(math.prod(dims[:-2]) ** n, 4**n)
 
     def probability_map(self):
-        """Dense A, shape (outcomes, 4^N): A @ vec(rho) = forward(rho).
-        Built once per instance and returned read-only."""
-        if self._map is None:
-            self._map = self._dense(self.effects.conj())
-            self._map.flags.writeable = False
-        return self._map
+        """Dense A, shape (outcomes, 4^N): A @ vec(rho) = forward(rho),
+        built on every call."""
+        return self._dense(self.effects.conj())
 
     def matrix(self):
         """Dense frame Gram superoperator S_p = A^dagger A."""

@@ -63,7 +63,7 @@ class DensityOperator:
                 raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
             tr = mat.trace()
             if not abs(tr - 1.0) <= TRACE_ATOL:
-                raise ValueError(f"trace is {tr!r}, expected 1")
+                raise ValueError(f"trace is {tr:.12g}, expected 1")
             lo = np.linalg.eigvalsh(mat)[0]
             if lo < -PSD_ATOL:
                 raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
@@ -274,19 +274,12 @@ _KET = {
 
 
 def make_product(kets):
-    """Product state from single-qubit kets. Accepts a string over 0,1,+,-
-    or an iterable of length-2 vectors."""
-    if isinstance(kets, str):
-        vecs = []
-        for ch in kets:
-            if ch not in _KET:
-                raise ValueError(f"unknown single-qubit ket {ch!r}")
-            vecs.append(_KET[ch])
-    else:
-        vecs = [np.asarray(v, dtype=complex) for v in kets]
-        for v in vecs:
-            if v.shape != (2,):
-                raise ValueError("product factors must be length-2 vectors")
+    """Product state from a string of single-qubit kets over 0, 1, +, -."""
+    vecs = []
+    for ch in kets:
+        if ch not in _KET:
+            raise ValueError(f"unknown single-qubit ket {ch!r}")
+        vecs.append(_KET[ch])
     if not vecs:
         raise ValueError("need at least one qubit")
     return PureState(reduce(np.kron, vecs))
@@ -315,11 +308,10 @@ def random_pure(n, rng):
     return PureState(amp / np.linalg.norm(amp), check=False)
 
 
-def random_density(n, rng, rank=None):
-    """Ginibre-induced random mixed state."""
+def random_density(n, rng):
+    """Ginibre-induced random mixed state of full rank."""
     dim = 2**n
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     mat = g @ g.conj().T
     return DensityOperator(mat / mat.trace().real, check=False)
 

@@ -9,8 +9,7 @@ contract one site at a time, so linear inversion and projected least squares
 run at every size the frame superoperator admits (SIC N <= 11, Pauli
 N <= 8); their largest arrays are the 2^N x 2^N estimate and its
 eigendecomposition. The one dense build is the probability map that gives
-the fit its step-size bound, under MLE_CAP; the frame superoperator keeps it
-for later fits.
+the fit its step-size bound, under MLE_CAP; each fit builds it once.
 """
 
 import math
@@ -174,18 +173,13 @@ def pls_from_freqs(freqs, superop):
 def _weight_vector(freqs, weights, superop):
     if weights is None:
         return np.ones(superop.n_outcomes)
-    if isinstance(weights, str):
-        if weights != "multinomial":
-            raise ValueError("weights must be None, 'multinomial', or a vector")
-        if not isinstance(freqs, FrequencyVector):
-            raise ValueError("multinomial weights need counts, not bare frequencies")
-        f = freqs.frequencies()
-        var = np.maximum(f * (1 - f), _WEIGHT_VAR_FLOOR)
-        return np.sqrt(freqs.per_outcome_shots() / var)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (superop.n_outcomes,) or (w <= 0).any():
-        raise ValueError("weight vector must be positive with one entry per outcome")
-    return w
+    if weights != "multinomial":
+        raise ValueError("weights must be None or 'multinomial'")
+    if not isinstance(freqs, FrequencyVector):
+        raise ValueError("multinomial weights need counts, not bare frequencies")
+    f = freqs.frequencies()
+    var = np.maximum(f * (1 - f), _WEIGHT_VAR_FLOOR)
+    return np.sqrt(freqs.per_outcome_shots() / var)
 
 
 def _max_eigenvalue(a, w2):
@@ -205,16 +199,16 @@ def _max_eigenvalue(a, w2):
     return lam
 
 
-def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
+def mle(freqs, superop, weights=None):
     """Weighted least-squares fit over density matrices.
 
     Minimizes ||W (A vec(rho) - f)||_2 by projected gradient descent with a
     backtracking line search (steps are only accepted when the objective does
     not increase, so the recorded objective history is monotone). Projection
     after each step is the same eigenvalue-simplex map as pls. Stops when the
-    projected step, scaled by the step size, falls below `tol`. The reported
-    residual is in the weighted norm (units of standard errors when
-    multinomial weights are used).
+    projected step, scaled by the step size, falls below MLE_TOL, or after
+    MLE_MAX_ITER steps. The reported residual is in the weighted norm (units
+    of standard errors when multinomial weights are used).
     """
     if superop.n_qubits > MLE_CAP:
         raise cap_error("mle's dense probability map",
@@ -242,7 +236,7 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
     step = 1.0 / lip
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MLE_MAX_ITER + 1):
         g = gradient(r)  # r is x's residual, from the step that accepted x
         t = min(step * 1.5, 10.0 / lip)
         while True:
@@ -257,7 +251,7 @@ def mle(freqs, superop, weights=None, max_iter=MLE_MAX_ITER, tol=MLE_TOL):
         moved = float(np.linalg.norm(cand - x))
         x, r, obj, step = cand, cand_r, cand_obj, t
         history.append(obj)
-        if moved / t <= tol:
+        if moved / t <= MLE_TOL:
             converged = True
             break
     return ReconstructionResult(

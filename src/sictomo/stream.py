@@ -18,8 +18,9 @@ alphabet.
 The online engine consumes digit rows in report intervals and keeps every
 tracked quantity incrementally, so the analysis cost of an interval does not
 depend on how many shots came before it. Its state is sized when it is
-built: a fidelity target or observable on K qubits is made dense
-(16 x 4^K bytes) and read through a 4^K-entry lookup table. The purity
+built: a fidelity target on N qubits is made dense (16 x 4^N bytes) and read
+through a 4^N-entry lookup table, indexed by each shot's all-qubit pattern
+code, computed once per interval for every target. The purity
 subsets and Renyi-2 smaller sides of one size K share PurityTrackers, which
 keep their 4^K-pattern histograms in one array each; a size's subsets are
 split across trackers so that each stays within povm.BYTES_CAP. Both kinds
@@ -39,9 +40,9 @@ import numpy as np
 from .estimators import (EstimateReport, ObservableSpec, RunningMoments,
                          observable_lut, purity_trackers, renyi2_from_purity,
                          renyi2_stderr)
-from .povm import check_bytes, derive_rng, sic_frame, sic_outcome_distribution
+from .povm import (check_bytes, derive_rng, indices_from_digits, sic_frame,
+                   sic_outcome_distribution)
 from .qstate import make_linear_cluster, qubit_subset, subset_label
-from .shadows import pattern_codes
 
 MAGIC = "#TOMO v1"
 DEFAULT_INTERVAL = 100
@@ -303,7 +304,6 @@ class StoppingRule:
 class TrackerConfig:
     n_qubits: int
     fidelity_targets: list = field(default_factory=list)  # (label, PureState)
-    observables: list = field(default_factory=list)       # ObservableSpec
     purity_subsets: list = field(default_factory=list)    # qubit subsets
     renyi_parts: list = field(default_factory=list)       # Bipartition
     interval: int = DEFAULT_INTERVAL
@@ -312,11 +312,9 @@ class TrackerConfig:
     def __post_init__(self):
         if self.interval < 1:
             raise ValueError("interval must be >= 1")
-        if not (self.fidelity_targets or self.observables
-                or self.purity_subsets or self.renyi_parts):
+        if not (self.fidelity_targets or self.purity_subsets
+                or self.renyi_parts):
             raise ValueError("at least one tracked quantity is required")
-        for obs in self.observables:
-            qubit_subset(obs.support, self.n_qubits)
         self.purity_subsets = [qubit_subset(s, self.n_qubits)
                                for s in self.purity_subsets]
         for part in self.renyi_parts:
@@ -332,28 +330,13 @@ class TrackerConfig:
                                  "listed more than once")
 
 
-def _fidelity_spec(label, target, n):
-    """The target's projector as an observable on all n qubits. Its dense
-    2^n x 2^n matrix is checked against the byte cap before it is made."""
+def _fidelity_lut(label, target, n, frame):
+    """The target's lookup table over all n-qubit patterns. Its projector, a
+    dense 2^n x 2^n matrix, is checked against the byte cap before it is
+    made."""
     check_bytes(16 * 4**n, f"fidelity target {label!r} on {n} qubits")
-    return ObservableSpec(range(n), target.density().matrix, label)
-
-
-class _LinearTracker:
-    __slots__ = ("quantity", "subset", "cols", "lut", "moments")
-
-    def __init__(self, quantity, subset, support, lut):
-        self.quantity = quantity
-        self.subset = subset
-        self.cols = list(support)
-        self.lut = lut
-        self.moments = RunningMoments()
-
-    def update(self, digits):
-        self.moments.add_values(self.lut[pattern_codes(digits, self.cols)])
-
-    def report(self):
-        return self.moments.mean, self.moments.stderr()
+    return observable_lut(ObservableSpec(range(n), target.density().matrix),
+                          frame)
 
 
 class OnlineEngine:
@@ -361,23 +344,15 @@ class OnlineEngine:
 
     def __init__(self, cfg, frame):
         self.cfg = cfg
-        self.frame = frame
         n = cfg.n_qubits
-        self._linear = []
-        for label, target in cfg.fidelity_targets:
-            obs = _fidelity_spec(label, target, n)
-            self._linear.append(_LinearTracker(
-                f"fidelity:{label}", "all", obs.support,
-                observable_lut(obs, frame)))
-        for obs in cfg.observables:
-            check_bytes(16 * 4 ** len(obs.support),
-                        f"lookup table of observable {obs.label!r}")
-            self._linear.append(_LinearTracker(
-                obs.label, subset_label(obs.support), obs.support,
-                observable_lut(obs, frame)))
+        # per fidelity target: its quantity, lookup table and running moments
+        self._linear = [(f"fidelity:{label}",
+                         _fidelity_lut(label, target, n, frame),
+                         RunningMoments())
+                        for label, target in cfg.fidelity_targets]
         sides = [part.smaller_side for part in cfg.renyi_parts]
         self._trackers, where = purity_trackers(
-            n, [*cfg.purity_subsets, *sides], frame)
+            n, [*cfg.purity_subsets, *sides])
         self._purity = [(subset_label(subset), where[subset])
                         for subset in cfg.purity_subsets]
         self._renyi = [(part.label(), where[part.smaller_side])
@@ -413,16 +388,15 @@ class OnlineEngine:
 
     def _process_interval(self, block):
         t0 = time.perf_counter()
-        for tracker in self._linear:
-            tracker.update(block)
+        codes = indices_from_digits(block) if self._linear else None
+        for _, lut, moments in self._linear:
+            moments.add_values(lut[codes])
         for tracker in self._trackers:
             tracker.add_records(block)
         self.shots_seen += block.shape[0]
 
-        rows = []
-        for tracker in self._linear:
-            value, stderr = tracker.report()
-            rows.append((tracker.quantity, tracker.subset, value, stderr))
+        rows = [(quantity, "all", moments.mean, moments.stderr())
+                for quantity, _, moments in self._linear]
         purity = [self._purity_report(t) for t in self._trackers]
         for label, (t, row) in self._purity:
             rows.append(("purity", label, purity[t][0][row],
@@ -477,19 +451,16 @@ class Game:
     N_QUBITS = 4
 
     def __init__(self, frame=None):
-        self.frame = frame if frame is not None else sic_frame("standard")
-        self.sign_strings = ["".join(p) for p in
-                             itertools.product("+-", repeat=self.N_QUBITS)]
-        self.candidates = [make_linear_cluster(self.N_QUBITS, s)
-                           for s in self.sign_strings]
-        probs = [sic_outcome_distribution(c, self.frame)
-                 for c in self.candidates]
+        frame = frame if frame is not None else sic_frame("standard")
+        candidates = [make_linear_cluster(self.N_QUBITS, signs) for signs
+                      in itertools.product("+-", repeat=self.N_QUBITS)]
+        probs = [sic_outcome_distribution(c, frame) for c in candidates]
         self.probs = np.array([p / p.sum() for p in probs])
         self.luts = np.array([
             observable_lut(
-                ObservableSpec(range(self.N_QUBITS), c.density().matrix, s),
-                self.frame)
-            for c, s in zip(self.candidates, self.sign_strings)])
+                ObservableSpec(range(self.N_QUBITS), c.density().matrix),
+                frame)
+            for c in candidates])
 
     def play(self, seed, trial=0, gap_window=5, shot_cap=10000):
         """One round: returns (winner, shots_used, transcript).

@@ -223,6 +223,9 @@ def test_simulate_bad_state(tmp_path, capsys):
     pytest.param('{"n_qubits": 1, "kind": "mixed", "re": [NaN, 0, 0, 0], '
                  '"im": [0, 0, 0, 0]}',
                  "not Hermitian: max deviation nan", id="nan-mixed"),
+    pytest.param('{"n_qubits": 1, "kind": "mixed", "re": [0.5, 0, 0, 0.2], '
+                 '"im": [0, 0, 0, 0]}',
+                 "trace is 0.7+0j, expected 1", id="wrong-trace"),
 ])
 @pytest.mark.parametrize("cmd", ["simulate", "estimate"])
 def test_malformed_state_file_is_invalid_input(body, message, cmd, tmp_path,
@@ -237,7 +240,9 @@ def test_malformed_state_file_is_invalid_input(body, message, cmd, tmp_path,
                 "--fidelity", str(state)]
     capsys.readouterr()
     assert run(*argv, "--out", str(out)) == 3
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "np." not in err  # numbers, not numpy reprs
     assert not out.exists()
 
 

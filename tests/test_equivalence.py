@@ -125,7 +125,7 @@ def reference_jackknife(digits, subset):
 @pytest.mark.parametrize("k", sorted(SUBSETS))
 def test_purity_tracker_matches_slot_matrices(k):
     digits = ghz_shots(361, seed=k)
-    tracker = PurityTracker(7, [SUBSETS[k]], FRAME)
+    tracker = PurityTracker(7, [SUBSETS[k]])
     for chunk in np.array_split(digits, 7):
         tracker.add_records(chunk)
     slots = reference_slots(digits, SUBSETS[k])
@@ -185,7 +185,7 @@ def assert_matches_per_subset(stacked, refs):
 def test_stacked_tracker_matches_per_subset_trackers(k, count):
     subsets = spread_subsets(k, count)
     digits = ghz_shots(361, seed=30 + k)
-    stacked = PurityTracker(7, subsets, FRAME)
+    stacked = PurityTracker(7, subsets)
     refs = [PerSubsetTracker(s) for s in subsets]
     # ragged chunks, the first two of one record each
     for chunk in np.split(digits, [1, 2, 52, 103, 260]):

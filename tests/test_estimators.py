@@ -56,7 +56,6 @@ def naive_pair_purity(digits, subset):
 def test_observable_spec_validation(rng):
     op = random_observable(rng, 2)
     spec = ObservableSpec((0, 2), op)
-    assert spec.label == "obs:0-2"
     assert abs(spec.hs_norm_sq() - np.trace(op @ op).real) < 1e-12
     with pytest.raises(ValueError):
         ObservableSpec((0,), op)  # wrong dimension
@@ -74,7 +73,7 @@ def test_observable_support_order_is_factor_order():
     """Support (1, 0) puts qubit 1 in the operator's leading factor."""
     z, one = np.diag([1.0, -1.0]), np.eye(2)
     spec = ObservableSpec((1, 0), np.kron(z, one))
-    assert spec.support == (1, 0) and spec.label == "obs:1-0"
+    assert spec.support == (1, 0)
     digits = sample_sic_shots(make_product("01"), FRAME, 20000,
                               derive_rng(1, "sic-shots"))
     assert linear_values(digits, spec, FRAME).mean() < -0.9  # Z on qubit 1
@@ -96,7 +95,7 @@ def test_unsorted_support_exactly_unbiased(rng):
 
 def test_observable_lut_matches_trace_loop(rng):
     op = random_observable(rng, 2)
-    spec = ObservableSpec((0, 2), op, "pair")
+    spec = ObservableSpec((0, 2), op)
     lut = observable_lut(spec, FRAME)
     assert lut.shape == (16,)
     for code, digits in enumerate(itertools.product(range(4), repeat=2)):
@@ -106,7 +105,7 @@ def test_observable_lut_matches_trace_loop(rng):
 
 
 def test_observable_lut_identity_is_ones():
-    spec = ObservableSpec((0, 1), np.eye(4), "id")
+    spec = ObservableSpec((0, 1), np.eye(4))
     np.testing.assert_allclose(observable_lut(spec, FRAME), 1.0, atol=1e-12)
 
 
@@ -153,9 +152,9 @@ def test_purity_tracker_matches_naive_pairwise(rng, subset):
 
 def test_purity_tracker_chunked_ingestion_invariant(rng):
     digits = rng.integers(0, 4, size=(50, 2)).astype(np.uint8)
-    whole = PurityTracker(2, [(0, 1)], FRAME)
+    whole = PurityTracker(2, [(0, 1)])
     whole.add_records(digits)
-    pieces = PurityTracker(2, [(0, 1)], FRAME)
+    pieces = PurityTracker(2, [(0, 1)])
     for chunk in np.array_split(digits, 9):
         pieces.add_records(chunk)
     assert abs(whole.value()[0] - pieces.value()[0]) < 1e-12
@@ -164,10 +163,10 @@ def test_purity_tracker_chunked_ingestion_invariant(rng):
 
 def test_purity_tracker_validation(rng):
     with pytest.raises(ValueError):
-        PurityTracker(2, (0, 1), FRAME)  # a flat tuple, not two subsets
+        PurityTracker(2, (0, 1))  # a flat tuple, not two subsets
     with pytest.raises(ValueError):
-        PurityTracker(2, [(0,), (0, 1)], FRAME)  # two subset sizes
-    t = PurityTracker(2, [(0, 1)], FRAME)
+        PurityTracker(2, [(0,), (0, 1)])  # two subset sizes
+    t = PurityTracker(2, [(0, 1)])
     t.add_records(np.zeros((1, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         t.value()  # one shot is not enough for a pair statistic
@@ -184,9 +183,9 @@ def test_repeated_qubits_are_refused(rng):
     with pytest.raises(ValueError, match="duplicate qubits"):
         estimate_purity(digits, (0, 0, 1), FRAME)
     with pytest.raises(ValueError, match="duplicate qubits"):
-        PurityTracker(3, [(1, 1)], FRAME)
+        PurityTracker(3, [(1, 1)])
     with pytest.raises(ValueError, match="duplicate qubits"):
-        PurityTracker(3, [(0, 2), (2, 0, 2)], FRAME)
+        PurityTracker(3, [(0, 2), (2, 0, 2)])
 
 
 def test_non_integer_qubits_are_refused(rng):
@@ -195,7 +194,7 @@ def test_non_integer_qubits_are_refused(rng):
     with pytest.raises(TypeError):
         estimate_purity(digits, (0.7, 1), FRAME)
     with pytest.raises(TypeError):
-        PurityTracker(3, [("0", "1")], FRAME)
+        PurityTracker(3, [("0", "1")])
 
 
 def test_boolean_qubits_are_refused(rng):
@@ -204,14 +203,14 @@ def test_boolean_qubits_are_refused(rng):
     with pytest.raises(TypeError):
         estimate_purity(digits, (False, True), FRAME)
     with pytest.raises(TypeError):
-        PurityTracker(3, [(True, 2)], FRAME)
+        PurityTracker(3, [(True, 2)])
 
 
 def test_purity_tracker_state_does_not_grow_with_outcomes():
     """K=7 on GHZ-8: more shots bring new patterns but no new state."""
     digits = sample_sic_shots(make_ghz(8), FRAME, 4000,
                               derive_rng(8, "sic-shots"))
-    tracker = PurityTracker(8, [range(7), range(1, 8)], FRAME)
+    tracker = PurityTracker(8, [range(7), range(1, 8)])
 
     def state_bytes():
         return sum(v.nbytes for v in vars(tracker).values()
@@ -227,9 +226,9 @@ def test_purity_tracker_state_does_not_grow_with_outcomes():
 
 def test_purity_tracker_byte_cap():
     # 4^11 * 8 bytes = 33.5 MB fits; 4^12 does not
-    PurityTracker(11, [range(11)], FRAME)
+    PurityTracker(11, [range(11)])
     with pytest.raises(CapExceededError, match="134,217,728 bytes"):
-        PurityTracker(12, [range(12)], FRAME)
+        PurityTracker(12, [range(12)])
 
 
 def test_purity_jackknife_stderr_calibrated():
@@ -240,7 +239,7 @@ def test_purity_jackknife_stderr_calibrated():
     for rep in range(30):
         digits = sample_sic_shots(rho, FRAME, 400,
                                   derive_rng(77, "sic-shots", rep))
-        t = PurityTracker(1, [(0,)], FRAME)
+        t = PurityTracker(1, [(0,)])
         t.add_records(digits)
         values.append(t.value()[0])
         stderrs.append(t.stderr()[0])
@@ -276,10 +275,41 @@ def test_purity_stderr_coverage(name, rho, keep):
     # run r reads qubits r K .. r K + K - 1 of one wide record
     digits = digits_from_indices(codes.ravel(), k).reshape(shots, runs * k)
     tracker = PurityTracker(runs * k, [range(r * k, r * k + k)
-                                       for r in range(runs)], FRAME)
+                                       for r in range(runs)])
     tracker.add_records(digits)
     z = (tracker.value() - purity_exact(marginal)) / tracker.stderr()
     assert 0.90 <= np.mean(np.abs(z) < 2) <= 0.995, name
+
+
+def test_purity_is_the_same_in_every_frame(rng):
+    """tr(s s') of two single-site shadows is 5 for equal digits and -1
+    otherwise in every SIC frame, so the same digits give the same purity,
+    jackknife stderr and Renyi-2 entropy under the standard and rotated
+    frames. That is why a PurityTracker takes no frame."""
+    digits = rng.integers(0, 4, size=(25, 4)).astype(np.uint8)
+    subset, part = (0, 2), Bipartition(4, (0, 2))  # its smaller side
+    tracker = PurityTracker(4, [subset])
+    tracker.add_records(digits)
+    m = len(digits)
+    for frame in (FRAME, sic_frame("rotated")):
+        mats = [shadow_expand(row, subset, frame) for row in digits]
+        total, self_pairs = sum(mats), sum(np.trace(a @ a).real for a in mats)
+        pairs = np.trace(total @ total).real - self_pairs
+        # deleting shot i removes its pairs with every other shot, twice
+        loo = np.array([(pairs - 2 * (np.trace(a @ total).real
+                                      - np.trace(a @ a).real))
+                        / ((m - 1) * (m - 2)) for a in mats])
+        stderr = math.sqrt((m - 1) / m * ((loo - loo.mean()) ** 2).sum())
+        value = pairs / (m * (m - 1))
+        assert abs(estimate_purity(digits, subset, frame) - value) < 1e-10
+        assert abs(tracker.value()[0] - value) < 1e-10
+        assert abs(tracker.stderr()[0] - stderr) < 1e-10
+        assert abs(estimate_renyi2(digits, part, frame)
+                   - renyi2_from_purity(value)) < 1e-10
+    assert (estimate_purity(digits, subset, FRAME)
+            == estimate_purity(digits, subset, sic_frame("rotated")))
+    assert (estimate_renyi2(digits, part, FRAME)
+            == estimate_renyi2(digits, part, sic_frame("rotated")))
 
 
 # --- renyi ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Shot files pinned by hash: `simulate --seed 1` must keep writing the same
-bytes. Shot files hold only integer outcomes, so BLAS rounding cannot change
-them; a changed hash means the sampler, the seed streams or the file format
-changed."""
+"""Outputs pinned by hash. Shot files: `simulate --seed 1` must keep writing
+the same bytes. Shot files hold only integer outcomes, so BLAS rounding
+cannot change them; a changed hash means the sampler, the seed streams or
+the file format changed. Reports: an `estimate` CSV without its `wall_ms`
+column and a `game` CSV. Both read their values through lookup tables; a
+change in the tables' arithmetic can move a game declaration by one shot,
+while the estimate CSV prints too few digits to show most such changes."""
 
 import hashlib
 
@@ -26,3 +29,32 @@ def test_simulate_writes_golden_bytes(argv, digest, tmp_path):
     out = tmp_path / "shots"
     assert main(["simulate", *argv, "--seed", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def sha256(path, drop_last_column=False):
+    lines = path.read_text().splitlines()
+    if drop_last_column:
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    return hashlib.sha256("".join(f"{line}\n" for line in lines)
+                          .encode("ascii")).hexdigest()
+
+
+def test_estimate_writes_golden_report(tmp_path):
+    shots, report = tmp_path / "shots", tmp_path / "report.csv"
+    assert main(["simulate", "--state", "ghz:4", "--shots", "2000",
+                 "--seed", "1", "--out", str(shots)]) == 0
+    assert main(["estimate", "--file", str(shots), "--fidelity", "ghz:4",
+                 "--purity", "0,1", "--renyi", "all:2", "--interval", "500",
+                 "--no-stopping", "--out", str(report)]) == 2
+    assert sha256(report, drop_last_column=True) == (
+        "5f9e2fd72dee8e88120944ac2227b6a789051249d8c0acd7165d431c9856b8bb")
+
+
+def test_game_writes_golden_report(tmp_path):
+    # 40 trials: building the tables as V p, from the outcome law, moves
+    # the declaration of trials 35 and 39 by one shot, and none before them
+    report = tmp_path / "game.csv"
+    assert main(["game", "--trials", "40", "--seed", "1",
+                 "--out", str(report)]) == 0
+    assert sha256(report) == (
+        "91cc7ac49a0215bb284e9376b41dd1cdd4818e34baea7a9d182f56df7fe339ff")

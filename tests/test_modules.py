@@ -91,14 +91,20 @@ def definitions(source):
                         yield name.id, None, [node]
 
 
-def reached_names(roots, modules):
-    """Names reached from the names `roots`: each definition of `modules`
-    that a reached name names is reached, and so is every name in its parts.
-    Matching by name alone can only over-count."""
+def definition_parts(modules):
+    """Each defined name of `modules` with the parts of its definitions."""
     parts = {}
     for source in modules:
         for name, _, nodes in definitions(source):
             parts.setdefault(name, []).extend(nodes)
+    return parts
+
+
+def reached_names(roots, modules):
+    """Names reached from the names `roots`: each definition of `modules`
+    that a reached name names is reached, and so is every name in its parts.
+    Matching by name alone can only over-count."""
+    parts = definition_parts(modules)
     todo, seen = set(roots), set()
     while todo:
         name = todo.pop()
@@ -144,6 +150,15 @@ def test_reach_follows_bodies():
     assert "used" in set(identifiers(source, strings=True))
 
 
+def root_trees():
+    """The parsed files that reach starts from: `cli.py`, the acceptance
+    tests and the benchmark, each with whether its string constants count
+    as names (the benchmark wraps methods by name)."""
+    for path in (SRC / "cli.py", TESTS / "test_acceptance.py",
+                 *sorted(PERFBENCH.glob("*.py"))):
+        yield ast.parse(path.read_text()), path.parent == PERFBENCH
+
+
 def test_every_public_name_is_reached():
     """Every top-level function, class and assigned name of the package, and
     every method and property that is not a dunder, is reached by a CLI
@@ -152,10 +167,8 @@ def test_every_public_name_is_reached():
     one. A method that overrides a hook of a class outside the package is
     exempt."""
     roots = set()
-    for path in (SRC / "cli.py", TESTS / "test_acceptance.py"):
-        roots |= set(identifiers(ast.parse(path.read_text())))
-    for path in sorted(PERFBENCH.glob("*.py")):
-        roots |= set(identifiers(ast.parse(path.read_text()), strings=True))
+    for tree, strings in root_trees():
+        roots |= set(identifiers(tree, strings))
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     kept = reached_names(roots | set(ORACLES), modules.values())
     unreached = sorted(
@@ -171,3 +184,88 @@ def test_every_public_name_is_reached():
     # an oracle that a command reaches needs no place on the list
     reached = reached_names(roots, modules.values())
     assert set(ORACLES) <= defined - reached
+
+
+def defaulted_fields(source):
+    """(class, field, position) for every field with a default of each
+    dataclass of `source`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in set(identifiers(d))
+                for d in node.decorator_list):
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign)]
+            for position, item in enumerate(fields):
+                if item.value is not None:
+                    yield node.name, item.target.id, position
+
+
+def set_fields(trees):
+    """What `trees` set: ("kw", name) for a keyword argument or an assigned
+    attribute, and ("pos", callee, count) for a call that passes `count`
+    positional arguments (every one, if unpacked) to a bare or dotted name."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg:
+                yield "kw", node.arg
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Attribute):
+                            yield "kw", sub.attr
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(
+                    node.func, "attr", None)
+                count = (float("inf") if any(isinstance(a, ast.Starred)
+                                             for a in node.args)
+                         else len(node.args))
+                yield "pos", callee, count
+
+
+def unset_fields(trees, modules):
+    """`Class.field` for every defaulted dataclass field of `modules` that
+    no tree of `trees` passes by keyword or position, or assigns."""
+    setters = set(set_fields(trees))
+    keywords = {s[1] for s in setters if s[0] == "kw"}
+    for source in modules:
+        for owner, name, position in defaulted_fields(source):
+            if name not in keywords and not any(
+                    s[0] == "pos" and s[1] == owner and s[2] > position
+                    for s in setters):
+                yield f"{owner}.{name}"
+
+
+def test_field_walk_on_a_toy_module():
+    module = ("@dataclass\n"
+              "class Cfg:\n"
+              "    n: int\n"
+              "    a: int = 1\n"
+              "    b: int = 2\n"
+              "    c: list = field(default_factory=list)\n"
+              "    d: int = 4\n"
+              "class Plain:\n"
+              "    e: int = 5\n")
+    assert list(defaulted_fields(module)) == [
+        ("Cfg", "a", 1), ("Cfg", "b", 2), ("Cfg", "c", 3), ("Cfg", "d", 4)]
+    trees = [ast.parse("cfg = mod.Cfg(3, 4, c=[])\ncfg.d += 1\n")]
+    assert list(unset_fields(trees, [module])) == ["Cfg.b"]
+    assert list(unset_fields([ast.parse("Cfg(*args)")], [module])) == []
+
+
+def test_every_dataclass_default_is_set():
+    """A dataclass field with a default is state that a caller may choose.
+    Each must be passed or assigned somewhere in the code that a CLI
+    command, an acceptance criterion or the benchmark reaches (matched by
+    name, which can only over-count); otherwise nothing ever sets it and the
+    field, with every branch that reads it, is dead."""
+    roots, trees = set(), []
+    for tree, strings in root_trees():
+        trees.append(tree)
+        roots |= set(identifiers(tree, strings))
+    modules = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    parts = definition_parts(modules)
+    for name in reached_names(roots | set(ORACLES), modules):
+        trees.extend(parts.get(name, ()))
+    assert sorted(unset_fields(trees, modules)) == []

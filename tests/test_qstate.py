@@ -159,8 +159,6 @@ def test_random_density_properties(rng):
     rho = random_density(2, rng)
     assert abs(rho.matrix.trace() - 1) < 1e-12
     assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-12
-    rank1 = random_density(2, rng, rank=1)
-    assert abs(purity_exact(rank1) - 1.0) < 1e-12
 
 
 # --- AME5 reference state ---------------------------------------------------

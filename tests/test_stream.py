@@ -16,7 +16,7 @@ from sictomo.estimators import (
 )
 from sictomo.povm import (BYTES_CAP, derive_rng, sample_pauli_shots,
                           sample_sic_shots, sic_frame)
-from sictomo.qstate import Bipartition, make_ghz, random_pure
+from sictomo.qstate import Bipartition, make_ghz, make_product, random_pure
 from sictomo.stream import (
     Game,
     OnlineEngine,
@@ -314,9 +314,6 @@ def test_tracker_config_validation():
         TrackerConfig(n_qubits=3, purity_subsets=[(1, 3)])
     with pytest.raises(TypeError):
         TrackerConfig(n_qubits=3, purity_subsets=[(0.7, 1)])
-    with pytest.raises(ValueError, match="out of range"):
-        TrackerConfig(n_qubits=2, observables=[
-            ObservableSpec((2,), np.eye(2))])
     cfg = TrackerConfig(n_qubits=3, purity_subsets=[[2, 0], range(3)])
     assert cfg.purity_subsets == [(0, 2), (0, 1, 2)]
 
@@ -366,7 +363,7 @@ def test_online_equals_offline(rng):
             and r.subset == "0-1"] == [100, 200, 300, 357]
 
     final = {(r.quantity, r.subset): r for r in reports if r.shots == 357}
-    obs = ObservableSpec(range(2), make_ghz(2).density().matrix, "ghz")
+    obs = ObservableSpec(range(2), make_ghz(2).density().matrix)
     want_fid = linear_values(digits, obs, FRAME).mean()
     assert abs(final[("fidelity:ghz", "all")].value - want_fid) < 1e-9
     assert abs(final[("purity", "0-1")].value
@@ -427,10 +424,11 @@ def test_online_history_is_bounded(rng, window):
 
 
 def test_online_converges_on_constant_stream():
+    # every shot is outcome 0, the ket |0>: its shadow's overlap with the
+    # target |0> is <0|(3|0><0| - I)|0> = 2
     digits = np.zeros((1000, 1), dtype=np.uint8)
     cfg = TrackerConfig(
-        n_qubits=1,
-        observables=[ObservableSpec((0,), np.eye(2), "unit")],
+        n_qubits=1, fidelity_targets=[("zero", make_product("0"))],
         interval=10, stopping=StoppingRule(window=4, tol=0.01))
     engine = OnlineEngine(cfg, FRAME)
     rows = engine.feed(digits)
@@ -438,7 +436,8 @@ def test_online_converges_on_constant_stream():
     assert engine.shots_seen == 40  # window-th interval seals it
     assert engine.feed(digits) == []
     assert engine.finalize() == []
-    assert all(r.value == 1.0 for r in rows)
+    assert {r.value for r in rows} == {rows[0].value}
+    assert abs(rows[0].value - 2.0) < 1e-12
 
 
 def test_online_engine_caps_and_validation(rng):
