@@ -250,7 +250,7 @@ def _cmd_reconstruct(args):
         result = reconstruct(freqs, superop, args.method, weights=weights)
         shots = freqs.total_shots
     with open(args.out, "w", encoding="ascii") as f:
-        f.write(json.dumps(result.to_json_dict(shots)) + "\n")
+        result.write_json(f, shots)
     _write_manifest(args.out, args, [args.file], [args.out], header.seed)
     print(f"{args.method}: wrote {2**n}x{2**n} estimate to {args.out} "
           f"(residual {result.residual:.3g}, iterations {result.iterations})")

@@ -526,19 +526,23 @@ class FrameSuperoperator:
     def _dense(self, site):
         """Kronecker power of one site's tensor with each of its axes grouped
         across sites (axis f * N + k is axis f of site k); the last two axes
-        index columns, in row-major vec order, and the others rows."""
+        index columns, in row-major vec order, and the others rows.
+
+        Built one site at a time: step k appends site k as the trailing
+        factor of every axis group, so each step writes its array once and
+        each entry is the product of its site factors from site 0 on. The
+        last step holds the previous factor too, 1/prod(dims) of the view
+        (1/16 for SIC and the Gram views, 1/24 for the Pauli map)."""
         n, dims = self.n_qubits, site.shape
-        shape = tuple(d for d in dims for _ in range(n))
         # reference views under their own cap, four times the shared one: it
         # admits the SIC N=6 Gram matrix (256 MiB) and the Pauli N=5 map
-        check_bytes(16 * math.prod(shape),
+        check_bytes(16 * math.prod(dims) ** n,
                     f"dense {self.kind} frame view on {n} qubits",
                     cap=4 * BYTES_CAP)
-        out = np.ones(shape, dtype=complex)
-        for k in range(n):
-            shape = [1] * out.ndim
-            shape[k::n] = dims
-            out *= site.reshape(shape)
+        out = site * complex(1)  # each entry starts from 1: signed zeros match
+        for k in range(1, n):
+            out = (out.reshape([x for d in dims for x in (d**k, 1)])
+                   * site.reshape([x for d in dims for x in (1, d)]))
         return out.reshape(math.prod(dims[:-2]) ** n, 4**n)
 
     def probability_map(self):

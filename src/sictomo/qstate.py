@@ -318,13 +318,19 @@ def random_density(n, rng):
 
 # --- JSON save/load ---------------------------------------------------------
 
-def state_to_json_dict(state, meta=None):
+_JSON_BLOCK = 1 << 14  # values write_state_json turns into text at a time
+
+
+def _kind_and_array(state):
     if isinstance(state, PureState):
-        kind, arr = "pure", state.amplitudes
-    elif isinstance(state, DensityOperator):
-        kind, arr = "mixed", state.matrix
-    else:
-        raise TypeError("expected PureState or DensityOperator")
+        return "pure", state.amplitudes
+    if isinstance(state, DensityOperator):
+        return "mixed", state.matrix
+    raise TypeError("expected PureState or DensityOperator")
+
+
+def state_to_json_dict(state, meta=None):
+    kind, arr = _kind_and_array(state)
     d = {
         "n_qubits": state.n_qubits,
         "kind": kind,
@@ -334,6 +340,24 @@ def state_to_json_dict(state, meta=None):
     if meta is not None:
         d["meta"] = meta
     return d
+
+
+def write_state_json(fh, state, meta=None):
+    """Write json.dumps(state_to_json_dict(state, meta)) and a newline to
+    `fh`, the same bytes, turning at most _JSON_BLOCK values into a list and
+    its text at a time: no list of every entry is made."""
+    kind, arr = _kind_and_array(state)
+    flat = arr.reshape(-1)
+    fh.write(json.dumps({"n_qubits": state.n_qubits, "kind": kind})[:-1])
+    for key, part in (("re", flat.real), ("im", flat.imag)):  # strided views
+        fh.write(f', "{key}": [')
+        for lo in range(0, part.size, _JSON_BLOCK):
+            text = json.dumps(part[lo:lo + _JSON_BLOCK].tolist())[1:-1]
+            fh.write(", " + text if lo else text)
+        fh.write("]")
+    if meta is not None:
+        fh.write(', "meta": ' + json.dumps(meta))
+    fh.write("}\n")
 
 
 def state_from_json_dict(d):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .povm import cap_error, indices_from_digits
-from .qstate import DensityOperator, state_to_json_dict
+from .qstate import DensityOperator, state_to_json_dict, write_state_json
 
 MLE_CAP = 5  # qubits; the fit solves repeatedly in dimension 4^N
 MLE_MAX_ITER = 5000
@@ -106,13 +106,20 @@ class ReconstructionResult:
     converged: bool = True
     objective_history: list = field(default_factory=list)
 
-    def to_json_dict(self, shots=None):
+    def _state_and_meta(self, shots):
         meta = {"method": self.method, "residual": self.residual,
                 "iterations": self.iterations, "converged": self.converged}
         if shots is not None:
             meta["shots"] = int(shots)
-        return state_to_json_dict(DensityOperator(self.estimate, check=False),
-                                  meta)
+        return DensityOperator(self.estimate, check=False), meta
+
+    def to_json_dict(self, shots=None):
+        return state_to_json_dict(*self._state_and_meta(shots))
+
+    def write_json(self, fh, shots=None):
+        """Write json.dumps(self.to_json_dict(shots)) and a newline to `fh`,
+        in blocks (write_state_json)."""
+        write_state_json(fh, *self._state_and_meta(shots))
 
 
 def _freq_array(freqs, superop):

@@ -11,8 +11,9 @@ import pytest
 
 from sictomo.cli import GAME_CSV_HEADER, build_parser, main, parse_state
 from sictomo.estimators import CSV_HEADER
-from sictomo.povm import digits_from_indices
+from sictomo.povm import FrameSuperoperator, digits_from_indices
 from sictomo.qstate import DensityOperator, PureState, save_state, random_pure
+from sictomo.reconstruct import ReconstructionResult
 from sictomo.stream import ShotFileHeader, read_header, write_shots
 
 
@@ -569,6 +570,60 @@ def test_reconstruct_at_paper_scale(method, tmp_path):
     assert mat.shape == (256, 256) and d["meta"]["shots"] == 3000
     assert abs(np.trace(mat) - 1) < 1e-9
     assert np.allclose(mat, mat.conj().T)
+
+
+@pytest.mark.parametrize("method", ["lininv", "shadow-mean"])
+def test_reconstruct_json_equals_one_dumps(method, tmp_path, monkeypatch):
+    """At N = 8 the file, written four blocks each of re and im at a time,
+    is json.dumps of the result's whole dict. Both come from the same
+    result: two fits in one process can differ in the residual's last
+    digit."""
+    dumped, write_json = [], ReconstructionResult.write_json
+
+    def dump_then_write(self, fh, shots=None):
+        dumped.append(json.dumps(self.to_json_dict(shots)) + "\n")
+        write_json(self, fh, shots)
+    monkeypatch.setattr(ReconstructionResult, "write_json", dump_then_write)
+    shots = simulate(tmp_path, state="ghz:8", shots=3000, seed=4)
+    out = tmp_path / "rho.json"
+    assert run("reconstruct", "--file", str(shots), "--method", method,
+               "--out", str(out)) == 0
+    same = out.read_text() == dumped[0]  # no diff of two 2.6 MB lines
+    assert same
+
+
+class DenseViewBuilt(Exception):
+    """What FrameSuperoperator._dense raises while it is patched out."""
+
+
+def refuse_dense(self, site):
+    raise DenseViewBuilt(self.kind)
+
+
+def test_only_mle_builds_a_dense_view(tmp_path, monkeypatch):
+    """Every command but `reconstruct --method mle` runs with the dense
+    frame views patched out, so deleting them takes away mle's step size
+    and nothing else."""
+    monkeypatch.setattr(FrameSuperoperator, "_dense", refuse_dense)
+    sic = simulate(tmp_path, state="ghz:3", shots=2000, seed=3)
+    pauli = simulate(tmp_path, state="ghz:3", shots=2700, seed=3,
+                     name="shots.pauli", extra=("--povm", "pauli"))
+    out = tmp_path / "out"
+    # exit 2: the file ran out before the stopping rule was met
+    assert run("estimate", "--file", str(sic), "--fidelity", "ghz:3",
+               "--purity", "full;0,1", "--renyi", "all:1",
+               "--out", str(out)) in (0, 2)
+    for path, method in ((sic, "lininv"), (sic, "pls"),
+                         (sic, "shadow-mean"), (pauli, "pls")):
+        assert run("reconstruct", "--file", str(path), "--method", method,
+                   "--out", str(out)) == 0
+    assert run("game", "--trials", "2", "--out", str(out)) == 0
+    assert run("budget", "--k", "3", "--epsilon", "0.1", "--delta", "0.01",
+               "--out", str(out)) == 0
+    for path in (sic, pauli):
+        with pytest.raises(DenseViewBuilt):
+            run("reconstruct", "--file", str(path), "--method", "mle",
+                "--out", str(out))
 
 
 @pytest.mark.parametrize("povm, argv", [

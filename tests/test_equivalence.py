@@ -19,7 +19,10 @@ the site-pattern counts and frequencies must equal it exactly, and forward
 and adjoint must equal its dense map to 1e-12. The PPT moment reference
 enumerates every triple of a per-shot stack of partially transposed
 shadows, and the Pauli distribution reference contracts a density matrix
-with one projector stack per setting letter.
+with one projector stack per setting letter. The dense views' reference is
+the loop that built them before: one np.ones view multiplied in place by
+each site's factor; the site-by-site build must equal it bit for bit, and
+mle must fit the same with either.
 
 The stacked purity tracker, which keeps every subset of one size in one
 array, is held to 1e-10 against a restatement of the per-subset tracker it
@@ -41,17 +44,23 @@ single-qubit rotation; rotating one tensor axis at a time must agree to
 The shot-file reference is the line-by-line reader the chunked record reader
 replaced. On every body, well-formed or not, the chunked reader must return
 the same arrays or raise the same ShotFileError text, line number included.
+
+The reconstruct JSON reference is one json.dumps of the estimate's whole
+dict; the writer that turns a block of values into text at a time must
+write the same bytes.
 """
 
 import functools
+import io
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sictomo import povm
+from sictomo import povm, qstate
 from sictomo.estimators import (ObservableSpec, PurityTracker,
                                 all_bipartitions, estimate_p3, observable_lut,
                                 renyi2_from_purity, renyi2_stderr)
@@ -59,11 +68,13 @@ from sictomo.povm import (FrameSuperoperator, derive_rng, naimark_unitary,
                           pauli_outcome_distribution, pauli_settings,
                           sample_pauli_shots, sample_sic_shots, sic_frame,
                           sic_outcome_distribution)
-from sictomo.qstate import (Bipartition, make_ghz, make_rotated_ghz,
-                            random_density, random_pure)
+from sictomo.qstate import (Bipartition, PureState, make_ghz,
+                            make_rotated_ghz, random_density, random_pure,
+                            state_to_json_dict, write_state_json)
 from sictomo.reconstruct import (MLE_MAX_ITER, MLE_TOL, FrequencyVector,
-                                 _max_eigenvalue, _project_density,
-                                 _weight_vector, lininv, mle, pls_from_freqs)
+                                 ReconstructionResult, _max_eigenvalue,
+                                 _project_density, _weight_vector, lininv,
+                                 mle, pls_from_freqs)
 from sictomo.shadows import (ShadowAccumulator, apply_pair_trace,
                              pair_trace, pattern_codes, shadow_expand,
                              shadow_matrices, shadow_sum)
@@ -467,6 +478,56 @@ def test_mle_step_size_matches_eigvalsh(kind, n, frame_name, weights):
     want = np.linalg.eigvalsh((a.conj().T * w2) @ a)[-1]
     got = _max_eigenvalue(sup.probability_map(), w2)
     assert abs(got - want) <= 1e-10 * want
+
+
+def broadcast_dense(self, site):
+    """FrameSuperoperator._dense as one np.ones view multiplied in place by
+    each site's factor, broadcast over the whole view: N passes."""
+    n, dims = self.n_qubits, site.shape
+    out = np.ones(tuple(d for d in dims for _ in range(n)), dtype=complex)
+    for k in range(n):
+        shape = [1] * out.ndim
+        shape[k::n] = dims
+        out *= site.reshape(shape)
+    return out.reshape(math.prod(dims[:-2]) ** n, 4**n)
+
+
+DENSE_VIEW_CASES = (
+    [(kind, n, name, view) for n in (1, 2, 3, 4)
+     for kind, name in (("sic", "standard"), ("sic", "rotated"),
+                        ("pauli", None))
+     for view in ("probability_map", "matrix", "pinv_matrix")]
+    + [("sic", 5, "standard", "probability_map")])
+
+
+@pytest.mark.parametrize("kind,n,frame_name,view", DENSE_VIEW_CASES)
+def test_dense_views_equal_broadcast_loop(monkeypatch, kind, n, frame_name,
+                                          view):
+    """Site-by-site appends multiply each entry's factors in the same order
+    as the broadcast loop, starting from 1: bit for bit the same view,
+    signed zeros included."""
+    sup = make_superop(kind, n, frame_name)
+    got = getattr(sup, view)()
+    monkeypatch.setattr(FrameSuperoperator, "_dense", broadcast_dense)
+    want = getattr(sup, view)()
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("weights", [None, "multinomial"])
+@pytest.mark.parametrize("kind", ["sic", "pauli"])
+def test_mle_unchanged_with_broadcast_loop(monkeypatch, kind, weights):
+    """mle's step size reads probability_map; with the broadcast loop
+    patched in, the fit is the same to the bit."""
+    freqs = sampled_freqs(kind, 3, "standard" if kind == "sic" else None,
+                          seed=70)
+    sup = make_superop(kind, 3, "standard" if kind == "sic" else None)
+    got = mle(freqs, sup, weights=weights)
+    monkeypatch.setattr(FrameSuperoperator, "_dense", broadcast_dense)
+    want = mle(freqs, sup, weights=weights)
+    np.testing.assert_array_equal(got.estimate, want.estimate)
+    assert got.iterations == want.iterations
+    assert got.objective_history == want.objective_history
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -886,3 +947,56 @@ def test_record_reader_matches_line_reader(fuzz_path, povm, data):
         for g, w in zip(got, want, strict=True):
             assert g.dtype == np.uint8 and g.shape == w.shape
             np.testing.assert_array_equal(g, w)
+
+
+# --- reconstruct JSON writer --------------------------------------------------
+
+
+def odd_estimate(n, seed):
+    """A random density matrix with a signed zero, a NaN, infinities and a
+    subnormal among its parts, each written as json.dumps writes it."""
+    est = random_density(n, np.random.default_rng(seed)).matrix
+    est.flat[0] = complex(-0.0, 0.0)
+    est.flat[-1] = complex(np.nan, -np.inf)
+    est.flat[est.size // 2] = complex(5e-324, np.inf)
+    return est
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_blocked_json_equals_one_dumps(monkeypatch, n, block):
+    """The estimate written in blocks is byte for byte the one json.dumps
+    of the whole dict, with meta or without, mixed or pure."""
+    if block is not None:
+        monkeypatch.setattr(qstate, "_JSON_BLOCK", block)
+    res = ReconstructionResult(estimate=odd_estimate(n, 80 + n),
+                               method="pls", iterations=3, residual=0.25)
+    written, dumped = [], []
+    for shots in (None, 700):
+        fh = io.StringIO()
+        res.write_json(fh, shots)
+        written.append(fh.getvalue())
+        dumped.append(json.dumps(res.to_json_dict(shots)) + "\n")
+    amp = random_pure(n, np.random.default_rng(n)).amplitudes
+    amp[0] = complex(-0.0, np.nan)
+    fh = io.StringIO()
+    write_state_json(fh, PureState(amp, check=False))
+    written.append(fh.getvalue())
+    dumped.append(json.dumps(state_to_json_dict(PureState(amp, check=False)))
+                  + "\n")
+    same = written == dumped  # pytest's diff of long lines takes seconds
+    assert same
+
+
+def test_blocked_json_memory_is_bounded(tmp_path, hwm_growth):
+    """At N = 9 the estimate's lists and their one string (12.5 MB of text)
+    raised the peak by 37 MiB; the blocks add under one."""
+    grew = hwm_growth(
+        "import numpy as np\n"
+        "from sictomo.qstate import random_density\n"
+        "from sictomo.reconstruct import ReconstructionResult\n"
+        "res = ReconstructionResult(estimate=random_density(9,"
+        " np.random.default_rng(9)).matrix, method='lininv')\n"
+        f"fh = open({str(tmp_path / 'rho.json')!r}, 'w', encoding='ascii')",
+        "res.write_json(fh, 1000)\nfh.close()")
+    assert grew <= 4 * 2**20

@@ -380,3 +380,12 @@ def test_superop_caps():
         FrameSuperoperator("sic", 7).matrix()
     with pytest.raises(ValueError):
         FrameSuperoperator("heterodyne", 1)
+
+
+def test_dense_view_peak_is_view_plus_last_factor(hwm_growth):
+    """The Pauli N = 5 map is 6^5 x 4^5 x 16 = 127,401,984 bytes; its last
+    site step also holds the previous factor, 1/24 of that. 5 % slack."""
+    grew = hwm_growth("from sictomo.povm import FrameSuperoperator\n"
+                      "sup = FrameSuperoperator('pauli', 5)",
+                      "a = sup.probability_map()")
+    assert grew <= 1.05 * (127_401_984 + 5_308_416)
