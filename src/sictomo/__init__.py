@@ -32,7 +32,7 @@ from .qstate import (Bipartition, DensityOperator, PureState, fidelity_pure,
                      purity_exact, random_density, random_pure, renyi2_exact,
                      save_state, trace_distance)
 from .shadows import (ShadowAccumulator, inverse_depolarizing, pair_trace,
-                      shadow_expand, shadow_matrices)
+                      shadow_expand)
 from .estimators import (EstimateReport, ObservableSpec, PurityTracker,
                          RunningMoments, all_bipartitions, estimate_p3,
                          estimate_purity, estimate_renyi2, observable_lut,

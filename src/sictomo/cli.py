@@ -18,7 +18,8 @@ from . import __version__
 from .budget import BUDGET_CSV_HEADER, BudgetQuery, budget_csv_row
 from .estimators import CSV_HEADER, all_bipartitions
 from .povm import (CapExceededError, FrameSuperoperator, check_bytes,
-                   derive_rng, sample_pauli_shots, sample_sic_shots, sic_frame)
+                   derive_rng, indices_from_digits, sample_pauli_shots,
+                   sample_sic_shots, sic_frame)
 from .qstate import (DensityOperator, PureState, load_state, make_ame5,
                      make_ghz, make_linear_cluster, make_product,
                      make_rotated_ghz, random_pure, Bipartition)
@@ -26,8 +27,7 @@ from .reconstruct import FrequencyVector, ReconstructionResult, reconstruct
 from .shadows import ShadowAccumulator
 from .stream import (Game, OnlineEngine, ShotFileError, ShotFileHeader,
                      StoppingRule, TrackerConfig, drive, iter_sic_chunks,
-                     read_header, read_pauli_shots, read_sic_digits,
-                     write_shots)
+                     read_header, read_pauli_shots, write_shots)
 
 EXIT_OK = 0
 EXIT_EXHAUSTED = 2
@@ -240,9 +240,11 @@ def _cmd_reconstruct(args):
     else:
         frame = sic_frame(header.frame) if header.povm == "sic" else None
         superop = FrameSuperoperator(header.povm, n, frame=frame)
-        if header.povm == "sic":
-            _, digits = read_sic_digits(args.file)
-            freqs = FrequencyVector.from_sic_shots(digits, n)
+        if header.povm == "sic":  # one count array: memory flat in shots
+            counts = np.zeros(4**n, dtype=np.int64)
+            for chunk in iter_sic_chunks(args.file):
+                np.add.at(counts, indices_from_digits(chunk), 1)
+            freqs = FrequencyVector("sic", n, counts)
         else:
             _, settings, bits = read_pauli_shots(args.file)
             freqs = FrequencyVector.from_pauli_shots(settings, bits)

@@ -23,10 +23,9 @@ from operator import index
 
 import numpy as np
 
-from .povm import BYTES_CAP, check_bytes, frame_sums
+from .povm import BYTES_CAP, check_bytes, frame_sums, frame_traces
 from .qstate import Bipartition, partial_transpose, qubit_subset
-from .shadows import (apply_pair_trace, hist_zeros, pattern_codes, shadow_lut,
-                      shadow_matrices, shadow_sum)
+from .shadows import apply_pair_trace, hist_zeros, pattern_codes
 
 RENYI_PURITY_FLOOR = 1e-6
 
@@ -60,7 +59,7 @@ class ObservableSpec:
 
 def observable_lut(obs, frame):
     """tr(O sigma) for every digit pattern on the support, shape (4^K,)."""
-    return shadow_lut(obs.operator, frame)
+    return frame_traces(obs.operator, frame.duals).real
 
 
 def linear_values(digits, obs, frame):
@@ -237,9 +236,8 @@ def estimate_p3(digits, part, frame):
         raise ValueError("bipartition does not match record width")
     check_bytes(16 * 4**n, f"p3 moment on {n} qubits")
     hist = np.bincount(pattern_codes(digits, range(n)), minlength=4**n)
-    t = partial_transpose(shadow_sum(hist, frame), part)
-    site = shadow_matrices(frame)
-    q2 = partial_transpose(frame_sums(hist, site @ site), part)
+    t = partial_transpose(frame_sums(hist, frame.duals), part)
+    q2 = partial_transpose(frame_sums(hist, frame.duals @ frame.duals), part)
     triples = np.einsum("ij,ji->", t @ t - 3 * q2, t).real + 2 * m * 7.0**n
     return float(triples / (m * (m - 1) * (m - 2)))
 

@@ -102,7 +102,9 @@ class SicFrame:
 
     kets: array (4, 2). The constructor verifies the 1-design, 2-design and
     symmetric-overlap identities, so any accepted custom frame is a genuine
-    SIC frame.
+    SIC frame. It builds every site tensor the package reads from a frame,
+    once: the scaled bras (4, 2), the effects P_i / 2 and the canonical
+    duals 3 P_i - I (each (4, 2, 2)).
     """
 
     def __init__(self, name, kets):
@@ -121,11 +123,10 @@ class SicFrame:
         ov = np.abs(kets @ kets.conj().T) ** 2
         if np.max(np.abs(ov - (np.eye(4) * (1 - 1 / 3) + 1 / 3))) > 1e-12:
             raise ValueError("frame overlaps are not symmetric at 1/3")
-
-    @property
-    def effects(self):
-        """The four POVM effects (1/2)|psi_i><psi_i|."""
-        return self.projectors / 2
+        self.bras = kets.conj() / math.sqrt(2)  # <psi_i| / sqrt(2)
+        self.effects = self.projectors / 2  # the POVM effects
+        # the canonical duals, which are the per-digit shadow factors
+        self.duals = 3 * self.projectors - np.eye(2)
 
     def __repr__(self):
         return f"SicFrame({self.name!r})"
@@ -215,7 +216,7 @@ def sic_outcome_distribution(state, frame):
         raise cap_error(f"outcome distribution over 4^{n} outcomes",
                         8 * 4**n, f"{DIST_CAP} qubits")
     if amp is not None:
-        return _ket_probs(amp, [frame.kets.conj() / math.sqrt(2)] * n)
+        return _ket_probs(amp, [frame.bras] * n)
     probs = frame_traces(state.matrix, frame.effects).real
     return np.where(probs < 0, 0.0, probs)
 
@@ -346,7 +347,7 @@ def _pershot_pure(amp, frame, digits, rng):
     # and imaginary parts, and branch v_i0 c_0 + v_i1 c_1, built only for
     # the outcomes the shots chose and gathered _BLOCK amplitudes at a time
     m, n = digits.shape  # the block's rows of the caller's array, filled here
-    v = frame.kets.conj() / math.sqrt(2)  # v[i, a]
+    v = frame.bras  # v[i, a]
     u = rng.random((n, m))
     cur = np.ascontiguousarray(amp).reshape(1, 2, amp.size // 2)
     row = np.zeros(m, dtype=np.intp)
@@ -454,9 +455,12 @@ def sample_pauli_shots(state, n_shots, rng):
 
 # --- measurement superoperator ------------------------------------------------
 
-# Pauli effects per site, outcome 2s + b for setting s in X, Y, Z and bit b
+# Pauli projectors per site, outcome 2s + b for setting s in X, Y, Z and bit
+# b, with the uniform-setting effects and their canonical duals
 _PAULI_PROJECTORS = np.array([np.outer(v, v.conj()) for ch in "XYZ"
                               for v in _PAULI_EIGVECS[ch].T])
+_PAULI_EFFECTS = _PAULI_PROJECTORS / 3
+_PAULI_DUALS = 3 * _PAULI_PROJECTORS - np.eye(2)
 
 
 def _site_gram(site):
@@ -486,18 +490,17 @@ class FrameSuperoperator:
     def __init__(self, kind, n_qubits, frame=None):
         if kind == "sic":
             frame = frame if frame is not None else sic_frame("standard")
-            projectors, self.effects = frame.projectors, frame.effects
+            self.effects, self.duals = frame.effects, frame.duals
         elif kind == "pauli":
-            projectors, self.effects = _PAULI_PROJECTORS, _PAULI_PROJECTORS / 3
+            self.effects, self.duals = _PAULI_EFFECTS, _PAULI_DUALS
         else:
             raise ValueError(f"unknown povm kind {kind!r}")
         # the largest array the maps make: the complex outcome vector or the
         # 2^N x 2^N estimate
-        check_bytes(16 * max(4, len(projectors)) ** n_qubits,
+        check_bytes(16 * len(self.effects) ** n_qubits,
                     f"{kind} frame superoperator on {n_qubits} qubits")
         self.kind = kind
         self.n_qubits = n_qubits
-        self.duals = 3 * projectors - np.eye(2)
 
     @property
     def n_outcomes(self):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .povm import cap_error, indices_from_digits
-from .qstate import DensityOperator, state_to_json_dict, write_state_json
+from .qstate import DensityOperator, write_state_json
 
 MLE_CAP = 5  # qubits; the fit solves repeatedly in dimension 4^N
 MLE_MAX_ITER = 5000
@@ -57,11 +57,9 @@ class FrequencyVector:
             raise ValueError("every Pauli setting needs at least one shot")
 
     @classmethod
-    def from_sic_shots(cls, digits, n_qubits=None):
+    def from_sic_shots(cls, digits):
         digits = np.asarray(digits)
-        n = digits.shape[1] if n_qubits is None else n_qubits
-        if digits.shape[1] != n:
-            raise ValueError("digit rows must have n_qubits columns")
+        n = digits.shape[1]
         return cls("sic", n, np.bincount(indices_from_digits(digits),
                                          minlength=4**n))
 
@@ -106,20 +104,14 @@ class ReconstructionResult:
     converged: bool = True
     objective_history: list = field(default_factory=list)
 
-    def _state_and_meta(self, shots):
+    def write_json(self, fh, shots=None):
+        """Write the estimate as a mixed-state file whose meta records the
+        fit, and a newline, to `fh`, in blocks (write_state_json)."""
         meta = {"method": self.method, "residual": self.residual,
                 "iterations": self.iterations, "converged": self.converged}
         if shots is not None:
             meta["shots"] = int(shots)
-        return DensityOperator(self.estimate, check=False), meta
-
-    def to_json_dict(self, shots=None):
-        return state_to_json_dict(*self._state_and_meta(shots))
-
-    def write_json(self, fh, shots=None):
-        """Write json.dumps(self.to_json_dict(shots)) and a newline to `fh`,
-        in blocks (write_state_json)."""
-        write_state_json(fh, *self._state_and_meta(shots))
+        write_state_json(fh, DensityOperator(self.estimate, check=False), meta)
 
 
 def _freq_array(freqs, superop):

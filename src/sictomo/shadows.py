@@ -2,11 +2,13 @@
 
 Each shot with outcome digits (i_1 .. i_N) defines the single-shot estimator
 sigma = kron_k (3|psi_{i_k}><psi_{i_k}| - I), which reproduces rho in
-expectation. A sum of shadows on a qubit subset K is kept as its histogram
-n over the 4^K digit patterns c. The frame is a tensor product, so what is
-built from n is a site-by-site contraction: shadow_sum (sum_c n_c sigma_c),
-shadow_lut (tr(O sigma_c) for all c) and apply_pair_trace (V n, where the
-Gram matrix V = PAIR_TRACE^{kron K} gives tr(S^2) = n^T V n).
+expectation. Its site factors are the SIC frame's canonical duals,
+`frame.duals`: averaging shadows is linear inversion with the frame. A sum
+of shadows on a qubit subset K is kept as its histogram n over the 4^K digit
+patterns c. The frame is a tensor product, so what is built from n is a
+site-by-site contraction: frame_sums(n, frame.duals) (sum_c n_c sigma_c),
+frame_traces(O, frame.duals) (tr(O sigma_c) for all c) and apply_pair_trace
+(V n, where the Gram matrix V = PAIR_TRACE^{kron K} gives tr(S^2) = n^T V n).
 """
 
 import functools
@@ -14,12 +16,12 @@ import math
 
 import numpy as np
 
-from .povm import (check_bytes, frame_sums, frame_traces, indices_from_digits,
-                   n_sites)
+from .povm import check_bytes, frame_sums, indices_from_digits, n_sites
 from .qstate import qubit_subset
 
-# tr(sigma_i sigma_j) factorizes per site into 5 (matching digits) or -1;
-# this holds for every SIC frame since it only uses the 1/3 overlaps
+# tr(sigma_i sigma_j) factorizes per site into the duals' Gram matrix,
+# tr(D_i D_j): 5 for matching digits, else -1; this holds for every SIC
+# frame since it only uses the 1/3 overlaps
 PAIR_TRACE = np.full((4, 4), -1.0)
 np.fill_diagonal(PAIR_TRACE, 5.0)
 PAIR_TRACE_POWERS = [functools.reduce(np.kron, [PAIR_TRACE] * s, np.eye(1))
@@ -30,14 +32,6 @@ def hist_zeros(shape, what):
     """Zeroed float64 histogram state; CapExceededError above BYTES_CAP."""
     check_bytes(8 * math.prod(shape), f"{what} histogram state")
     return np.zeros(shape)
-
-
-def shadow_matrices(frame):
-    """Per-digit single-qubit shadow factors 3|psi><psi| - I, shape (4,2,2).
-
-    Each factor has eigenvalues exactly {2, -1} and unit trace.
-    """
-    return 3 * frame.projectors - np.eye(2)
 
 
 def _site_mix(a, n, k, coeff_a, coeff_id):
@@ -74,16 +68,6 @@ def pattern_codes(digits, subset):
     return indices_from_digits(np.asarray(digits)[:, list(subset)])
 
 
-def shadow_sum(counts, frame):
-    """sum_c counts[..., c] sigma_c, shape (..., 2^K, 2^K)."""
-    return frame_sums(counts, shadow_matrices(frame))
-
-
-def shadow_lut(operator, frame):
-    """tr(O sigma_c) for every pattern code c, shape (4^K,), real part."""
-    return frame_traces(operator, shadow_matrices(frame)).real
-
-
 def apply_pair_trace(hist):
     """hist @ V over the last axis, V = PAIR_TRACE^{kron K} (symmetric).
 
@@ -106,10 +90,9 @@ def shadow_expand(digits_row, subset, frame):
     """Materialize the shadow on `subset`, dimension 2^|subset|."""
     digits_row = np.asarray(digits_row)
     subset = qubit_subset(subset, digits_row.size)
-    mats = shadow_matrices(frame)
     out = np.ones((1, 1), dtype=complex)
     for k in subset:
-        out = np.kron(out, mats[digits_row[k]])
+        out = np.kron(out, frame.duals[digits_row[k]])
     return out
 
 
@@ -155,4 +138,4 @@ class ShadowAccumulator:
     def mean(self):
         if self.count == 0:
             raise ValueError("empty accumulator")
-        return shadow_sum(self.histogram / self.count, self.frame)
+        return frame_sums(self.histogram / self.count, self.frame.duals)

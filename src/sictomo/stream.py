@@ -257,13 +257,6 @@ def iter_sic_chunks(path, chunk_rows=4096):
         yield runs[0]
 
 
-def read_sic_digits(path):
-    """Whole-file convenience: (header, (M, N) digit array)."""
-    header = read_header(path)
-    empty = np.empty((0, header.n_qubits), dtype=np.uint8)
-    return header, np.concatenate([empty, *iter_sic_chunks(path)])
-
-
 def read_pauli_shots(path):
     """Whole-file Pauli reader: (header, setting codes, bits)."""
     header = read_header(path)

@@ -275,10 +275,14 @@ def test_c14_streaming_scaling():
         cfg = TrackerConfig(n_qubits=8, renyi_parts=parts, interval=10_000,
                             stopping=None)
         OnlineEngine(cfg, STANDARD).feed(digits[:20_000])  # warm caches
-        reports = OnlineEngine(cfg, STANDARD).feed(digits)
-        by_interval = {r.shots: r.wall_ms for r in reports}
-        assert len(by_interval) == 10
-        walls = list(by_interval.values())
+        # an interval takes about 5 ms, so one scheduler stall would double
+        # it: each position's time is its least over three fresh engines
+        feeds = [{r.shots: r.wall_ms
+                  for r in OnlineEngine(cfg, STANDARD).feed(digits)}
+                 for _ in range(3)]
+        assert all(len(by_interval) == 10 for by_interval in feeds)
+        walls = np.min([list(by_interval.values()) for by_interval in feeds],
+                       axis=0)
         assert max(walls) / min(walls) < 3.0
 
 

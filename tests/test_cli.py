@@ -1,5 +1,7 @@
 """End-to-end CLI behavior through main(argv), no subprocesses."""
 
+import importlib
+import io
 import json
 import math
 import pathlib
@@ -11,10 +13,15 @@ import pytest
 
 from sictomo.cli import GAME_CSV_HEADER, build_parser, main, parse_state
 from sictomo.estimators import CSV_HEADER
-from sictomo.povm import FrameSuperoperator, digits_from_indices
-from sictomo.qstate import DensityOperator, PureState, save_state, random_pure
-from sictomo.reconstruct import ReconstructionResult
-from sictomo.stream import ShotFileHeader, read_header, write_shots
+from sictomo.povm import FrameSuperoperator, digits_from_indices, sic_frame
+from sictomo.qstate import (DensityOperator, PureState, random_pure,
+                            save_state, state_to_json_dict)
+from sictomo.reconstruct import FrequencyVector, reconstruct
+from sictomo.stream import (ShotFileHeader, iter_sic_chunks, read_header,
+                            write_shots)
+
+# the module, which the package's `reconstruct` function hides
+RECONSTRUCT = importlib.import_module("sictomo.reconstruct")
 
 
 def run(*argv):
@@ -575,21 +582,65 @@ def test_reconstruct_at_paper_scale(method, tmp_path):
 @pytest.mark.parametrize("method", ["lininv", "shadow-mean"])
 def test_reconstruct_json_equals_one_dumps(method, tmp_path, monkeypatch):
     """At N = 8 the file, written four blocks each of re and im at a time,
-    is json.dumps of the result's whole dict. Both come from the same
-    result: two fits in one process can differ in the residual's last
+    is json.dumps of the state's whole dict. Both come from the same state
+    and meta: two fits in one process can differ in the residual's last
     digit."""
-    dumped, write_json = [], ReconstructionResult.write_json
+    dumped, write_state_json = [], RECONSTRUCT.write_state_json
 
-    def dump_then_write(self, fh, shots=None):
-        dumped.append(json.dumps(self.to_json_dict(shots)) + "\n")
-        write_json(self, fh, shots)
-    monkeypatch.setattr(ReconstructionResult, "write_json", dump_then_write)
+    def dump_then_write(fh, state, meta=None):
+        dumped.append(json.dumps(state_to_json_dict(state, meta)) + "\n")
+        write_state_json(fh, state, meta)
+    monkeypatch.setattr(RECONSTRUCT, "write_state_json", dump_then_write)
     shots = simulate(tmp_path, state="ghz:8", shots=3000, seed=4)
     out = tmp_path / "rho.json"
     assert run("reconstruct", "--file", str(shots), "--method", method,
                "--out", str(out)) == 0
     same = out.read_text() == dumped[0]  # no diff of two 2.6 MB lines
     assert same
+
+
+@pytest.mark.parametrize("method", ["lininv", "pls", "mle"])
+def test_reconstruct_counts_sic_files_chunk_by_chunk(method, tmp_path):
+    """`reconstruct` counts a SIC file one chunk at a time, here three
+    chunks; its file is the fit of the whole file's counts."""
+    shots = simulate(tmp_path, state="ghz:3", shots=9000, seed=5)
+    out = tmp_path / "rho.json"
+    assert run("reconstruct", "--file", str(shots), "--method", method,
+               "--out", str(out)) == 0
+    digits = np.concatenate(list(iter_sic_chunks(shots)))
+    freqs = FrequencyVector.from_sic_shots(digits)
+    res = reconstruct(freqs, FrameSuperoperator("sic", 3,
+                                                frame=sic_frame("standard")),
+                      method)
+    fh = io.StringIO()
+    res.write_json(fh, freqs.total_shots)
+    got, want = json.loads(out.read_text()), json.loads(fh.getvalue())
+    # two fits in one process can differ in the residual's last digit
+    assert got["meta"].pop("residual") == pytest.approx(
+        want["meta"].pop("residual"), rel=1e-12, abs=1e-15)
+    assert got == want
+
+
+def test_reconstruct_counting_memory_does_not_grow_with_shots(tmp_path,
+                                                              hwm_growth):
+    """At N = 6, lininv on 400 000 shots raises the peak no more than on
+    20 000: the counts are one 4^N array, filled chunk by chunk. Reading
+    the whole file, digits and codes, raised it by about 6 MB more."""
+    def argv(shots):
+        path = simulate(tmp_path, state="ghz:6", shots=shots, seed=6,
+                        name=f"{shots}.sic")
+        return ["reconstruct", "--file", str(path), "--method", "lininv",
+                "--out", str(tmp_path / "rho.json")]
+
+    small, large = argv(20_000), argv(400_000)
+    setup = ("import contextlib, io\n"
+             "from sictomo.cli import main\n"
+             "def quiet(argv):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert main(argv) == 0\n"
+             f"quiet({small!r})")  # a first run leaves its one-off peaks
+    grew = [hwm_growth(setup, f"quiet({a!r})") for a in (small, large)]
+    assert grew[1] - grew[0] < 2**20, grew
 
 
 class DenseViewBuilt(Exception):

@@ -37,6 +37,11 @@ own: counts from rng.multinomial on the normalized distribution, their
 expansion shuffled, then decoded in base 4 (SIC) or base 2 (Pauli bits); the
 one shared draw must give the same digits.
 
+Each SIC frame builds its bras, effects and duals once. They must equal,
+bit for bit, the expressions that the sampler, the shadows and the
+superoperator each built before, and so must the lookup table, the mean
+shadow and p3 against contractions of 3 P - I built in the test.
+
 The rotated GHZ reference applies the dense Kronecker power of the
 single-qubit rotation; rotating one tensor axis at a time must agree to
 1e-14.
@@ -64,23 +69,24 @@ from sictomo import povm, qstate
 from sictomo.estimators import (ObservableSpec, PurityTracker,
                                 all_bipartitions, estimate_p3, observable_lut,
                                 renyi2_from_purity, renyi2_stderr)
-from sictomo.povm import (FrameSuperoperator, derive_rng, naimark_unitary,
+from sictomo.povm import (FrameSuperoperator, derive_rng, frame_sums,
+                          frame_traces, naimark_unitary,
                           pauli_outcome_distribution, pauli_settings,
                           sample_pauli_shots, sample_sic_shots, sic_frame,
                           sic_outcome_distribution)
 from sictomo.qstate import (Bipartition, PureState, make_ghz,
-                            make_rotated_ghz, random_density, random_pure,
-                            state_to_json_dict, write_state_json)
+                            make_rotated_ghz, partial_transpose,
+                            random_density, random_pure, state_to_json_dict,
+                            write_state_json)
 from sictomo.reconstruct import (MLE_MAX_ITER, MLE_TOL, FrequencyVector,
                                  ReconstructionResult, _max_eigenvalue,
                                  _project_density, _weight_vector, lininv,
                                  mle, pls_from_freqs)
 from sictomo.shadows import (ShadowAccumulator, apply_pair_trace,
-                             pair_trace, pattern_codes, shadow_expand,
-                             shadow_matrices, shadow_sum)
+                             pair_trace, pattern_codes, shadow_expand)
 from sictomo.stream import (OnlineEngine, ShotFileError, TrackerConfig,
                             _iter_records, _read_header_lines,
-                            iter_sic_chunks, read_pauli_shots, read_sic_digits)
+                            iter_sic_chunks, read_pauli_shots)
 
 FRAME = sic_frame("standard")
 TOL = 1e-10
@@ -259,9 +265,56 @@ def test_accumulator_shadow_sum_matches_kron(n):
     for chunk in np.array_split(digits, 3):
         acc.add_records(chunk)
     want = sum(shadow_expand(row, range(n), FRAME) for row in digits)
-    np.testing.assert_allclose(shadow_sum(acc.histogram, FRAME), want,
+    np.testing.assert_allclose(frame_sums(acc.histogram, FRAME.duals), want,
                                rtol=0, atol=TOL)
     np.testing.assert_allclose(acc.mean(), want / 200, rtol=0, atol=TOL)
+
+
+# --- one frame description ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["standard", "rotated"])
+def test_frame_tensors_equal_the_expressions_they_replaced(name):
+    """The frame builds each site tensor once, from the expressions that
+    the sampler, the shadows and the superoperator each built before."""
+    frame = sic_frame(name)
+    assert np.array_equal(frame.bras, frame.kets.conj() / math.sqrt(2))
+    assert np.array_equal(frame.effects, frame.projectors / 2)
+    assert np.array_equal(frame.duals, 3 * frame.projectors - np.eye(2))
+    for n in (1, 3):
+        superop = FrameSuperoperator("sic", n, frame=frame)
+        assert superop.duals is frame.duals
+        assert superop.effects is frame.effects
+    proj = povm._PAULI_PROJECTORS
+    pauli = FrameSuperoperator("pauli", 2)
+    assert np.array_equal(pauli.effects, proj / 3)
+    assert np.array_equal(pauli.duals, 3 * proj - np.eye(2))
+
+
+@pytest.mark.parametrize("name", ["standard", "rotated"])
+def test_shadow_contractions_equal_inline_duals(rng, name):
+    """The lookup table, the mean shadow and p3 read the frame's duals; each
+    equals, bit for bit, its contraction of 3 P - I built here."""
+    frame, n = sic_frame(name), 3
+    site = 3 * frame.projectors - np.eye(2)
+    g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n,) * 2)
+    op = (g + g.conj().T) / 2
+    assert np.array_equal(observable_lut(ObservableSpec(range(n), op), frame),
+                          frame_traces(op, site).real)
+    digits = sample_sic_shots(make_ghz(n), frame, 300,
+                              derive_rng(7, "sic-shots"))
+    acc = ShadowAccumulator(n, range(n), frame)
+    acc.add_records(digits)
+    assert np.array_equal(acc.mean(),
+                          frame_sums(acc.histogram / acc.count, site))
+    m = len(digits)
+    hist = np.bincount(pattern_codes(digits, range(n)), minlength=4**n)
+    for part in (Bipartition(n, (0,)), Bipartition(n, (0, 2))):
+        t = partial_transpose(frame_sums(hist, site), part)
+        q2 = partial_transpose(frame_sums(hist, site @ site), part)
+        triples = np.einsum("ij,ji->", t @ t - 3 * q2, t).real + 2 * m * 7.0**n
+        want = float(triples / (m * (m - 1) * (m - 2)))
+        assert estimate_p3(digits, part, frame) == want
 
 
 # --- dense frame superoperator ------------------------------------------------
@@ -381,7 +434,7 @@ def sampled_freqs(kind, n, frame_name, seed):
     state = random_density(n, rng)
     if kind == "sic":
         digits = sample_sic_shots(state, sic_frame(frame_name), 3000, rng)
-        return FrequencyVector.from_sic_shots(digits, n)
+        return FrequencyVector.from_sic_shots(digits)
     return FrequencyVector.from_pauli_shots(
         *sample_pauli_shots(state, 40 * 3**n, rng))
 
@@ -577,7 +630,7 @@ def reference_p3(digits, part):
     """Mean of Re tr(abc) over every distinct triple of the per-shot stack
     of partially transposed shadows."""
     m, n = digits.shape
-    site = shadow_matrices(FRAME)
+    site = 3 * FRAME.projectors - np.eye(2)
     mats = np.ones((m, 1, 1), dtype=complex)
     for k in range(n):
         factor = (site.transpose(0, 2, 1) if k in part.subset_a
@@ -867,14 +920,13 @@ CHUNK_ROWS = (1, 2, 3, 4096)
 
 def record_readers(povm):
     """Every reader of a povm's files, each yielding chunks of runs: the
-    record reader and its chunked view at every chunk size, then the
-    whole-file view."""
+    record reader and, for SIC files, its chunked view at every chunk size;
+    for Pauli files, the whole-file reader."""
     readers = [functools.partial(_iter_records, povm=povm, chunk_rows=rows)
                for rows in CHUNK_ROWS]
     if povm == "sic":
         readers += [lambda p, rows=rows: ([c] for c in iter_sic_chunks(p, rows))
                     for rows in CHUNK_ROWS]
-        readers.append(lambda p: [read_sic_digits(p)[1:]])
     else:
         readers.append(lambda p: [read_pauli_shots(p)[1:]])
     return readers
@@ -971,12 +1023,16 @@ def test_blocked_json_equals_one_dumps(monkeypatch, n, block):
         monkeypatch.setattr(qstate, "_JSON_BLOCK", block)
     res = ReconstructionResult(estimate=odd_estimate(n, 80 + n),
                                method="pls", iterations=3, residual=0.25)
+    meta = {"method": "pls", "residual": 0.25, "iterations": 3,
+            "converged": True}
+    mixed = qstate.DensityOperator(res.estimate, check=False)
     written, dumped = [], []
-    for shots in (None, 700):
+    for shots, extra in ((None, {}), (700, {"shots": 700})):
         fh = io.StringIO()
         res.write_json(fh, shots)
         written.append(fh.getvalue())
-        dumped.append(json.dumps(res.to_json_dict(shots)) + "\n")
+        dumped.append(json.dumps(state_to_json_dict(mixed, meta | extra))
+                      + "\n")
     amp = random_pure(n, np.random.default_rng(n)).amplitudes
     amp[0] = complex(-0.0, np.nan)
     fh = io.StringIO()

@@ -43,6 +43,17 @@ def test_no_module_imports_private_names_of_another():
     assert found == []
 
 
+def test_only_povm_reads_frame_projectors():
+    """A SIC frame builds its bras, effects and duals from its projectors
+    once, in `povm`; every other module reads those, so no module but `povm`
+    reads `.projectors` and builds a site tensor of its own."""
+    readers = sorted(
+        path.name for path in SRC.glob("*.py") if path.name != "povm.py"
+        and any(isinstance(node, ast.Attribute) and node.attr == "projectors"
+                for node in ast.walk(ast.parse(path.read_text()))))
+    assert readers == []
+
+
 def identifiers(tree, strings=False):
     """Every name, attribute and imported module or name in `tree`; with
     `strings`, every string constant too."""

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from sictomo.povm import (BYTES_CAP, CapExceededError, sic_frame,
-                          sic_outcome_distribution)
+from sictomo.povm import (BYTES_CAP, CapExceededError, frame_sums,
+                          sic_frame, sic_outcome_distribution)
 from sictomo.qstate import random_density
 from sictomo.shadows import (
     PAIR_TRACE,
@@ -15,8 +15,6 @@ from sictomo.shadows import (
     inverse_depolarizing,
     pair_trace,
     shadow_expand,
-    shadow_matrices,
-    shadow_sum,
 )
 
 FRAME = sic_frame("standard")
@@ -32,7 +30,7 @@ def trace_out(mat, n, keep):
 
 @pytest.mark.parametrize("name", ["standard", "rotated"])
 def test_shadow_factor_spectrum(name):
-    mats = shadow_matrices(sic_frame(name))
+    mats = sic_frame(name).duals
     assert mats.shape == (4, 2, 2)
     for m in mats:
         np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
@@ -45,13 +43,13 @@ def test_single_shot_unbiasedness(rng, name):
     frame = sic_frame(name)
     rho = random_density(1, rng)
     probs = sic_outcome_distribution(rho, frame)
-    mats = shadow_matrices(frame)
+    mats = frame.duals
     mean = np.tensordot(probs, mats, axes=1)
     np.testing.assert_allclose(mean, rho.matrix, atol=1e-12)
 
 
 def test_shadow_expand_matches_kron():
-    mats = shadow_matrices(FRAME)
+    mats = FRAME.duals
     row = np.array([3, 1, 0], dtype=np.uint8)
     got = shadow_expand(row, (0, 2), FRAME)
     np.testing.assert_allclose(got, np.kron(mats[3], mats[0]), atol=1e-14)
@@ -76,10 +74,15 @@ def test_self_overlap_is_5_to_k(rng, k):
 
 @pytest.mark.parametrize("name", ["standard", "rotated"])
 def test_pair_trace_table(name):
-    mats = shadow_matrices(sic_frame(name))
+    """The literals are facts about the frame's duals D_i: PAIR_TRACE is
+    their Gram matrix tr(D_i D_j), tr(D_i^2) = 5 and tr(D_i^3) = 7."""
+    mats = sic_frame(name).duals
     for i, j in itertools.product(range(4), repeat=2):
-        got = np.trace(mats[i] @ mats[j]).real
+        got = np.trace(mats[i] @ mats[j])
         assert abs(got - PAIR_TRACE[i, j]) < 1e-12
+    for m in mats:
+        assert abs(np.trace(m @ m) - 5) < 1e-12
+        assert abs(np.trace(m @ m @ m) - 7) < 1e-12
 
 
 def test_pair_trace_matches_materialized(rng):
@@ -124,7 +127,7 @@ def test_depolarize_inverse_round_trip(rng):
 def test_inverse_depolarizing_gives_shadow_factors():
     for i in range(4):
         got = inverse_depolarizing(FRAME.projectors[i], 1)
-        np.testing.assert_allclose(got, shadow_matrices(FRAME)[i], atol=1e-13)
+        np.testing.assert_allclose(got, FRAME.duals[i], atol=1e-13)
 
 
 # --- accumulators --------------------------------------------------------------
@@ -155,8 +158,9 @@ def test_accumulator_weights_equal_repetition(rng):
     weighted.add_records(digits, weights=[2, 1])
     plain = ShadowAccumulator(2, (0, 1), FRAME)
     plain.add_records(digits[[0, 0, 1]])
-    np.testing.assert_allclose(shadow_sum(weighted.histogram, FRAME),
-                               shadow_sum(plain.histogram, FRAME), atol=1e-12)
+    np.testing.assert_allclose(frame_sums(weighted.histogram, FRAME.duals),
+                               frame_sums(plain.histogram, FRAME.duals),
+                               atol=1e-12)
     assert weighted.count == 3
 
 

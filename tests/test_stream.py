@@ -27,7 +27,6 @@ from sictomo.stream import (
     iter_sic_chunks,
     read_header,
     read_pauli_shots,
-    read_sic_digits,
     write_shots,
 )
 from test_equivalence import reference_records
@@ -86,8 +85,9 @@ def test_sic_file_bytes(tmp_path):
 def test_sic_round_trip(rng, tmp_path):
     digits = rng.integers(0, 4, size=(500, 3)).astype(np.uint8)
     path = sic_file(tmp_path, digits)
-    header, back = read_sic_digits(path)
+    header = read_header(path)
     assert header.n_qubits == 3 and header.povm == "sic"
+    back = np.concatenate(list(iter_sic_chunks(path)))
     np.testing.assert_array_equal(back, digits)
     rows = np.concatenate(list(iter_sic_chunks(path, chunk_rows=1)))
     np.testing.assert_array_equal(rows, digits)
@@ -183,8 +183,8 @@ def test_write_shots_validation(tmp_path):
 
 def test_empty_body_is_valid(tmp_path):
     path = sic_file(tmp_path, np.empty((0, 2), dtype=np.uint8))
-    header, digits = read_sic_digits(path)
-    assert digits.shape == (0, 2)
+    assert read_header(path).n_qubits == 2
+    assert list(iter_sic_chunks(path)) == []
 
 
 # --- parse errors ----------------------------------------------------------------
@@ -218,9 +218,9 @@ def test_wrong_length_reports_line(tmp_path):
 
 @pytest.mark.parametrize("line_no", [1, 2, 4])
 @pytest.mark.parametrize("read", [
-    read_sic_digits,
+    lambda p: np.concatenate(list(iter_sic_chunks(p))),
     lambda p: list(iter_sic_chunks(p, chunk_rows=1)),
-], ids=["read_sic_digits", "iter_sic_chunks"])
+], ids=["whole_file", "iter_sic_chunks"])
 def test_non_ascii_byte_reports_line(read, line_no, tmp_path):
     path = sic_file(tmp_path, [[0, 1], [2, 3], [1, 1]])
     lines = path.read_bytes().split(b"\n")
