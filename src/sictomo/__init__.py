@@ -38,14 +38,13 @@ from .estimators import (EstimateReport, ObservableSpec, PurityTracker,
                          estimate_purity, estimate_renyi2, observable_lut,
                          renyi2_from_purity)
 from .reconstruct import (FrequencyVector, ReconstructionResult, lininv, mle,
-                          pls, pls_from_freqs, reconstruct,
-                          simplex_projection)
+                          pls, pls_from_freqs, simplex_projection)
 from .budget import (BudgetQuery, coincidence_probability,
                      enumerated_coincidence, exact_linear_variance,
                      exact_quadratic_variance, linear_variance_bound,
                      observable_budget, purity_budget,
                      quadratic_variance_bound, variance_decomposition_check)
 from .stream import (Game, OnlineEngine, ShotFileError, ShotFileHeader,
-                     StoppingRule, TrackerConfig, write_shots)
+                     TrackerConfig, write_shots)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

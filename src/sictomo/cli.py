@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Subcommands: simulate, estimate, reconstruct, budget, game, verify.
-Exit codes: 0 success (estimate: stopping rule converged), 2 shots exhausted
-before convergence, 3 invalid input, 4 resource cap exceeded.
+Exit codes: 0 success (estimate: every stderr reached --tol relative to its
+value, or --no-stopping read the whole file), 2 the shots ran out before
+the requested stderr was reached, 3 invalid input, 4 resource cap exceeded.
 """
 
 import argparse
@@ -26,8 +27,8 @@ from .qstate import (DensityOperator, PureState, load_state, make_ame5,
 from .reconstruct import FrequencyVector, ReconstructionResult, reconstruct
 from .shadows import ShadowAccumulator
 from .stream import (Game, OnlineEngine, ShotFileError, ShotFileHeader,
-                     StoppingRule, TrackerConfig, drive, iter_sic_chunks,
-                     read_header, read_pauli_shots, write_shots)
+                     TrackerConfig, drive, iter_sic_chunks, read_header,
+                     read_pauli_shots, write_shots)
 
 EXIT_OK = 0
 EXIT_EXHAUSTED = 2
@@ -200,8 +201,7 @@ def _cmd_estimate(args):
         purity_subsets=_parse_subsets(args.purity, n),
         renyi_parts=_parse_parts(args.renyi, n),
         interval=args.interval,
-        stopping=None if args.no_stopping else StoppingRule(
-            window=args.window, tol=args.tol),
+        stopping=None if args.no_stopping else args.tol,
     )
     engine = OnlineEngine(cfg, frame)
     chunks = iter_sic_chunks(args.file)
@@ -215,7 +215,9 @@ def _cmd_estimate(args):
             _emit_report(sink, report, args.format)
     if args.out != "-":
         _write_manifest(args.out, args, [args.file], [args.out], header.seed)
-    return EXIT_OK if engine.converged else EXIT_EXHAUSTED
+    if cfg.stopping is None or engine.converged:
+        return EXIT_OK
+    return EXIT_EXHAUSTED
 
 
 # --- reconstruct ----------------------------------------------------------
@@ -480,7 +482,6 @@ def build_parser():
                      help="'all:K' for every bipartition with smaller side "
                           "<= K, or ';'-separated side-A subsets")
     est.add_argument("--interval", type=int, default=100)
-    est.add_argument("--window", type=int, default=5)
     est.add_argument("--tol", type=float, default=0.01)
     est.add_argument("--no-stopping", action="store_true")
     est.add_argument("--format", choices=("csv", "jsonl"), default="csv")

@@ -93,8 +93,9 @@ class RunningMoments:
         self.count = total
 
     def stderr(self):
+        """Standard error of the mean; nan below 2 values."""
         if self.count < 2:
-            return 0.0
+            return math.nan
         return math.sqrt(self.m2 / (self.count - 1) / self.count)
 
 

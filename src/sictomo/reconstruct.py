@@ -162,8 +162,9 @@ def pls(rho_hat):
 
 
 def pls_from_freqs(freqs, superop):
-    res = lininv(freqs, superop)
-    rho = pls(res.estimate).matrix
+    """pls of the linear inversion; lininv's estimate is Hermitian by
+    construction, so neither it nor its projection is checked again."""
+    rho = _project_density(lininv(freqs, superop).estimate)
     resid = float(np.linalg.norm(
         superop.forward(rho) - _freq_array(freqs, superop)))
     return ReconstructionResult(estimate=rho, method="pls", residual=resid)

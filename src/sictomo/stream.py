@@ -6,21 +6,26 @@ File format, bit-exact:
     body:   SIC `d1d2...dN` with digits 0-3; Pauli `XYZ... b1b2...` with a
             single space between setting letters and outcome bits.
 
-Each record format is described once, as the alphabet of each column
-(`_RECORDS`); the writer encodes and the one chunked reader decodes through
-the same tables. Files are read as ASCII text with universal newlines, so a
-CRLF or a lone CR ends a line as LF does. A chunk of well-formed records is
-decoded in one pass; any other chunk goes through one per-line checker,
-which raises a ShotFileError for its first bad line: an empty line, a byte
-outside ASCII, a line of the wrong shape, or a symbol outside its column's
-alphabet.
+Each record format is described once, as the alphabet of each run of N
+columns (`_RECORDS`). The writer fills each run from its alphabet's bytes;
+the one chunked reader decodes each run through one 256-entry table per
+alphabet and checks that the separators and the newline sit in their
+columns, so nothing it builds grows with N. Files are read as ASCII text
+with universal newlines, so a CRLF or a lone CR ends a line as LF does. A
+chunk of well-formed records is decoded in one pass; any other chunk goes
+through one per-line checker, which raises a ShotFileError for its first bad
+line: an empty line, a byte outside ASCII, a line of the wrong shape, or a
+symbol outside its column's alphabet.
 
 The online engine consumes digit rows in report intervals and keeps every
 tracked quantity incrementally, so the analysis cost of an interval does not
-depend on how many shots came before it. Its state is sized when it is
-built: a fidelity target on N qubits is made dense (16 x 4^N bytes) and read
-through a 4^N-entry lookup table, indexed by each shot's all-qubit pattern
-code, computed once per interval for every target. The purity
+depend on how many shots came before it. Every row it reports carries a
+standard error, and with a tolerance `tol` it stops after the first interval
+whose rows all have stderr <= tol * |value|; a NaN stderr, which a quantity
+reports until it has enough shots, never meets that. Its state is sized when
+it is built: a fidelity target on N qubits is made dense (16 x 4^N bytes)
+and read through a 4^N-entry lookup table, indexed by each shot's all-qubit
+pattern code, computed once per interval for every target. The purity
 subsets and Renyi-2 smaller sides of one size K share PurityTrackers, which
 keep their 4^K-pattern histograms in one array each; a size's subsets are
 split across trackers so that each stays within povm.BYTES_CAP. Both kinds
@@ -32,7 +37,7 @@ import itertools
 import json
 import math
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,31 +121,22 @@ _RECORDS = {
 }
 
 
-def _layout(povm, n):
-    """Code tables of an N-qubit record line, one row per column, newline
-    included: encode[j, code] is the byte of a symbol code in column j, and
-    decode[j, byte] its code, or 255 for a byte outside that alphabet. The
-    tables grow with N, which a header states, so they are checked against
-    the byte cap before they are made."""
-    runs = _RECORDS[povm][1]
-    check_bytes(len(runs) * (n + 1) * (4 + 256),
-                f"{povm} record tables for {n} qubits")
-    columns = []
-    for alphabet, _ in runs:
-        columns += [alphabet] * n + [" "]
-    columns[-1] = "\n"
-    encode = np.zeros((len(columns), 4), dtype=np.uint8)
-    decode = np.full((len(columns), 256), 255, dtype=np.uint8)
-    for j, alphabet in enumerate(columns):
-        symbols = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
-        encode[j, :symbols.size] = symbols
-        decode[j, symbols] = np.arange(symbols.size)
-    return encode, decode
+def _ascii(text):
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
-def _runs(codes, n):
-    """The (m, N) code view of each run of an (m, width) record array."""
-    return [codes[:, j:j + n] for j in range(0, codes.shape[1], n + 1)]
+def _run_ends(runs):
+    """The byte after each run of a record line: a space, the last a
+    newline."""
+    return _ascii(" " * (len(runs) - 1) + "\n")
+
+
+def _decode_table(alphabet):
+    """The 256-entry table from a byte to its symbol code in `alphabet`, or
+    255 for a byte outside it."""
+    table = np.full(256, 255, dtype=np.uint8)
+    table[_ascii(alphabet)] = np.arange(len(alphabet))
+    return table
 
 
 def write_shots(path, header, records):
@@ -158,17 +154,18 @@ def write_shots(path, header, records):
     for a, (alphabet, _) in zip(fields, runs):
         if a.size and a.max() >= len(alphabet):
             raise ValueError(f"{header.povm} codes must index {alphabet!r}")
-    encode, _ = _layout(header.povm, n)
-    columns = np.arange(encode.shape[0])
+    symbols = [_ascii(alphabet) for alphabet, _ in runs]
     with open(path, "wb") as f:
         f.write((MAGIC + "\n").encode("ascii"))
         f.write((header.to_json() + "\n").encode("ascii"))
         for lo in range(0, fields[0].shape[0], 65536):
             chunk = [a[lo:lo + 65536] for a in fields]
-            codes = np.zeros((chunk[0].shape[0], columns.size), dtype=np.uint8)
-            for view, a in zip(_runs(codes, n), chunk):
-                view[...] = a
-            f.write(encode[columns, codes].tobytes())
+            rec = np.empty((chunk[0].shape[0], len(runs), n + 1),
+                           dtype=np.uint8)
+            rec[:, :, n] = _run_ends(runs)
+            for j, (a, alphabet) in enumerate(zip(chunk, symbols)):
+                rec[:, j, :n] = alphabet[a]
+            f.write(rec.tobytes())
 
 
 def _open_shots(path):
@@ -228,8 +225,10 @@ def _iter_records(path, povm, chunk_rows):
         if header.povm != povm:
             raise ShotFileError(f"expected a {povm} shot file", line=2)
         n = header.n_qubits
-        _, decode = _layout(povm, n)
-        columns = np.arange(decode.shape[0])
+        runs = _RECORDS[povm][1]
+        decode = [_decode_table(alphabet) for alphabet, _ in runs]
+        ends = _run_ends(runs)
+        width = ends.size * (n + 1)
         line_no = 3
         while True:
             lines = list(itertools.islice(f, chunk_rows))
@@ -238,17 +237,20 @@ def _iter_records(path, povm, chunk_rows):
             text = "".join(lines)
             if not text.endswith("\n"):
                 text += "\n"
-            # every column, the newline included, must decode, so a record
-            # can neither run into the next line nor be made up from two
+            # every run must decode and every separator and newline sit in
+            # its column, so a record can neither run into the next line
+            # nor be made up from two
             codes = None
-            if text.isascii() and len(text) == len(lines) * columns.size:
-                rec = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-                codes = decode[columns, rec.reshape(len(lines), -1)]
-            if codes is None or codes.max() == 255:
+            if text.isascii() and len(text) == len(lines) * width:
+                rec = _ascii(text).reshape(len(lines), ends.size, n + 1)
+                if (rec[:, :, n] == ends).all():
+                    codes = [table[rec[:, j, :n]]
+                             for j, table in enumerate(decode)]
+            if codes is None or any(c.max() == 255 for c in codes):
                 for i, line in enumerate(lines):
                     _check_line(line.rstrip("\n"), povm, n, line_no + i)
             line_no += len(lines)
-            yield _runs(codes, n)
+            yield codes
 
 
 def iter_sic_chunks(path, chunk_rows=4096):
@@ -270,41 +272,20 @@ def read_pauli_shots(path):
 
 
 @dataclass
-class StoppingRule:
-    """Stop when the relative spread of the last `window` reported values is
-    at most `tol`, for every tracked quantity."""
-
-    window: int = 5
-    tol: float = 0.01
-
-    def __post_init__(self):
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, not {self.tol}")
-
-    def satisfied(self, values):
-        if len(values) < self.window:
-            return False
-        tail = np.asarray(values, dtype=float)[-self.window:]
-        if not np.isfinite(tail).all():
-            return False
-        spread = float(tail.max() - tail.min())
-        return spread <= self.tol * max(abs(tail[-1]), 1e-12)
-
-
-@dataclass
 class TrackerConfig:
     n_qubits: int
     fidelity_targets: list = field(default_factory=list)  # (label, PureState)
     purity_subsets: list = field(default_factory=list)    # qubit subsets
     renyi_parts: list = field(default_factory=list)       # Bipartition
     interval: int = DEFAULT_INTERVAL
-    stopping: StoppingRule = None
+    stopping: float = None  # relative stderr tolerance; None reads to the end
 
     def __post_init__(self):
         if self.interval < 1:
             raise ValueError("interval must be >= 1")
+        if self.stopping is not None and not 0 < self.stopping < math.inf:
+            raise ValueError(
+                f"tol must be positive and finite, not {self.stopping}")
         if not (self.fidelity_targets or self.purity_subsets
                 or self.renyi_parts):
             raise ValueError("at least one tracked quantity is required")
@@ -350,7 +331,6 @@ class OnlineEngine:
                         for subset in cfg.purity_subsets]
         self._renyi = [(part.label(), where[part.smaller_side])
                        for part in cfg.renyi_parts]
-        self._histories = {}
         self._carry = np.empty((0, n), dtype=np.uint8)  # rows not yet reported
         self.shots_seen = 0
         self.converged = False
@@ -396,20 +376,14 @@ class OnlineEngine:
                          purity[t][1][row]))
         for label, (t, row) in self._renyi:
             p, p_se = purity[t][0][row], purity[t][1][row]
-            if np.isfinite(p):
-                rows.append(("renyi2", label, renyi2_from_purity(p),
-                             renyi2_stderr(p, p_se)))
-            else:
-                rows.append(("renyi2", label, float("nan"), float("nan")))
+            rows.append(("renyi2", label, renyi2_from_purity(p),
+                         renyi2_stderr(p, p_se)))
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
-        rule = self.cfg.stopping
-        if rule is not None:  # the rule reads only the last `window` values
-            for quantity, subset, value, _ in rows:
-                self._histories.setdefault(
-                    (quantity, subset), deque(maxlen=rule.window)).append(value)
-            self.converged = all(
-                rule.satisfied(h) for h in self._histories.values())
+        tol = self.cfg.stopping
+        if tol is not None:  # a NaN stderr or value fails the comparison
+            self.converged = all(stderr <= tol * abs(value)
+                                 for _, _, value, stderr in rows)
         return [EstimateReport(shots=self.shots_seen, method="shadows",
                                quantity=quantity, subset=subset, value=value,
                                stderr=stderr, wall_ms=wall_ms)
@@ -425,8 +399,9 @@ class OnlineEngine:
 
 
 def drive(engine, chunks):
-    """Feed digit chunks to an OnlineEngine until its stopping rule fires or
-    they run out; yield every report, the flushed partial interval's last."""
+    """Feed digit chunks to an OnlineEngine until every stderr meets its
+    tolerance or they run out; yield every report, the flushed partial
+    interval's last."""
     for chunk in chunks:
         yield from engine.feed(chunk)
         if engine.converged:
@@ -449,11 +424,8 @@ class Game:
                       in itertools.product("+-", repeat=self.N_QUBITS)]
         probs = [sic_outcome_distribution(c, frame) for c in candidates]
         self.probs = np.array([p / p.sum() for p in probs])
-        self.luts = np.array([
-            observable_lut(
-                ObservableSpec(range(self.N_QUBITS), c.density().matrix),
-                frame)
-            for c in candidates])
+        self.luts = np.array([_fidelity_lut(i, c, self.N_QUBITS, frame)
+                              for i, c in enumerate(candidates)])
 
     def play(self, seed, trial=0, gap_window=5, shot_cap=10000):
         """One round: returns (winner, shots_used, transcript).

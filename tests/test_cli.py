@@ -1,6 +1,5 @@
 """End-to-end CLI behavior through main(argv), no subprocesses."""
 
-import importlib
 import io
 import json
 import math
@@ -16,12 +15,10 @@ from sictomo.estimators import CSV_HEADER
 from sictomo.povm import FrameSuperoperator, digits_from_indices, sic_frame
 from sictomo.qstate import (DensityOperator, PureState, random_pure,
                             save_state, state_to_json_dict)
+from sictomo import reconstruct as RECONSTRUCT
 from sictomo.reconstruct import FrequencyVector, reconstruct
 from sictomo.stream import (ShotFileHeader, iter_sic_chunks, read_header,
                             write_shots)
-
-# the module, which the package's `reconstruct` function hides
-RECONSTRUCT = importlib.import_module("sictomo.reconstruct")
 
 
 def run(*argv):
@@ -261,8 +258,9 @@ def test_estimate_converges_and_reports(tmp_path):
     shots = simulate(tmp_path, state="ghz:2", shots=6000, seed=1)
     out = tmp_path / "report.csv"
     code = run("estimate", "--file", str(shots), "--fidelity", "ghz:2",
-               "--purity", "full;0", "--renyi", "0", "--out", str(out))
-    assert code == 0  # stopping rule fires well before 6000 shots
+               "--purity", "full;0", "--renyi", "0", "--tol", "0.1",
+               "--out", str(out))
+    assert code == 0  # every stderr within 10 % well before 6000 shots
     lines = out.read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert all(line.count(",") == 6 for line in lines)
@@ -271,17 +269,26 @@ def test_estimate_converges_and_reports(tmp_path):
     subsets = {line.split(",")[3] for line in lines[1:]}
     assert subsets == {"all", "0-1", "0"}
     assert (tmp_path / "report.csv.manifest.json").exists()
-    # converged: final fidelity near 1
-    last_fid = [l for l in lines if l.split(",")[2] == "fidelity:ghz:2"][-1]
-    assert abs(float(last_fid.split(",")[4]) - 1.0) < 0.05
+    # converged: the last interval, and only it, has every stderr within 10 %
+    # of its value
+    rows = [line.split(",") for line in lines[1:]]
+    met = {}
+    for r in rows:
+        met[r[0]] = met.get(r[0], True) and (
+            float(r[5]) <= 0.1 * abs(float(r[4])))
+    assert list(met.values()) == [False] * (len(met) - 1) + [True]
+    assert int(rows[-1][0]) < 6000
+    last_fid = [r for r in rows if r[2] == "fidelity:ghz:2"][-1]
+    assert abs(float(last_fid[4]) - 1.0) < 0.05
 
 
 def test_estimate_exhausts_without_stopping(tmp_path):
+    # no stderr was asked for, so reading the whole file is success
     shots = simulate(tmp_path, shots=500, seed=2)
     out = tmp_path / "r.csv"
     code = run("estimate", "--file", str(shots), "--purity", "full",
                "--no-stopping", "--interval", "200", "--out", str(out))
-    assert code == 2
+    assert code == 0
     rows = out.read_text().strip().split("\n")[1:]
     assert [int(r.split(",")[0]) for r in rows] == [200, 400, 500]
 
@@ -292,7 +299,7 @@ def test_estimate_jsonl(tmp_path):
     code = run("estimate", "--file", str(shots), "--purity", "full",
                "--renyi", "all:1", "--interval", "1", "--no-stopping",
                "--format", "jsonl", "--out", str(out))
-    assert code == 2
+    assert code == 0
     rows = [json.loads(line) for line in out.read_text().strip().split("\n")]
     assert all(row["method"] == "shadows" for row in rows)
     # one shot has no pair: value and stderr are null; two have a value,
@@ -450,16 +457,19 @@ def test_reconstruct_refuses_empty_shot_file(method, tmp_path, capsys):
 
 
 def test_estimate_refuses_empty_shot_file(tmp_path, capsys):
-    # a header and no records: refused before any report or manifest
-    path = tmp_path / "empty.sic"
-    write_shots(path, ShotFileHeader(n_qubits=2),
-                np.empty((0, 2), dtype=np.uint8))
-    out = tmp_path / "e.csv"
-    assert run("estimate", "--file", str(path), "--purity", "0,1",
-               "--out", str(out)) == 3
-    assert "holds no shot records" in capsys.readouterr().err
-    assert not out.exists()
-    assert not (tmp_path / "e.csv.manifest.json").exists()
+    # a header and no records: refused before any report or manifest, also
+    # when the header claims 300 000 qubits, since decoding needs no table
+    # that grows with N
+    for n in (2, 300000):
+        path = tmp_path / "empty.sic"
+        write_shots(path, ShotFileHeader(n_qubits=n),
+                    np.empty((0, n), dtype=np.uint8))
+        out = tmp_path / "e.csv"
+        assert run("estimate", "--file", str(path), "--purity", "0,1",
+                   "--out", str(out)) == 3
+        assert "holds no shot records" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "e.csv.manifest.json").exists()
 
 
 @pytest.mark.parametrize("method", ["lininv", "pls", "shadow-mean"])
@@ -516,12 +526,6 @@ def _zeros_file(path, n, povm="sic"):
     return str(path)
 
 
-def _claim_file(path, n):
-    """A shot file with no records whose header claims n qubits."""
-    path.write_text(f"#TOMO v1\n{ShotFileHeader(n_qubits=n).to_json()}\n")
-    return str(path)
-
-
 # every refusal exits 4 with its byte estimate, before any output is written
 @pytest.mark.parametrize("case", [
     lambda d: ("estimate", "--file", _zeros_file(d / "x.sic", 12),
@@ -540,12 +544,9 @@ def _claim_file(path, n):
     # past 4300 digits Python refuses to print the byte count in full
     lambda d: ("simulate", "--state", "ghz:20000", "--shots", "10"),
     lambda d: ("simulate", "--state", "mixed:8000", "--shots", "10"),
-    # the record tables grow with the header's claim, before any record
-    lambda d: ("estimate", "--file", _claim_file(d / "x.sic", 300000),
-               "--purity", "0"),
 ], ids=["purity", "lut", "superoperator", "pauli-superoperator", "mle",
         "pure-state", "mixed-state", "pershot-sampler", "huge-pure-state",
-        "huge-mixed-state", "record-tables"])
+        "huge-mixed-state"])
 def test_every_cli_refusal_states_bytes(case, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(*case(tmp_path), "--out", str(out)) == 4

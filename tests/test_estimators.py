@@ -133,11 +133,14 @@ def test_running_moments_matches_numpy(rng):
 
 
 def test_running_moments_degenerate():
+    # no spread is known below two values, so no stderr is reported
     rm = RunningMoments()
-    assert rm.stderr() == 0.0
+    assert math.isnan(rm.stderr())
+    rm.add_values([1.5])
+    assert math.isnan(rm.stderr())
+    assert rm.mean == 1.5
     rm.add_values([1.5])
     assert rm.stderr() == 0.0
-    assert rm.mean == 1.5
 
 
 # --- purity tracker ---------------------------------------------------------------

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import pathlib
+import types
+
+import sictomo
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sictomo"
@@ -41,6 +44,17 @@ def test_no_module_imports_private_names_of_another():
     found = [f"{path.name}: {name}" for path in modules
              for name in private_imports(path.read_text())]
     assert found == []
+
+
+def test_package_names_do_not_hide_submodules():
+    """`sictomo.reconstruct` is the module, so `monkeypatch.setattr` on it
+    reaches the module's own names; the package binds no function over a
+    submodule's name."""
+    for path in SRC.glob("*.py"):
+        if not path.stem.startswith("_"):
+            assert isinstance(getattr(sictomo, path.stem), types.ModuleType)
+    module = importlib.import_module("sictomo.reconstruct")
+    assert sictomo.reconstruct is module
 
 
 def test_only_povm_reads_frame_projectors():

@@ -1,12 +1,12 @@
 """Frequency bookkeeping and the three reconstruction routes."""
 
-import importlib
 import io
 import json
 
 import numpy as np
 import pytest
 
+from sictomo import reconstruct as RECONSTRUCT
 from sictomo.povm import (
     CapExceededError,
     FrameSuperoperator,
@@ -30,8 +30,6 @@ from sictomo.reconstruct import (
 )
 
 FRAME = sic_frame("standard")
-# the module; the package re-exports a function under its name
-RECONSTRUCT = importlib.import_module("sictomo.reconstruct")
 
 
 def exact_sic_freqs(rho, superop):
@@ -198,6 +196,25 @@ def test_pls_from_freqs_exact_input_is_fixed_point(rng):
     assert res.method == "pls"
     np.testing.assert_allclose(res.estimate, rho.matrix, atol=1e-8)
     assert res.residual < 1e-8
+
+
+def test_pls_from_freqs_decomposes_once(monkeypatch, rng):
+    """The projection is the one eigendecomposition: its output is a
+    density matrix by construction, so no eigvalsh checks it again."""
+    sup = FrameSuperoperator("sic", 3, FRAME)
+    digits = sample_sic_shots(random_density(3, rng), FRAME, 500,
+                              derive_rng(8, "sic-shots"))
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    res = pls_from_freqs(FrequencyVector.from_sic_shots(digits), sup)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    monkeypatch.undo()
+    assert np.linalg.eigvalsh(res.estimate)[0] > -1e-10
+    assert abs(np.trace(res.estimate) - 1) < 1e-10
 
 
 # --- mle ----------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from sictomo.stream import (
     OnlineEngine,
     ShotFileError,
     ShotFileHeader,
-    StoppingRule,
     TrackerConfig,
+    drive,
     iter_sic_chunks,
     read_header,
     read_pauli_shots,
@@ -267,35 +266,70 @@ def test_iter_sic_chunks_boundaries(rng, tmp_path):
 
 
 def test_stopping_rule_validation():
-    with pytest.raises(ValueError):
-        StoppingRule(window=1)
-    with pytest.raises(ValueError):
-        StoppingRule(tol=0.0)
-    # nan never fires, inf fires on any window of finite values
-    for tol in (math.nan, math.inf, -math.inf):
+    # the tolerance is relative and must be a positive, finite number; nan
+    # would never stop and inf would stop on any finite stderr
+    for tol in (0.0, -0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            StoppingRule(tol=tol)
+            TrackerConfig(n_qubits=1, purity_subsets=[(0,)], stopping=tol)
+    assert TrackerConfig(n_qubits=1, purity_subsets=[(0,)],
+                         stopping=0.5).stopping == 0.5
+
+
+def meets_rule(rows, tol):
+    return all(r.stderr <= tol * abs(r.value) for r in rows)
+
+
+def by_interval(reports):
+    out = {}
+    for r in reports:
+        out.setdefault(r.shots, []).append(r)
+    return list(out.values())
 
 
 def test_stopping_rule_behavior():
-    rule = StoppingRule(window=3, tol=0.01)
-    assert not rule.satisfied([1.0, 1.0])  # too short
-    assert rule.satisfied([5.0, 1.0, 1.0, 1.0])  # only the tail counts
-    assert not rule.satisfied([1.0, 1.0, 1.02])
-    assert rule.satisfied([1.0, 1.0, 1.005])
-    assert not rule.satisfied([1.0, float("nan"), 1.0])
-    assert rule.satisfied([0.0, 0.0, 0.0])  # zero spread at zero value
-    assert rule.satisfied(deque([5.0, 1.0, 1.0, 1.0], maxlen=3))
+    # the engine stops after the first interval whose rows all report
+    # stderr <= tol * |value|, and not before it
+    digits = sample_sic_shots(make_ghz(2), FRAME, 4000,
+                              derive_rng(5, "sic-shots"))
+    tol = 0.1
+    engine = OnlineEngine(make_cfg(2, interval=50, stopping=tol), FRAME)
+    intervals = by_interval(drive(engine, [digits]))
+    assert engine.converged and engine.shots_seen < 4000
+    assert meets_rule(intervals[-1], tol)
+    assert not any(meets_rule(rows, tol) for rows in intervals[:-1])
+    # the same stream without a rule reads to the end; its rows are the
+    # stopped run's, and it is the first interval to meet the rule
+    free = OnlineEngine(make_cfg(2, interval=50), FRAME)
+    every = by_interval(drive(free, [digits]))
+    assert free.shots_seen == 4000 and not free.converged
+    first = next(i for i, rows in enumerate(every) if meets_rule(rows, tol))
+
+    def numbers(rows):
+        return [(r.quantity, r.subset, r.value, r.stderr) for r in rows]
+    assert ([numbers(rows) for rows in every[:first + 1]]
+            == [numbers(rows) for rows in intervals])
 
 
 def test_stopping_rule_monotone_in_tol():
-    values = [0.52, 0.50, 0.515, 0.508, 0.51]
-    tols = [0.001, 0.005, 0.02, 0.05, 0.2, 1e-9]
-    hits = {t: StoppingRule(window=4, tol=t).satisfied(values) for t in tols}
-    for a in tols:
-        for b in tols:
-            if a <= b and hits[a]:
-                assert hits[b]
+    digits = sample_sic_shots(make_ghz(2), FRAME, 3000,
+                              derive_rng(6, "sic-shots"))
+    stops = []
+    for tol in (0.5, 0.2, 0.1, 0.05):
+        engine = OnlineEngine(make_cfg(2, interval=20, stopping=tol), FRAME)
+        list(drive(engine, [digits]))
+        stops.append(engine.shots_seen)
+    assert stops == sorted(stops) and stops[0] < stops[-1]
+
+
+def test_fidelity_alone_does_not_stop_at_one_shot():
+    # one shot has no stderr (nan), which never meets the rule, however
+    # loose the tolerance
+    cfg = TrackerConfig(n_qubits=1, interval=1, stopping=0.5,
+                        fidelity_targets=[("zero", make_product("0"))])
+    engine = OnlineEngine(cfg, FRAME)
+    rows = engine.feed(np.zeros((5, 1), dtype=np.uint8))
+    assert math.isnan(rows[0].stderr) and rows[1].stderr == 0.0
+    assert engine.converged and engine.shots_seen == 2
 
 
 # --- tracker config ------------------------------------------------------------------
@@ -404,36 +438,17 @@ def test_online_purity_nan_until_two_shots(rng):
     assert math.isfinite(by_shots[3].stderr)
 
 
-@pytest.mark.parametrize("window", [None, 4])
-def test_online_history_is_bounded(rng, window):
-    # 2000 shots at interval 10 give 200 reports per quantity; the stopping
-    # rule reads only its last `window`, and without a rule nothing is kept
-    digits = rng.integers(0, 4, size=(2000, 2)).astype(np.uint8)
-    stopping = None if window is None else StoppingRule(window, tol=1e-12)
-    engine = OnlineEngine(make_cfg(2, interval=10, stopping=stopping), FRAME)
-    rows = engine.feed(digits)
-    assert len(rows) == 200 * 4 and not engine.converged
-    if window is None:
-        assert engine._histories == {}
-    else:
-        assert len(engine._histories) == 4
-        for (quantity, subset), kept in engine._histories.items():
-            want = [r.value for r in rows
-                    if (r.quantity, r.subset) == (quantity, subset)][-window:]
-            assert list(kept) == want
-
-
 def test_online_converges_on_constant_stream():
     # every shot is outcome 0, the ket |0>: its shadow's overlap with the
     # target |0> is <0|(3|0><0| - I)|0> = 2
     digits = np.zeros((1000, 1), dtype=np.uint8)
     cfg = TrackerConfig(
         n_qubits=1, fidelity_targets=[("zero", make_product("0"))],
-        interval=10, stopping=StoppingRule(window=4, tol=0.01))
+        interval=10, stopping=0.01)
     engine = OnlineEngine(cfg, FRAME)
     rows = engine.feed(digits)
     assert engine.converged
-    assert engine.shots_seen == 40  # window-th interval seals it
+    assert engine.shots_seen == 10  # its stderr is 0 at the first interval
     assert engine.feed(digits) == []
     assert engine.finalize() == []
     assert {r.value for r in rows} == {rows[0].value}
