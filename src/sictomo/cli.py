@@ -86,17 +86,19 @@ def parse_state(spec, seed=0):
     raise ValueError(f"unknown state spec {spec!r}")
 
 
-def _write_manifest(out_path, args, inputs, outputs, seed):
+def _write_manifest(out_path, args, inputs, seed, run=None):
     """`seed` is the one the run's randomness came from: the command's own,
-    or the one a shot file's header records; None for a run without one."""
+    or the one a shot file's header records; None for a run without one.
+    `run` adds what the run found, such as why a stream ended."""
     manifest = {
         "subcommand": args.cmd,
         "parameters": {key: value for key, value in vars(args).items()
                        if not callable(value)},
         "seed": seed,
         "inputs": list(inputs),
-        "outputs": list(outputs),
+        "outputs": [out_path],
         "version": __version__,
+        **(run or {}),
     }
     with open(str(out_path) + ".manifest.json", "w", encoding="ascii") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -144,7 +146,7 @@ def _cmd_simulate(args):
         settings, bits = sample_pauli_shots(state, args.shots, rng)
         write_shots(args.out, header, (settings, bits))
     inputs = [args.state] if args.state.endswith(".json") else []
-    _write_manifest(args.out, args, inputs, [args.out], args.seed)
+    _write_manifest(args.out, args, inputs, args.seed)
     print(f"wrote {args.shots} {args.povm} shots ({n} qubits) to {args.out}")
     return EXIT_OK
 
@@ -213,11 +215,13 @@ def _cmd_estimate(args):
             sink.line(CSV_HEADER)
         for report in drive(engine, itertools.chain([first], chunks)):
             _emit_report(sink, report, args.format)
+    end = ("read_to_end" if cfg.stopping is None
+           else "converged" if engine.converged else "exhausted")
     if args.out != "-":
-        _write_manifest(args.out, args, [args.file], [args.out], header.seed)
-    if cfg.stopping is None or engine.converged:
-        return EXIT_OK
-    return EXIT_EXHAUSTED
+        _write_manifest(args.out, args, [args.file], header.seed,
+                        {"engine_state_bytes": engine.state_bytes,
+                         "stream_end": end})
+    return EXIT_EXHAUSTED if end == "exhausted" else EXIT_OK
 
 
 # --- reconstruct ----------------------------------------------------------
@@ -255,7 +259,7 @@ def _cmd_reconstruct(args):
         shots = freqs.total_shots
     with open(args.out, "w", encoding="ascii") as f:
         result.write_json(f, shots)
-    _write_manifest(args.out, args, [args.file], [args.out], header.seed)
+    _write_manifest(args.out, args, [args.file], header.seed)
     print(f"{args.method}: wrote {2**n}x{2**n} estimate to {args.out} "
           f"(residual {result.residual:.3g}, iterations {result.iterations})")
     return EXIT_OK
@@ -272,7 +276,7 @@ def _cmd_budget(args):
         sink.line(BUDGET_CSV_HEADER)
         sink.line(row)
     if args.out != "-":
-        _write_manifest(args.out, args, [], [args.out], None)
+        _write_manifest(args.out, args, [], None)
     return EXIT_OK
 
 
@@ -299,7 +303,7 @@ def _cmd_game(args):
     print(f"correct {n_correct}/{args.trials}, median shots {median}",
           file=sys.stderr)
     if args.out != "-":
-        _write_manifest(args.out, args, [], [args.out], args.seed)
+        _write_manifest(args.out, args, [], args.seed)
     return EXIT_OK
 
 

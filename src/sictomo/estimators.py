@@ -6,7 +6,7 @@ sum_{m != m'} tr(s_m s_m') = tr(S^2) - Q, Q the running sum of tr(s^2). S is
 kept as its pattern histogram n, tr(S^2) = n^T V n (see shadows) and
 Q = M 5^K, so a chunk of shots costs one histogram update whatever number of
 shots came before. One tracker keeps every subset of one size in one array,
-so a chunk is ingested for all of them in one scatter-add, and a readout
+so a chunk is ingested for all of them a block at a time, and a readout
 applies V once to the histograms. Its error is the delete-one-shot
 jackknife in closed form: every delete-one pair sum follows from u = V n
 alone, so the error costs no apply beyond the value's. The PPT moment p3 is
@@ -23,11 +23,12 @@ from operator import index
 
 import numpy as np
 
-from .povm import BYTES_CAP, check_bytes, frame_sums, frame_traces
+from .povm import check_bytes, frame_sums, frame_traces
 from .qstate import Bipartition, partial_transpose, qubit_subset
 from .shadows import apply_pair_trace, hist_zeros, pattern_codes
 
-RENYI_PURITY_FLOOR = 1e-6
+# (row, subset) pairs a tracker ingests, or entries it pair-traces, at once
+BLOCK = 1 << 16
 
 
 class ObservableSpec:
@@ -103,14 +104,15 @@ class PurityTracker:
     """Streaming pair U-statistics for tr(rho_K^2), one per qubit subset K.
 
     `subsets` is a list of S qubit subsets of one size K; they share one
-    shot-count histogram of shape (S, 4^K), checked against BYTES_CAP. That
-    histogram and the shot count `shots` are the whole state. Shots arrive
-    as digit rows, only through add_records. `subset` holds the subsets
-    qubit-major, shape (K, S): a chunk of records is gathered through it,
-    coded base 4 and scatter-added in one call. value() and stderr() return
-    one entry per subset and apply the pair trace V once between them,
-    whatever the number of shots. Every shot pairs with itself to exactly
-    5^K, so the pair sum over M shots is c^T V c - M 5^K.
+    shot-count histogram of shape (S, 4^K), checked against the byte cap.
+    That histogram and the shot count `shots` are the whole state. Shots
+    arrive as digit rows, only through add_records. `subset` holds the
+    subsets qubit-major, shape (K, S): records are gathered through it,
+    coded base 4 and scatter-added BLOCK (row, subset) pairs at a time.
+    value() and stderr() return one entry per subset and apply the pair
+    trace V once between them, whatever the number of shots.
+    purity_state_bytes states what it holds. Every shot pairs with itself to
+    exactly 5^K, so the pair sum over M shots is c^T V c - M 5^K.
 
     stderr() is the delete-one-shot jackknife of the pair statistic, in
     closed form. With c the shot-count histogram, u = V c and r = u - 5^K, a
@@ -141,56 +143,72 @@ class PurityTracker:
         if digits.ndim != 2 or digits.shape[1] != self.n_qubits:
             raise ValueError("record length does not match tracker")
         k, s = self.subset.shape
-        codes = np.einsum("mks,k->ms", digits[:, self.subset].astype(np.uint8),
-                          4 ** np.arange(k - 1, -1, -1))
-        np.add.at(self._hist.reshape(-1), codes + np.arange(s) * 4**k, 1.0)
+        weights = 4 ** np.arange(k - 1, -1, -1)
+        offsets = np.arange(s) * 4**k
+        step = _block_rows(s)
+        for lo in range(0, digits.shape[0], step):
+            codes = np.einsum("mks,k->ms", digits[lo:lo + step, self.subset],
+                              weights)
+            codes += offsets
+            np.add.at(self._hist.reshape(-1), codes, 1.0)
+            del codes  # so the next block's codes are not made beside these
         self.shots += digits.shape[0]
         self._u = None
 
     # -- readout -----------------------------------------------------------
 
     def _pair_traced(self):
-        """u = V c per subset, kept until the next add_records."""
+        """u = V c per subset, kept until stderr() or the next add_records;
+        made a BLOCK at a time, which is exact: its entries are integers."""
         if self._u is None:
-            self._u = apply_pair_trace(self._hist)
+            hist, step = self._hist, _block_rows(self._hist.shape[1])
+            if step >= len(hist):
+                self._u = apply_pair_trace(hist)
+            else:
+                self._u = np.empty_like(hist)
+                for lo in range(0, len(hist), step):
+                    self._u[lo:lo + step] = apply_pair_trace(
+                        hist[lo:lo + step])
         return self._u
 
     def value(self):
-        """Pair U-statistic per subset, shape (S,)."""
+        """Pair U-statistic per subset, shape (S,); nan below 2 shots."""
         m = self.shots
         if m < 2:
-            raise ValueError("purity estimate needs at least 2 shots")
+            return np.full(len(self.subsets), np.nan)
         tr2 = np.einsum("sc,sc->s", self._hist, self._pair_traced())
         return (tr2 - m * 5.0 ** self.subset.shape[0]) / (m * (m - 1))
 
     def stderr(self):
         """Closed-form delete-one-shot jackknife standard error per subset,
-        shape (S,); nan below 3 shots."""
+        shape (S,); nan below 3 shots. It turns u into r in place."""
         if self.shots < 3:
             return np.full(len(self.subsets), np.nan)
         m = float(self.shots)
-        r = self._pair_traced() - 5.0 ** self.subset.shape[0]
+        r, self._u = self._pair_traced(), None
+        np.subtract(r, 5.0 ** self.subset.shape[0], out=r)
         r_mean = np.einsum("sc,sc->s", self._hist, r)[:, None] / m
-        var = np.einsum("sc,sc->s", self._hist, (r - r_mean) ** 2)
+        np.subtract(r, r_mean, out=r)
+        np.square(r, out=r)
+        var = np.einsum("sc,sc->s", self._hist, r)
         return np.sqrt(4 * var / (m * (m - 1) * (m - 2) ** 2))
 
 
-def purity_trackers(n_qubits, subsets):
-    """PurityTrackers for `subsets`: one per subset size, split so that each
-    tracker's histogram stays within BYTES_CAP (a subset that alone exceeds
-    it is refused). A subset listed twice is tracked once. Returns the
-    trackers and a dict from each checked subset to its (tracker, row)."""
-    by_size = {}
-    for subset in dict.fromkeys(qubit_subset(s, n_qubits) for s in subsets):
-        by_size.setdefault(len(subset), []).append(subset)
-    trackers, where = [], {}
-    for k, group in by_size.items():
-        per = max(1, BYTES_CAP // (8 * 4**k))
-        for lo in range(0, len(group), per):
-            for row, subset in enumerate(group[lo:lo + per]):
-                where[subset] = (len(trackers), row)
-            trackers.append(PurityTracker(n_qubits, group[lo:lo + per]))
-    return trackers, where
+def _block_rows(width):
+    """Rows of `width` entries in one BLOCK: at least one."""
+    return max(1, BLOCK // width)
+
+
+def purity_state_bytes(sizes):
+    """Bytes PurityTrackers of sizes {K: S} hold at most at once, counted
+    without making anything: each histogram and its V c, the largest
+    readout temporary (at most one more (S, 4^K) array) and the largest
+    ingest block, K + 16 bytes per pair for digits, codes and buffers."""
+    items = sizes.items()
+    return (sum(16 * s * 4**k for k, s in items)
+            + max((8 * s * 4**k for k, s in items), default=0)
+            + max((_block_rows(s) * s * (k + 16) for k, s in items),
+                  default=0))
 
 
 def estimate_purity(digits, subset, frame):
@@ -204,12 +222,13 @@ def estimate_purity(digits, subset, frame):
 
 
 def renyi2_from_purity(purity):
-    return -math.log2(max(purity, RENYI_PURITY_FLOOR))
+    """-log2 of a positive purity; nan otherwise: it has no entropy."""
+    return -math.log2(purity) if purity > 0 else math.nan
 
 
 def renyi2_stderr(purity, purity_stderr):
     """Delta-method propagation of the purity stderr through -log2."""
-    return purity_stderr / (max(purity, RENYI_PURITY_FLOOR) * math.log(2))
+    return purity_stderr / (purity * math.log(2)) if purity > 0 else math.nan
 
 
 def estimate_renyi2(digits, part, frame):
@@ -227,7 +246,7 @@ def estimate_p3(digits, part, frame):
     t_m and Q2 the sum of the t_m^2 (per site s^2 = 3P + I, tr(s^3) = 7):
     the full triple sum of T less the ordered triples with a repeated shot.
     Both sums come from one N-qubit pattern histogram, so no per-shot matrix
-    is built; the 2^N x 2^N matrices are refused above BYTES_CAP.
+    is built; the 2^N x 2^N matrices are refused above the byte cap.
     """
     digits = np.asarray(digits)
     m, n = digits.shape

@@ -22,15 +22,14 @@ tracked quantity incrementally, so the analysis cost of an interval does not
 depend on how many shots came before it. Every row it reports carries a
 standard error, and with a tolerance `tol` it stops after the first interval
 whose rows all have stderr <= tol * |value|; a NaN stderr, which a quantity
-reports until it has enough shots, never meets that. Its state is sized when
-it is built: a fidelity target on N qubits is made dense (16 x 4^N bytes)
-and read through a 4^N-entry lookup table, indexed by each shot's all-qubit
-pattern code, computed once per interval for every target. The purity
-subsets and Renyi-2 smaller sides of one size K share PurityTrackers, which
-keep their 4^K-pattern histograms in one array each; a size's subsets are
-split across trackers so that each stays within povm.BYTES_CAP. Both kinds
-of state are checked against the cap before they are made, so fidelity
-tracking runs up to N = 11.
+reports until it has enough shots, never meets that. A fidelity target on
+N qubits is read through a 4^N-entry lookup table, indexed by each shot's
+all-qubit pattern code, computed once per interval for every target. The
+purity subsets and Renyi-2 smaller sides of one size K share one
+PurityTracker. The engine sums what its tables and trackers will hold and
+checks that sum against povm's byte cap once, before any of it is made. A
+target is also made dense (16 x 4^N bytes) to build its table, checked on
+its own, so fidelity tracking runs up to N = 11.
 """
 
 import itertools
@@ -42,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (EstimateReport, ObservableSpec, RunningMoments,
-                         observable_lut, purity_trackers, renyi2_from_purity,
-                         renyi2_stderr)
+from .estimators import (EstimateReport, ObservableSpec, PurityTracker,
+                         RunningMoments, observable_lut, purity_state_bytes,
+                         renyi2_from_purity, renyi2_stderr)
 from .povm import (check_bytes, derive_rng, indices_from_digits, sic_frame,
                    sic_outcome_distribution)
 from .qstate import make_linear_cluster, qubit_subset, subset_label
@@ -319,14 +318,23 @@ class OnlineEngine:
     def __init__(self, cfg, frame):
         self.cfg = cfg
         n = cfg.n_qubits
+        sides = [part.smaller_side for part in cfg.renyi_parts]
+        by_size = {}  # subset size -> its subsets, each listed once
+        for subset in dict.fromkeys([*cfg.purity_subsets, *sides]):
+            by_size.setdefault(len(subset), []).append(subset)
+        self.state_bytes = (
+            8 * 4**n * len(cfg.fidelity_targets)
+            + purity_state_bytes({k: len(g) for k, g in by_size.items()}))
+        check_bytes(self.state_bytes, f"online engine on {n} qubits")
         # per fidelity target: its quantity, lookup table and running moments
         self._linear = [(f"fidelity:{label}",
                          _fidelity_lut(label, target, n, frame),
                          RunningMoments())
                         for label, target in cfg.fidelity_targets]
-        sides = [part.smaller_side for part in cfg.renyi_parts]
-        self._trackers, where = purity_trackers(
-            n, [*cfg.purity_subsets, *sides])
+        self._trackers = [PurityTracker(n, group)
+                          for group in by_size.values()]
+        where = {subset: (t, row) for t, group in enumerate(by_size.values())
+                 for row, subset in enumerate(group)}
         self._purity = [(subset_label(subset), where[subset])
                         for subset in cfg.purity_subsets]
         self._renyi = [(part.label(), where[part.smaller_side])
@@ -370,7 +378,8 @@ class OnlineEngine:
 
         rows = [(quantity, "all", moments.mean, moments.stderr())
                 for quantity, _, moments in self._linear]
-        purity = [self._purity_report(t) for t in self._trackers]
+        purity = [(t.value().tolist(), t.stderr().tolist())
+                  for t in self._trackers]
         for label, (t, row) in self._purity:
             rows.append(("purity", label, purity[t][0][row],
                          purity[t][1][row]))
@@ -389,21 +398,15 @@ class OnlineEngine:
                                stderr=stderr, wall_ms=wall_ms)
                 for quantity, subset, value, stderr in rows]
 
-    @staticmethod
-    def _purity_report(tracker):
-        try:
-            return tracker.value().tolist(), tracker.stderr().tolist()
-        except ValueError:
-            nan = [float("nan")] * len(tracker.subsets)
-            return nan, nan
-
 
 def drive(engine, chunks):
-    """Feed digit chunks to an OnlineEngine until every stderr meets its
-    tolerance or they run out; yield every report, the flushed partial
-    interval's last."""
-    for chunk in chunks:
-        yield from engine.feed(chunk)
+    """Feed digit chunks to an OnlineEngine, at most one interval's rows a
+    call, until every stderr meets its tolerance or they run out; yield
+    every report, the flushed partial interval's last."""
+    step = engine.cfg.interval
+    for piece in (chunk[lo:lo + step] for chunk in chunks
+                  for lo in range(0, len(chunk), step)):
+        yield from engine.feed(piece)
         if engine.converged:
             break
     yield from engine.finalize()

@@ -293,6 +293,24 @@ def test_estimate_exhausts_without_stopping(tmp_path):
     assert [int(r.split(",")[0]) for r in rows] == [200, 400, 500]
 
 
+def test_estimate_manifest_records_state_bytes_and_stream_end(tmp_path):
+    shots = simulate(tmp_path, shots=6000, seed=1)
+    out = tmp_path / "r.csv"
+    for flags, code, end in [
+            (("--tol", "0.1"), 0, "converged"),
+            (("--tol", "0.001"), 2, "exhausted"),
+            (("--no-stopping",), 0, "read_to_end")]:
+        assert run("estimate", "--file", str(shots), "--fidelity", "ghz:2",
+                   "--purity", "full;0", "--interval", "500", *flags,
+                   "--out", str(out)) == code
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        assert manifest["stream_end"] == end
+        # a 4^2 table; purities of sizes 2 and 1; the 2^16-row block of the
+        # full purity, 18 bytes a row
+        assert manifest["engine_state_bytes"] == (
+            8 * 16 + 16 * (16 + 4) + 8 * 16 + 2**16 * 18)
+
+
 def test_estimate_jsonl(tmp_path):
     shots = simulate(tmp_path, shots=250, seed=3)
     out = tmp_path / "r.jsonl"
@@ -495,27 +513,30 @@ def test_reconstruct_mle_cap_exit_code(tmp_path, capsys):
 
 
 def test_estimate_purity_cap_exit_code(tmp_path, capsys):
-    # a 12-qubit purity tracker needs 4^12 * 8 bytes of histogram
+    # a 12-qubit purity needs three 4^12 * 8-byte arrays (histogram, V c,
+    # readout temporary) and one 2^16-row ingest block of 28 bytes a row
     path = tmp_path / "wide.sic"
     write_shots(path, ShotFileHeader(n_qubits=12),
                 np.zeros((10, 12), dtype=np.uint8))
     out = tmp_path / "report.csv"
     assert run("estimate", "--file", str(path), "--purity", "full",
                "--out", str(out)) == 4
-    assert "134,217,728 bytes" in capsys.readouterr().err
+    assert "404,488,192 bytes" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "report.csv.manifest.json").exists()
 
 
 def test_estimate_fidelity_lut_cap_exit_code(tmp_path, capsys):
-    # a 12-qubit fidelity target is made dense as 4^12 complex entries
+    # a 12-qubit fidelity target's table holds 4^12 float entries; the
+    # engine refuses it before its dense 4^12 complex target is made
     path = tmp_path / "twelve.sic"
     write_shots(path, ShotFileHeader(n_qubits=12),
                 np.zeros((10, 12), dtype=np.uint8))
     out = tmp_path / "report.csv"
     assert run("estimate", "--file", str(path), "--fidelity", "ghz:12",
                "--out", str(out)) == 4
-    assert "268,435,456 bytes" in capsys.readouterr().err
+    assert ("online engine on 12 qubits needs 134,217,728 bytes"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -642,6 +663,34 @@ def test_reconstruct_counting_memory_does_not_grow_with_shots(tmp_path,
              f"quiet({small!r})")  # a first run leaves its one-off peaks
     grew = [hwm_growth(setup, f"quiet({a!r})") for a in (small, large)]
     assert grew[1] - grew[0] < 2**20, grew
+
+
+@pytest.mark.parametrize("state,shots,flags", [
+    ("ghz:10", 50_000, ("--purity", "full", "--interval", "10000")),
+    ("ghz:11", 50_000, ("--renyi", "all:5", "--interval", "50000")),
+    ("ghz:12", 4_000, ("--renyi", "all:6")),
+], ids=["ghz10-full-purity", "ghz11-renyi-all5", "ghz12-renyi-all6"])
+def test_estimate_memory_within_the_engine_state_bytes(tmp_path, hwm_growth,
+                                                       state, shots, flags):
+    """A whole `estimate` run raises the peak by no more than the engine's
+    stated bytes. Ingesting a 50 000-row interval in one gather raised it by
+    about 360 MB on GHZ-11, and a readout that formed (r - r_mean) ** 2 held
+    three temporaries of a histogram's size."""
+    warm = simulate(tmp_path, state="ghz:4", shots=500, seed=2,
+                    name="warm.sic")
+    path = simulate(tmp_path, state=state, shots=shots, seed=1)
+    out = tmp_path / "e.csv"
+
+    def argv(shot_file, *more):
+        return ["estimate", "--file", str(shot_file), *more, "--no-stopping",
+                "--out", str(out)]
+    first = argv(warm, "--purity", "full", "--renyi", "all:2")
+    setup = ("from sictomo.cli import main\n"  # a first run leaves one-offs
+             f"assert main({first!r}) == 0")
+    grew = hwm_growth(setup, f"assert main({argv(path, *flags)!r}) == 0")
+    stated = json.loads(
+        (tmp_path / "e.csv.manifest.json").read_text())["engine_state_bytes"]
+    assert grew <= stated, (grew, stated)
 
 
 class DenseViewBuilt(Exception):

@@ -28,7 +28,9 @@ The stacked purity tracker, which keeps every subset of one size in one
 array, is held to 1e-10 against a restatement of the per-subset tracker it
 replaced, with the same brute-force delete-one-shot jackknife as its stderr;
 so is the online engine's row order. The tracker takes the self-pairs in
-closed form, M 5^K; both references sum tr(s^2) shot by shot.
+closed form, M 5^K; both references sum tr(s^2) shot by shot. Its blocked
+ingestion and readout are held bit for bit to one whole-interval block and
+to the readout that built V c in one call and r - r_mean as new arrays.
 
 The per-shot sampler references keep one conditional state per shot; the
 samplers that keep one per distinct outcome prefix must draw the same digits.
@@ -65,7 +67,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sictomo import povm, qstate
+from sictomo import estimators, povm, qstate
 from sictomo.estimators import (ObservableSpec, PurityTracker,
                                 all_bipartitions, estimate_p3, observable_lut,
                                 renyi2_from_purity, renyi2_stderr)
@@ -210,6 +212,44 @@ def test_stacked_tracker_matches_per_subset_trackers(k, count):
         for r in refs:
             r.add_records(chunk)
         assert_matches_per_subset(stacked, refs)
+
+
+def whole_call_readout(tracker):
+    """The readout before it was blocked and made in place: V c of the whole
+    histogram, then r - r_mean and its square as new arrays."""
+    hist, m, k = tracker._hist, float(tracker.shots), tracker.subset.shape[0]
+    u = apply_pair_trace(hist)
+    value = (np.einsum("sc,sc->s", hist, u) - m * 5.0**k) / (m * (m - 1))
+    r = u - 5.0**k
+    r_mean = np.einsum("sc,sc->s", hist, r)[:, None] / m
+    var = np.einsum("sc,sc->s", hist, (r - r_mean) ** 2)
+    return value, np.sqrt(4 * var / (m * (m - 1) * (m - 2) ** 2))
+
+
+@pytest.mark.parametrize("k,count", [(1, 7), (2, 21), (4, 35)])
+def test_blocked_tracker_equals_one_block(monkeypatch, k, count):
+    """Ingesting just past one block boundary, and building V c a few
+    subsets at a time, give the histogram, values and stderrs of one block
+    bit for bit: integer adds and the integer sums of V c are exact in
+    float64 in any order."""
+    subsets = spread_subsets(k, count)
+    # two ingest blocks, the second of one row
+    digits = ghz_shots(estimators._block_rows(count) + 1, seed=90 + k)
+    blocked = PurityTracker(7, subsets)
+    blocked.add_records(digits)
+    monkeypatch.setattr(estimators, "BLOCK", 1 << 40)
+    whole = PurityTracker(7, subsets)
+    whole.add_records(digits)
+    np.testing.assert_array_equal(blocked._hist, whole._hist)
+    want = whole_call_readout(whole)
+    got = [(whole.value(), whole.stderr())]
+    monkeypatch.setattr(estimators, "BLOCK", 3 * 4**k)  # 3 subsets a block
+    got.append((blocked.value(), blocked.stderr()))
+    for value, stderr in got:
+        np.testing.assert_array_equal(value, want[0])
+        np.testing.assert_array_equal(stderr, want[1])
+    # stderr() turned the cached V c into its residuals and dropped it
+    np.testing.assert_array_equal(blocked.value(), want[0])
 
 
 def test_engine_rows_match_per_subset_trackers():

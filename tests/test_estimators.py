@@ -171,8 +171,7 @@ def test_purity_tracker_validation(rng):
         PurityTracker(2, [(0,), (0, 1)])  # two subset sizes
     t = PurityTracker(2, [(0, 1)])
     t.add_records(np.zeros((1, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        t.value()  # one shot is not enough for a pair statistic
+    assert math.isnan(t.value()[0])  # one shot makes no pair
     assert math.isnan(t.stderr()[0])
     with pytest.raises(ValueError):
         t.add_records(np.zeros((1, 3), dtype=np.uint8))
@@ -321,9 +320,13 @@ def test_purity_is_the_same_in_every_frame(rng):
 def test_renyi_from_purity():
     assert abs(renyi2_from_purity(0.5) - 1.0) < 1e-12
     assert abs(renyi2_from_purity(0.25) - 2.0) < 1e-12
-    # negative pair estimates clamp instead of blowing up in the log
-    assert renyi2_from_purity(-0.3) == renyi2_from_purity(1e-6)
     assert abs(renyi2_stderr(0.5, 0.1) - 0.1 / (0.5 * math.log(2))) < 1e-12
+    # a positive purity gives its exact -log2, however small
+    assert renyi2_from_purity(1e-9) == -math.log2(1e-9)
+    # a pair estimate at or below zero has no entropy: nan, not a clamp
+    for purity in (-0.3, 0.0, -0.0, math.nan):
+        assert math.isnan(renyi2_from_purity(purity))
+        assert math.isnan(renyi2_stderr(purity, 0.1))
 
 
 def test_estimate_renyi2_uses_smaller_side(rng):

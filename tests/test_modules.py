@@ -68,6 +68,15 @@ def test_only_povm_reads_frame_projectors():
     assert readers == []
 
 
+def test_only_povm_names_the_byte_cap():
+    """Every size check goes through `povm.check_bytes`, which reads
+    BYTES_CAP; no other module sizes an array against the cap itself."""
+    namers = sorted(
+        path.name for path in SRC.glob("*.py") if path.name != "povm.py"
+        and "BYTES_CAP" in identifiers(ast.parse(path.read_text())))
+    assert namers == []
+
+
 def identifiers(tree, strings=False):
     """Every name, attribute and imported module or name in `tree`; with
     `strings`, every string constant too."""

@@ -13,7 +13,8 @@ from sictomo.estimators import (
     linear_values,
     renyi2_from_purity,
 )
-from sictomo.povm import (BYTES_CAP, derive_rng, sample_pauli_shots,
+from sictomo import stream
+from sictomo.povm import (CapExceededError, derive_rng, sample_pauli_shots,
                           sample_sic_shots, sic_frame)
 from sictomo.qstate import Bipartition, make_ghz, make_product, random_pure
 from sictomo.stream import (
@@ -456,8 +457,9 @@ def test_online_converges_on_constant_stream():
 
 
 def test_online_engine_caps_and_validation(rng):
-    # refused before the 16 * 4^12-byte dense target is made
-    with pytest.raises(ValueError, match="268,435,456 bytes; capped"):
+    # refused by the engine's summed check: one 8 * 4^12-byte table
+    with pytest.raises(ValueError, match="online engine on 12 qubits needs "
+                       "134,217,728 bytes; capped"):
         OnlineEngine(TrackerConfig(
             n_qubits=12, fidelity_targets=[("x", random_pure(12, rng))]),
             FRAME)
@@ -468,16 +470,35 @@ def test_online_engine_caps_and_validation(rng):
         engine.feed(np.zeros(2, dtype=np.uint8))  # rows, not one record
 
 
-def test_engine_splits_purity_trackers_under_the_byte_cap():
-    # N=12, every 7-qubit purity: the 792 subsets need 103,809,024 bytes of
-    # histograms, more than one tracker may hold
-    subsets = list(itertools.combinations(range(12), 7))
-    engine = OnlineEngine(TrackerConfig(
-        n_qubits=12, purity_subsets=subsets), FRAME)
-    assert sum(t._hist.nbytes for t in engine._trackers) == 103_809_024
-    assert len(engine._trackers) == 2
-    assert all(t._hist.nbytes <= BYTES_CAP for t in engine._trackers)
-    assert sorted(s for t in engine._trackers for s in t.subsets) == subsets
+def test_engine_refuses_summed_state_over_the_byte_cap(monkeypatch):
+    """One check sums the engine's state before any of it is made: per
+    subset size K with S subsets, 16 S 4^K bytes of histogram and cached
+    V c, plus the largest 8 S 4^K readout temporary and one ingest block.
+    A size's subsets are never split across trackers to get under the cap."""
+    admitted = OnlineEngine(TrackerConfig(
+        n_qubits=12, renyi_parts=all_bipartitions(12, 6)), FRAME)
+    assert admitted.state_bytes == 62_096_164
+    assert [t.subset.shape for t in admitted._trackers] == [
+        (1, 12), (2, 66), (3, 220), (4, 495), (5, 792), (6, 462)]
+
+    def made(*args):
+        raise AssertionError("made before the engine's check")
+    monkeypatch.setattr(stream, "PurityTracker", made)
+    monkeypatch.setattr(stream, "_fidelity_lut", made)
+    for n, cfg, stated in [
+            # every 7-qubit purity: 103,809,024 bytes of histograms alone
+            (12, dict(purity_subsets=list(itertools.combinations(range(12),
+                                                                 7))),
+             "312,920,784"),
+            # three 4^11 arrays: histogram, V c and the readout temporary
+            (11, dict(purity_subsets=[range(11)]), "102,432,768"),
+            (16, dict(renyi_parts=all_bipartitions(16, 8)), "13,726,289,104"),
+            (11, dict(purity_subsets=[(0, 1)], fidelity_targets=[
+                ("ghz:11", make_ghz(11))] * 3), "101,843,328")]:
+        with pytest.raises(CapExceededError) as refused:
+            OnlineEngine(TrackerConfig(n_qubits=n, **cfg), FRAME)
+        assert str(refused.value).startswith(
+            f"online engine on {n} qubits needs {stated} bytes; capped")
 
 
 # --- identification game ----------------------------------------------------------------
