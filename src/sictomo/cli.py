@@ -70,7 +70,8 @@ def parse_state(spec, seed=0):
             n, float(parts[1]) if len(parts) > 1 else math.pi / 4),
         "cluster": lambda: make_linear_cluster(n, rest),
         "product": lambda: make_product(rest),
-        "mixed": lambda: DensityOperator(np.eye(2**n) / 2**n, check=False),
+        "mixed": lambda: DensityOperator(  # one complex array, I / 2^n
+            np.diag(np.full(2**n, 0.5**n, dtype=complex)), check=False),
         "random-pure": lambda: random_pure(n, derive_rng(seed, "state")),
     }
     if name in constructors:

@@ -27,7 +27,8 @@ from .povm import check_bytes, frame_sums, frame_traces
 from .qstate import Bipartition, partial_transpose, qubit_subset
 from .shadows import apply_pair_trace, hist_zeros, pattern_codes
 
-# (row, subset) pairs a tracker ingests, or entries it pair-traces, at once
+# (row, subset) pairs a tracker ingests, entries it pair-traces, or rows the
+# online engine ingests, at once
 BLOCK = 1 << 16
 
 

@@ -12,6 +12,11 @@ per outcome pattern) and frame_sums (pattern weights to an operator).
 FrameSuperoperator applies the measurement map, its adjoint and its dual
 frame inverse through them.
 
+Shots are drawn from the exact 4^N outcome distribution, whose working set
+is checked as any other array is; only a ket above DIST_CAP qubits goes to a
+per-shot sampler, which keeps one conditional state per distinct outcome
+prefix.
+
 The size policy lives here too: every capped allocation in the package calls
 check_bytes with its byte estimate where the array is made, and a refusal is
 a CapExceededError that states the bytes (the CLI exits 4).
@@ -22,7 +27,7 @@ import math
 
 import numpy as np
 
-DIST_CAP = 10  # largest N for materializing a 4^N outcome vector
+DIST_CAP = 10  # largest N whose ket is drawn from its exact distribution
 BYTES_CAP = 64 * 2**20  # largest array a size-checked allocation may make
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -210,11 +215,17 @@ def sic_outcome_distribution(state, frame):
     Returns a length 4^N vector indexed with qubit 0 as the most significant
     base-4 digit. A density matrix's tiny negative entries from roundoff are
     clamped to 0; a ket's entries are squared moduli, never negative.
+
+    The working set beside the state is checked before any of it is made:
+    32 x 4^N bytes for a ket, whose last contraction holds its input, that
+    input's transposed copy and its 4^N complex output; 56 x 4^N for a
+    density matrix, whose contraction steps each hold three complex 4^N
+    arrays (input, transposed copy, output) and whose clamp makes float
+    ones. So both admit N = DIST_CAP and refuse N = DIST_CAP + 1.
     """
     amp, n = getattr(state, "amplitudes", None), state.n_qubits
-    if n > DIST_CAP:
-        raise cap_error(f"outcome distribution over 4^{n} outcomes",
-                        8 * 4**n, f"{DIST_CAP} qubits")
+    check_bytes((32 if amp is not None else 56) * 4**n,
+                f"outcome distribution over 4^{n} outcomes")
     if amp is not None:
         return _ket_probs(amp, [frame.bras] * n)
     probs = frame_traces(state.matrix, frame.effects).real
@@ -291,8 +302,8 @@ def indices_from_digits(digits, base=4):
                      casting="unsafe")
 
 
-_PERSHOT_CHUNK = 4096  # shots per block of the pure-state per-shot sampler
-_BLOCK = 1 << 16  # entries a per-shot sampler contracts or gathers per step
+_PERSHOT_CHUNK = 4096  # shots per block of the per-shot sampler
+_BLOCK = 1 << 16  # amplitudes the per-shot sampler gathers per step
 
 
 def _draw(probs, n_shots, rng):
@@ -307,37 +318,34 @@ def _draw(probs, n_shots, rng):
 def sample_sic_shots(state, frame, n_shots, rng):
     """Draw SIC outcome digit rows, shape (n_shots, N) dtype uint8.
 
-    Up to DIST_CAP qubits the shots come from the exact 4^N outcome
-    distribution. Above it a per-shot sampler measures qubit by qubit and
-    keeps one conditional state per distinct outcome prefix, not one per
-    shot: after k qubits, m shots share at most g_k = min(m, 4^k) prefixes.
-    A pure state is drawn in blocks of m <= _PERSHOT_CHUNK shots, one
-    rng.random((N, m)) per block. A prefix's outcome probabilities come from
-    the 2x2 Gram matrix of its state's halves on the measured qubit, and
-    only the branches the shots chose are built: a level holds g_k states of
-    2^(N-k) amplitudes and the next level g_(k+1) of half that (checked
-    against BYTES_CAP before any shot is drawn) plus one gathered block of
-    at most _BLOCK amplitudes. A density matrix keeps a level's conditional
-    blocks, at most 4^N entries, in one buffer.
+    A density matrix, and a ket of up to DIST_CAP qubits, is drawn from its
+    exact 4^N outcome distribution, whose byte check refuses a density
+    matrix above DIST_CAP qubits. A larger ket goes to a per-shot sampler,
+    which measures qubit by qubit and keeps one conditional state per
+    distinct outcome prefix, not one per shot: after k qubits, m shots share
+    at most g_k = min(m, 4^k) prefixes. It draws in blocks of
+    m <= _PERSHOT_CHUNK shots, one rng.random((N, m)) per block. A prefix's
+    outcome probabilities come from the 2x2 Gram matrix of its state's
+    halves on the measured qubit, and only the branches the shots chose are
+    built: a level holds g_k states of 2^(N-k) amplitudes and the next level
+    g_(k+1) of half that (checked against BYTES_CAP before any shot is
+    drawn) plus one gathered block of at most _BLOCK amplitudes.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     rng = np.random.default_rng(rng)  # a Generator passes unchanged
-    n = state.n_qubits
-    if n <= DIST_CAP:
+    n, amp = state.n_qubits, getattr(state, "amplitudes", None)
+    if amp is None or n <= DIST_CAP:
         flat = _draw(sic_outcome_distribution(state, frame), n_shots, rng)
         return digits_from_indices(flat, n)
-    amp = getattr(state, "amplitudes", None)
-    if amp is not None:
-        m = min(n_shots, _PERSHOT_CHUNK)
-        check_bytes(max(8 * (2 * min(m, 4**k) + min(m, 4**(k + 1)))
-                        * 2**(n - k) for k in range(n)),
-                    f"per-shot sampler on {n} qubits, {m} shots per block")
-        out = np.empty((n_shots, n), dtype=np.uint8)
-        for lo in range(0, n_shots, m):
-            _pershot_pure(amp, frame, out[lo:lo + m], rng)
-        return out
-    return _pershot_mixed(state.matrix, frame, n_shots, n, rng)
+    m = min(n_shots, _PERSHOT_CHUNK)
+    check_bytes(max(8 * (2 * min(m, 4**k) + min(m, 4**(k + 1)))
+                    * 2**(n - k) for k in range(n)),
+                f"per-shot sampler on {n} qubits, {m} shots per block")
+    out = np.empty((n_shots, n), dtype=np.uint8)
+    for lo in range(0, n_shots, m):
+        _pershot_pure(amp, frame, out[lo:lo + m], rng)
+    return out
 
 
 def _pershot_pure(amp, frame, digits, rng):
@@ -374,46 +382,6 @@ def _pershot_pure(amp, frame, digits, rng):
                           cur[pre[lo:lo + step], :, s:s + cols],
                           out=nxt[lo:lo + step, s:s + cols])
         cur = nxt.reshape(keys.size, 2, rest // 2)
-
-
-def _pershot_mixed(mat, frame, m, n, rng):
-    # contract the measured qubit on both sides of one conditional matrix per
-    # distinct prefix. All of them live in one buffer of 4^N entries: each
-    # prefix's matrix is overwritten by its four conditional blocks, then the
-    # blocks the shots chose move down in place. u[s, k] is the double
-    # rng.choice would take for shot s at qubit k, and the digit is read off
-    # the cdf as choice does
-    eff = frame.effects
-    u = rng.random((m, n))
-    cur = mat.reshape((1,) + mat.shape)
-    row = np.zeros(m, dtype=np.intp)
-    digits = np.empty((m, n), dtype=np.uint8)
-    buf = None
-    for k in range(n):
-        g, dim = cur.shape[0], cur.shape[1] // 2
-        step = max(1, _BLOCK // cur[0].size)
-        if buf is None:  # the caller's matrix stays intact
-            cond = np.einsum("iba,gasbt->gist", eff,
-                             cur.reshape(g, 2, dim, 2, dim), order="C")
-            buf = cond.reshape(-1)
-        else:
-            cond = buf[:cur.size].reshape(g, 4, dim, dim)
-            for lo in range(0, g, step):
-                blocks = cur[lo:lo + step].reshape(-1, 2, dim, 2, dim)
-                cond[lo:lo + step] = np.einsum("iba,gasbt->gist", eff, blocks)
-        p = np.einsum("giss->gi", cond).real
-        p = np.where(p < 0, 0.0, p)
-        cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
-        cdf /= cdf[:, -1:]
-        d = (u[:, k, None] >= cdf[row]).sum(axis=1).astype(np.uint8)
-        digits[:, k] = d
-        keys, row = np.unique(row * 4 + d, return_inverse=True)
-        flat, scale = cond.reshape(4 * g, dim, dim), p.reshape(-1)
-        for lo in range(0, keys.size, step):  # keys[j] >= j: blocks move down
-            sel = keys[lo:lo + step]
-            flat[lo:lo + sel.size] = flat[sel] / scale[sel][:, None, None]
-        cur = flat[:keys.size]
-    return digits
 
 
 def pauli_settings(n_qubits):

@@ -17,9 +17,11 @@ through one per-line checker, which raises a ShotFileError for its first bad
 line: an empty line, a byte outside ASCII, a line of the wrong shape, or a
 symbol outside its column's alphabet.
 
-The online engine consumes digit rows in report intervals and keeps every
-tracked quantity incrementally, so the analysis cost of an interval does not
-depend on how many shots came before it. Every row it reports carries a
+The online engine ingests digit rows as they arrive, at most BLOCK at a
+time, into incremental trackers, so it holds no rows of its own, and it reads
+every tracked quantity out at each report-interval boundary: the analysis
+cost of an interval depends neither on how many shots came before it nor,
+in memory, on the interval's length. Every row it reports carries a
 standard error, and with a tolerance `tol` it stops after the first interval
 whose rows all have stderr <= tol * |value|; a NaN stderr, which a quantity
 reports until it has enough shots, never meets that. A fidelity target on
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (EstimateReport, ObservableSpec, PurityTracker,
+from .estimators import (BLOCK, EstimateReport, ObservableSpec, PurityTracker,
                          RunningMoments, observable_lut, purity_state_bytes,
                          renyi2_from_purity, renyi2_stderr)
 from .povm import (check_bytes, derive_rng, indices_from_digits, sic_frame,
@@ -339,12 +341,14 @@ class OnlineEngine:
                         for subset in cfg.purity_subsets]
         self._renyi = [(part.label(), where[part.smaller_side])
                        for part in cfg.renyi_parts]
-        self._carry = np.empty((0, n), dtype=np.uint8)  # rows not yet reported
-        self.shots_seen = 0
+        self._pending = 0  # rows ingested since the last report
+        self._pending_s = 0.0  # the time their ingest took
+        self.shots_seen = 0  # rows reported
         self.converged = False
 
     def feed(self, digits):
-        """Ingest an (m, N) chunk of digit rows; returns newly completed
+        """Ingest an (m, N) chunk of digit rows, at most BLOCK rows at a
+        time and split at interval boundaries; returns newly completed
         reports."""
         if self.converged:
             return []
@@ -352,30 +356,36 @@ class OnlineEngine:
         if digits.ndim != 2 or digits.shape[1] != self.cfg.n_qubits:
             raise ValueError(f"records must be (m, {self.cfg.n_qubits}) "
                              "digit rows")
-        rows = np.concatenate([self._carry, digits])
-        out, lo, step = [], 0, self.cfg.interval
-        while rows.shape[0] - lo >= step and not self.converged:
-            out.extend(self._process_interval(rows[lo:lo + step]))
+        out, lo = [], 0
+        while lo < digits.shape[0] and not self.converged:
+            step = min(BLOCK, self.cfg.interval - self._pending)
+            self._ingest(digits[lo:lo + step])
             lo += step
-        self._carry = rows[:0] if self.converged else rows[lo:]
+            if self._pending == self.cfg.interval:
+                out.extend(self._report())
         return out
 
     def finalize(self):
-        """Flush a trailing partial interval (stream ended)."""
-        rows, self._carry = self._carry, self._carry[:0]
-        if self.converged or rows.shape[0] == 0:
+        """Report a trailing partial interval (stream ended)."""
+        if self.converged or not self._pending:
             return []
-        return self._process_interval(rows)
+        return self._report()
 
-    def _process_interval(self, block):
+    def _ingest(self, block):
         t0 = time.perf_counter()
         codes = indices_from_digits(block) if self._linear else None
         for _, lut, moments in self._linear:
             moments.add_values(lut[codes])
         for tracker in self._trackers:
             tracker.add_records(block)
-        self.shots_seen += block.shape[0]
+        self._pending += block.shape[0]
+        self._pending_s += time.perf_counter() - t0
 
+    def _report(self):
+        """One report per quantity for the rows ingested so far; its wall_ms
+        is the ingest time of the interval's rows and the readout time."""
+        t0 = time.perf_counter()
+        self.shots_seen += self._pending
         rows = [(quantity, "all", moments.mean, moments.stderr())
                 for quantity, _, moments in self._linear]
         purity = [(t.value().tolist(), t.stderr().tolist())
@@ -387,7 +397,8 @@ class OnlineEngine:
             p, p_se = purity[t][0][row], purity[t][1][row]
             rows.append(("renyi2", label, renyi2_from_purity(p),
                          renyi2_stderr(p, p_se)))
-        wall_ms = (time.perf_counter() - t0) * 1000.0
+        wall_ms = (self._pending_s + time.perf_counter() - t0) * 1000.0
+        self._pending, self._pending_s = 0, 0.0
 
         tol = self.cfg.stopping
         if tol is not None:  # a NaN stderr or value fails the comparison
@@ -400,13 +411,11 @@ class OnlineEngine:
 
 
 def drive(engine, chunks):
-    """Feed digit chunks to an OnlineEngine, at most one interval's rows a
-    call, until every stderr meets its tolerance or they run out; yield
-    every report, the flushed partial interval's last."""
-    step = engine.cfg.interval
-    for piece in (chunk[lo:lo + step] for chunk in chunks
-                  for lo in range(0, len(chunk), step)):
-        yield from engine.feed(piece)
+    """Feed digit chunks to an OnlineEngine until every stderr meets its
+    tolerance or they run out; yield every report, the flushed partial
+    interval's last."""
+    for chunk in chunks:
+        yield from engine.feed(chunk)
         if engine.converged:
             break
     yield from engine.finalize()

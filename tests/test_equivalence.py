@@ -721,31 +721,11 @@ def reference_pershot_pure(amp, frame, m, n, rng, block=512):
     return digits
 
 
-def reference_pershot_mixed(mat, frame, m, n, rng):
-    """One shot at a time, one rng.choice per shot and qubit."""
-    eff = frame.effects
-    digits = np.empty((m, n), dtype=np.uint8)
-    for s in range(m):
-        cur = mat
-        for k in range(n):
-            dim = cur.shape[0] // 2
-            cond = np.einsum("iba,asbt->ist", eff, cur.reshape(2, dim, 2, dim))
-            p = np.einsum("iss->i", cond).real
-            p = np.where(p < 0, 0.0, p)
-            d = rng.choice(4, p=p / p.sum())
-            digits[s, k] = d
-            cur = cond[d] / p[d]
-    return digits
-
-
 def reference_pershot(state, n_shots, seed, chunk=4096):
     rng = derive_rng(seed, "sic-shots")
-    n = state.n_qubits
-    if getattr(state, "amplitudes", None) is None:
-        return reference_pershot_mixed(state.matrix, FRAME, n_shots, n, rng)
     return np.concatenate([
         reference_pershot_pure(state.amplitudes, FRAME,
-                               min(chunk, n_shots - lo), n, rng)
+                               min(chunk, n_shots - lo), state.n_qubits, rng)
         for lo in range(0, n_shots, chunk)])
 
 
@@ -753,25 +733,12 @@ def reference_pershot(state, n_shots, seed, chunk=4096):
     (make_ghz(12), 8192),  # two full chunks
     *[(random_pure(n, np.random.default_rng(40 + n)), 5000)  # a partial one
       for n in (1, 5, 11)],
-    *[(random_density(n, np.random.default_rng(50 + n)), 1000)
-      for n in (1, 3, 5)],
-], ids=["ghz12", "pure1", "pure5", "pure11", "mixed1", "mixed3", "mixed5"])
+], ids=["ghz12", "pure1", "pure5", "pure11"])
 def test_pershot_sampler_matches_one_state_per_shot(monkeypatch, state,
                                                     n_shots):
     monkeypatch.setattr(povm, "DIST_CAP", 0)  # the per-shot sampler at any N
     got = sample_sic_shots(state, FRAME, n_shots, derive_rng(7, "sic-shots"))
     np.testing.assert_array_equal(got, reference_pershot(state, n_shots, 7))
-
-
-@pytest.mark.parametrize("block", [1, 16])
-def test_mixed_sampler_matches_in_small_blocks(monkeypatch, block):
-    # blocks smaller than one conditional matrix split every level's
-    # contraction and move-down into several steps
-    monkeypatch.setattr(povm, "_BLOCK", block)
-    monkeypatch.setattr(povm, "DIST_CAP", 0)
-    rho = random_density(4, np.random.default_rng(60))
-    got = sample_sic_shots(rho, FRAME, 700, derive_rng(8, "sic-shots"))
-    np.testing.assert_array_equal(got, reference_pershot(rho, 700, 8))
 
 
 @pytest.mark.parametrize("block", [1, 16])

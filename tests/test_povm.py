@@ -30,7 +30,8 @@ from sictomo.povm import (
     sic_frame,
     sic_outcome_distribution,
 )
-from sictomo.qstate import make_ghz, make_product, random_density, random_pure
+from sictomo.qstate import (DensityOperator, make_ghz, make_product,
+                            random_density, random_pure)
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -134,10 +135,66 @@ def test_sic_distribution_pure_equals_mixed_route(rng, name):
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def test_sic_distribution_cap(monkeypatch):
-    monkeypatch.setattr(povm, "DIST_CAP", 2)
-    with pytest.raises(CapExceededError, match="capped at 2 qubits"):
-        sic_outcome_distribution(make_ghz(3), sic_frame("standard"))
+def test_sic_distribution_cap():
+    # the N = 11 ket's working set, 32 x 4^11 bytes, and the density
+    # matrix's, 56 x 4^11, are refused before any of it is made
+    frame = sic_frame("standard")
+    with pytest.raises(CapExceededError, match=" 134,217,728 bytes"):
+        sic_outcome_distribution(make_ghz(11), frame)
+    with pytest.raises(CapExceededError, match=" 234,881,024 bytes"):
+        sic_outcome_distribution(DensityOperator(
+            np.zeros((2**11, 2**11), dtype=complex), check=False), frame)
+
+
+def test_dist_cap_is_the_largest_exact_ket(monkeypatch):
+    """DIST_CAP only picks the ket sampler. It is the largest N whose exact
+    distribution passes the byte check, so the switch and the check cannot
+    drift apart; a density matrix, which has no other sampler, is admitted
+    and refused at the same N."""
+    stated = {}
+
+    def record(nbytes, what, cap=povm.BYTES_CAP):
+        stated[what] = nbytes <= cap
+        raise CapExceededError(what)
+    monkeypatch.setattr(povm, "check_bytes", record)
+    for n in (povm.DIST_CAP, povm.DIST_CAP + 1):
+        for state in (make_ghz(n), DensityOperator(
+                np.zeros((2**n, 2**n), dtype=complex), check=False)):
+            with pytest.raises(CapExceededError):
+                sic_outcome_distribution(state, sic_frame("standard"))
+            assert stated.pop(f"outcome distribution over 4^{n} outcomes") \
+                == (n == povm.DIST_CAP)
+
+
+@pytest.mark.parametrize("state,like", [
+    ("make_ghz(10)", lambda: make_ghz(10)),
+    # written in place, so no temporary of its own is left in the peak
+    ("DensityOperator(np.eye(2**10, dtype=complex), check=False)\n"
+     "st.matrix /= 2**10",
+     lambda: DensityOperator(np.zeros((2**10, 2**10), dtype=complex),
+                             check=False)),
+], ids=["ket", "density-matrix"])
+def test_sic_distribution_memory_within_its_byte_check(monkeypatch,
+                                                       hwm_growth, state,
+                                                       like):
+    """Each branch's check states its working set. Measured growth: GHZ-10
+    27.9 MB against 33.6 MB stated, the maximally mixed state 53.2 MB
+    against 58.7 MB."""
+    stated = []
+
+    def record(nbytes, what, cap=None):
+        stated.append(nbytes)
+        raise CapExceededError(what)
+    monkeypatch.setattr(povm, "check_bytes", record)
+    with pytest.raises(CapExceededError):  # the check reads N and the kind
+        sic_outcome_distribution(like(), sic_frame("standard"))
+    grew = hwm_growth(
+        "import numpy as np\n"
+        "from sictomo.povm import sic_frame, sic_outcome_distribution\n"
+        "from sictomo.qstate import DensityOperator, make_ghz\n"
+        f"st = {state}",
+        "sic_outcome_distribution(st, sic_frame('standard'))")
+    assert grew <= stated[0], (grew, stated)
 
 
 def test_pauli_distribution_matches_projector_loop(rng):
@@ -258,15 +315,14 @@ def test_sampling_modes_agree_pure(monkeypatch):
     assert chi2_contingency(np.vstack([ca, cb]))[1] > 1e-3
 
 
-def test_sampling_modes_agree_mixed(monkeypatch):
-    frame = sic_frame("standard")
-    rho = random_density(1, np.random.default_rng(9))
-    a = sample_sic_shots(rho, frame, 1500, derive_rng(2, "sic-shots"))
+def test_density_matrix_is_always_drawn_exactly(monkeypatch):
+    # whatever DIST_CAP says, a density matrix takes the multinomial draw
+    # from its exact distribution: there is no other sampler for it
+    rho = random_density(3, np.random.default_rng(9))
+    want = sample_sic_shots(rho, sic_frame("standard"), 1500, 2)
     monkeypatch.setattr(povm, "DIST_CAP", 0)
-    b = sample_sic_shots(rho, frame, 1500, derive_rng(3, "sic-shots"))
-    ca = np.bincount(a[:, 0], minlength=4)
-    cb = np.bincount(b[:, 0], minlength=4)
-    assert chi2_contingency(np.vstack([ca, cb]))[1] > 1e-3
+    got = sample_sic_shots(rho, sic_frame("standard"), 1500, 2)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_pauli_settings_and_allocation():

@@ -428,6 +428,40 @@ def test_online_chunking_invariance(rng):
             math.isnan(a.value) and math.isnan(b.value))
 
 
+@pytest.mark.parametrize("tol", [None, 0.1], ids=["no-stopping", "tol"])
+def test_reports_do_not_depend_on_chunking(tol):
+    """Pieces of one row, seven rows, one row short of or past an interval,
+    or the whole stream give the same reports and the same stop: purity and
+    Renyi-2 rows, read from integer histograms, bit for bit, and fidelity
+    rows, whose running moments merge once per ingested piece, to 1e-12."""
+    digits = sample_sic_shots(make_ghz(3), FRAME, 3030,
+                              derive_rng(13, "sic-shots"))
+    interval = 100
+    cfg = make_cfg(3, interval=interval, stopping=tol,
+                   renyi_parts=all_bipartitions(3, 1))
+
+    def run(size):
+        engine = OnlineEngine(cfg, FRAME)
+        reports = list(drive(engine, (digits[lo:lo + size] for lo
+                                      in range(0, len(digits), size))))
+        return engine.shots_seen, reports
+
+    def numbers(reports, fidelity):
+        return np.array([(r.value, r.stderr) for r in reports
+                         if r.quantity.startswith("fidelity") == fidelity])
+    seen, whole = run(len(digits))
+    assert seen < len(digits) if tol else seen == len(digits)
+    for size in (1, 7, interval - 1, interval + 1):
+        got_seen, got = run(size)
+        assert got_seen == seen
+        assert ([(r.shots, r.quantity, r.subset) for r in got]
+                == [(r.shots, r.quantity, r.subset) for r in whole])
+        assert (numbers(got, False).tobytes()
+                == numbers(whole, False).tobytes())
+        np.testing.assert_allclose(numbers(got, True), numbers(whole, True),
+                                   rtol=1e-12, atol=0)
+
+
 def test_online_purity_nan_until_two_shots(rng):
     digits = rng.integers(0, 4, size=(3, 1)).astype(np.uint8)
     cfg = TrackerConfig(n_qubits=1, purity_subsets=[(0,)], interval=1)
