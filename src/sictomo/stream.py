@@ -26,10 +26,11 @@ standard error, and with a tolerance `tol` it stops after the first interval
 whose rows all have stderr <= tol * |value|; a NaN stderr, which a quantity
 reports until it has enough shots, never meets that. A fidelity target on
 N qubits is read through a 4^N-entry lookup table, indexed by each shot's
-all-qubit pattern code, computed once per interval for every target. The
-purity subsets and Renyi-2 smaller sides of one size K share one
-PurityTracker. The engine sums what its tables and trackers will hold and
-checks that sum against povm's byte cap once, before any of it is made. A
+all-qubit pattern code, computed once per ingested block for every target.
+The purity subsets and Renyi-2 smaller sides of one size K share one
+PurityTracker. The engine sums what its tables, trackers and ingest blocks
+will hold and checks that sum against povm's byte cap once, before any of
+it is made. A
 target is also made dense (16 x 4^N bytes) to build its table, checked on
 its own, so fidelity tracking runs up to N = 11.
 """
@@ -324,9 +325,13 @@ class OnlineEngine:
         by_size = {}  # subset size -> its subsets, each listed once
         for subset in dict.fromkeys([*cfg.purity_subsets, *sides]):
             by_size.setdefault(len(subset), []).append(subset)
-        self.state_bytes = (
-            8 * 4**n * len(cfg.fidelity_targets)
-            + purity_state_bytes({k: len(g) for k, g in by_size.items()}))
+        # fidelity targets: each table, and per ingested row its code, its
+        # value and RunningMoments' two temporaries, 32 bytes
+        fidelity_bytes = (8 * 4**n * len(cfg.fidelity_targets)
+                          + 32 * min(BLOCK, cfg.interval)
+                          if cfg.fidelity_targets else 0)
+        self.state_bytes = fidelity_bytes + purity_state_bytes(
+            {k: len(g) for k, g in by_size.items()})
         check_bytes(self.state_bytes, f"online engine on {n} qubits")
         # per fidelity target: its quantity, lookup table and running moments
         self._linear = [(f"fidelity:{label}",
@@ -411,11 +416,14 @@ class OnlineEngine:
 
 
 def drive(engine, chunks):
-    """Feed digit chunks to an OnlineEngine until every stderr meets its
-    tolerance or they run out; yield every report, the flushed partial
-    interval's last."""
-    for chunk in chunks:
-        yield from engine.feed(chunk)
+    """Feed digit chunks to an OnlineEngine, at most one interval's rows a
+    call, so that a call builds the reports of at most one interval, until
+    every stderr meets its tolerance or they run out; yield every report,
+    the flushed partial interval's last."""
+    step = engine.cfg.interval
+    for piece in (chunk[lo:lo + step] for chunk in chunks
+                  for lo in range(0, len(chunk), step)):
+        yield from engine.feed(piece)
         if engine.converged:
             break
     yield from engine.finalize()

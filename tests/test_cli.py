@@ -305,10 +305,11 @@ def test_estimate_manifest_records_state_bytes_and_stream_end(tmp_path):
                    "--out", str(out)) == code
         manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
         assert manifest["stream_end"] == end
-        # a 4^2 table; purities of sizes 2 and 1; the 2^16-row block of the
-        # full purity, 18 bytes a row
+        # a 4^2 table and a 500-row fidelity ingest, 32 bytes a row;
+        # purities of sizes 2 and 1; the 2^16-row block of the full purity,
+        # 18 bytes a row
         assert manifest["engine_state_bytes"] == (
-            8 * 16 + 16 * (16 + 4) + 8 * 16 + 2**16 * 18)
+            8 * 16 + 32 * 500 + 16 * (16 + 4) + 8 * 16 + 2**16 * 18)
 
 
 def test_estimate_jsonl(tmp_path):
@@ -527,15 +528,16 @@ def test_estimate_purity_cap_exit_code(tmp_path, capsys):
 
 
 def test_estimate_fidelity_lut_cap_exit_code(tmp_path, capsys):
-    # a 12-qubit fidelity target's table holds 4^12 float entries; the
-    # engine refuses it before its dense 4^12 complex target is made
+    # a 12-qubit fidelity target's table holds 4^12 float entries, and a
+    # 100-row interval's ingest 32 bytes a row; the engine refuses them
+    # before its dense 4^12 complex target is made
     path = tmp_path / "twelve.sic"
     write_shots(path, ShotFileHeader(n_qubits=12),
                 np.zeros((10, 12), dtype=np.uint8))
     out = tmp_path / "report.csv"
     assert run("estimate", "--file", str(path), "--fidelity", "ghz:12",
                "--out", str(out)) == 4
-    assert ("online engine on 12 qubits needs 134,217,728 bytes"
+    assert ("online engine on 12 qubits needs 134,220,928 bytes"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -671,13 +673,16 @@ def test_reconstruct_counting_memory_does_not_grow_with_shots(tmp_path,
     ("ghz:10", 50_000, ("--purity", "full", "--interval", "10000")),
     ("ghz:11", 50_000, ("--renyi", "all:5", "--interval", "50000")),
     ("ghz:12", 4_000, ("--renyi", "all:6")),
-], ids=["ghz10-full-purity", "ghz11-renyi-all5", "ghz12-renyi-all6"])
+    ("ghz:12", 1_000, ("--renyi", "all:6", "--interval", "10")),
+], ids=["ghz10-full-purity", "ghz11-renyi-all5", "ghz12-renyi-all6",
+        "ghz12-renyi-all6-interval10"])
 def test_estimate_memory_within_the_engine_state_bytes(tmp_path, hwm_growth,
                                                        state, shots, flags):
     """A whole `estimate` run raises the peak by no more than the engine's
     stated bytes. Ingesting a 50 000-row interval in one gather raised it by
-    about 360 MB on GHZ-11, and a readout that formed (r - r_mean) ** 2 held
-    three temporaries of a histogram's size."""
+    about 360 MB on GHZ-11, a readout that formed (r - r_mean) ** 2 held
+    three temporaries of a histogram's size, and feeding a whole file chunk
+    at once built the reports of every interval in it, 2 047 each."""
     warm = simulate(tmp_path, state="ghz:4", shots=500, seed=2,
                     name="warm.sic")
     path = simulate(tmp_path, state=state, shots=shots, seed=1)

@@ -49,10 +49,13 @@ def test_package_names_do_not_hide_submodules():
     """`sictomo.reconstruct` is the module, so `monkeypatch.setattr` on it
     reaches the module's own names; the package binds no function over a
     submodule's name. Each submodule is imported here, so the check does not
-    rest on what other test files imported first."""
+    rest on what other test files imported first; the package's binding is
+    read before that import, which would overwrite it."""
     for path in SRC.glob("*.py"):
         if not path.stem.startswith("_"):
+            bound = vars(sictomo).get(path.stem)
             module = importlib.import_module(f"sictomo.{path.stem}")
+            assert bound in (None, module), (path.stem, bound)
             assert getattr(sictomo, path.stem) is module
 
 

@@ -491,9 +491,10 @@ def test_online_converges_on_constant_stream():
 
 
 def test_online_engine_caps_and_validation(rng):
-    # refused by the engine's summed check: one 8 * 4^12-byte table
+    # refused by the engine's summed check: one 8 * 4^12-byte table and a
+    # 100-row interval's fidelity ingest, 32 bytes a row
     with pytest.raises(ValueError, match="online engine on 12 qubits needs "
-                       "134,217,728 bytes; capped"):
+                       "134,220,928 bytes; capped"):
         OnlineEngine(TrackerConfig(
             n_qubits=12, fidelity_targets=[("x", random_pure(12, rng))]),
             FRAME)
@@ -507,8 +508,9 @@ def test_online_engine_caps_and_validation(rng):
 def test_engine_refuses_summed_state_over_the_byte_cap(monkeypatch):
     """One check sums the engine's state before any of it is made: per
     subset size K with S subsets, 16 S 4^K bytes of histogram and cached
-    V c, plus the largest 8 S 4^K readout temporary and one ingest block.
-    A size's subsets are never split across trackers to get under the cap."""
+    V c, plus the largest 8 S 4^K readout temporary and one ingest block;
+    with fidelity targets, their tables and 32 bytes a row of their ingest
+    block. A size's subsets are never split across trackers to get under the cap."""
     admitted = OnlineEngine(TrackerConfig(
         n_qubits=12, renyi_parts=all_bipartitions(12, 6)), FRAME)
     assert admitted.state_bytes == 62_096_164
@@ -528,7 +530,7 @@ def test_engine_refuses_summed_state_over_the_byte_cap(monkeypatch):
             (11, dict(purity_subsets=[range(11)]), "102,432,768"),
             (16, dict(renyi_parts=all_bipartitions(16, 8)), "13,726,289,104"),
             (11, dict(purity_subsets=[(0, 1)], fidelity_targets=[
-                ("ghz:11", make_ghz(11))] * 3), "101,843,328")]:
+                ("ghz:11", make_ghz(11))] * 3), "101,846,528")]:
         with pytest.raises(CapExceededError) as refused:
             OnlineEngine(TrackerConfig(n_qubits=n, **cfg), FRAME)
         assert str(refused.value).startswith(
