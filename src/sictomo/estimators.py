@@ -18,7 +18,7 @@ histogram.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import index
 
 import numpy as np
@@ -273,14 +273,10 @@ def all_bipartitions(n, max_side):
     return [part for part in parts if part.smaller_side == part.subset_a]
 
 
-REPORT_COLUMNS = ("shots", "method", "quantity", "subset", "value",
-                  "stderr", "wall_ms")
-CSV_HEADER = ",".join(REPORT_COLUMNS)
-
-
 @dataclass
 class EstimateReport:
-    """One reported estimate, serializable as a CSV row or JSON object."""
+    """One reported estimate, serializable as a CSV row or JSON object; its
+    fields are the columns of both, in order."""
 
     shots: int
     method: str
@@ -295,7 +291,7 @@ class EstimateReport:
                 f"{self.value:.10g},{self.stderr:.6g},{self.wall_ms:.3f}")
 
     def to_json_dict(self):
-        return {"shots": self.shots, "method": self.method,
-                "quantity": self.quantity, "subset": self.subset,
-                "value": self.value, "stderr": self.stderr,
-                "wall_ms": self.wall_ms}
+        return asdict(self)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(EstimateReport))

@@ -4,6 +4,8 @@ A SIC frame is four single-qubit kets whose projectors tile the Bloch sphere
 as a regular tetrahedron. Tensor powers of the four effects (1/2)|psi_i><psi_i|
 give a single-setting informationally complete N-qubit measurement. Outcome
 digit strings are 0-based (digits 0..3), with qubit 0 as the leftmost digit.
+naimark_unitary embeds any frame, the standard one included, as a ququart
+projective measurement: its scaled kets, completed to a unitary by one SVD.
 
 Both the SIC frame and the uniform Pauli measurement are tensor products of
 one single-qubit stack of effects, so every map between states and outcome
@@ -40,19 +42,6 @@ SIC_KETS_STANDARD = np.array([
     [1 / math.sqrt(3), OMEGA * math.sqrt(2 / 3)],
     [1 / math.sqrt(3), OMEGA**2 * math.sqrt(2 / 3)],
 ], dtype=complex)
-
-# Ququart embedding unitary: row i of the first two columns is the i-th
-# measurement ket scaled by 1/sqrt(2) (bit-exact, the columns are computed
-# from the kets); the last two columns complete an orthonormal set.
-NAIMARK_STANDARD = np.hstack([
-    SIC_KETS_STANDARD / math.sqrt(2),
-    np.array([
-        [0, 1 / math.sqrt(2)],
-        [1 / math.sqrt(3), -1 / math.sqrt(6)],
-        [OMEGA**2 / math.sqrt(3), -1 / math.sqrt(6)],
-        [OMEGA / math.sqrt(3), -1 / math.sqrt(6)],
-    ], dtype=complex),
-])
 
 # Bloch tetrahedron with an even number of minus signs per vertex; gives the
 # frame whose outcome statistics look identical along the X, Y and Z axes.
@@ -146,9 +135,9 @@ def sic_frame(name):
 
 
 def naimark_unitary(frame):
-    """4x4 unitary embedding the frame as a ququart projective measurement."""
-    if frame.name == "standard":
-        return NAIMARK_STANDARD.copy()
+    """4x4 unitary embedding the frame as a ququart projective measurement:
+    row i of the first two columns is the i-th ket over sqrt(2), bit-exact;
+    the last two are an orthonormal basis of the complement of those two."""
     v = frame.kets / math.sqrt(2)
     w = np.linalg.svd(v.conj().T)[2][2:].conj().T  # orthonormal null space
     return np.hstack([v, w])
@@ -187,15 +176,14 @@ def frame_traces(operator, site):
 
 
 def frame_sums(weights, site):
-    """sum_c w[..., c] kron_k M_{c_k}, shape (..., 2^K, 2^K)."""
+    """sum_c w[c] kron_k M_{c_k}, shape (2^K, 2^K)."""
     weights = np.asarray(weights)
-    lead, k = weights.shape[:-1], n_sites(weights.shape[-1], len(site))
-    t = weights.reshape(lead + (len(site),) * k)
+    k = n_sites(weights.shape[-1], len(site))
+    t = weights.reshape((len(site),) * k)
     for _ in range(k):  # leading digit out, its (row, col) pair to the back
-        t = np.tensordot(t, site, axes=([len(lead)], [0]))
-    rows_cols = np.arange(2 * k).reshape(k, 2).T.ravel() + len(lead)
-    t = t.transpose(tuple(range(len(lead))) + tuple(rows_cols))
-    return t.reshape(lead + (2**k, 2**k))
+        t = np.tensordot(t, site, axes=([0], [0]))
+    t = t.transpose(tuple(np.arange(2 * k).reshape(k, 2).T.ravel()))
+    return t.reshape(2**k, 2**k)
 
 
 # --- outcome distributions --------------------------------------------------
@@ -274,12 +262,12 @@ STREAM_IDS = {
 def derive_rng(seed, stream, index=0):
     """Deterministic per-component generator from one user seed.
 
-    Splitmix-style expansion: the (stream, index) pair is folded into the
-    SeedSequence spawn key, so distinct components never share a stream.
+    `stream` names one of STREAM_IDS. Splitmix-style expansion: its id and
+    `index` are folded into the SeedSequence spawn key, so distinct
+    components never share a stream.
     """
-    sid = STREAM_IDS[stream] if isinstance(stream, str) else int(stream)
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(sid, int(index))))
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=int(seed), spawn_key=(STREAM_IDS[stream], int(index))))
 
 
 def digits_from_indices(indices, n_qubits, base=4):

@@ -254,7 +254,9 @@ def make_rotated_ghz(n, angle=math.pi / 4):
     """GHZ state with a local rotation exp(-i*angle*Y/2) applied to every
     qubit, so the state is aligned with no tomography basis. The rotation
     acts on one tensor axis of the amplitudes at a time, never as a dense
-    2^n x 2^n matrix."""
+    2^n x 2^n matrix. `angle` is a number or its text, as a state spec's
+    field."""
+    angle = float(angle)
     if not math.isfinite(angle):
         raise ValueError(f"rotation angle must be finite, not {angle!r}")
     c, s = math.cos(angle / 2), math.sin(angle / 2)

@@ -2,7 +2,9 @@
 
 File format, bit-exact:
     line 1: `#TOMO v1`
-    line 2: one-line JSON header, keys n_qubits, povm, frame, seed, batch
+    line 2: one-line JSON header: ShotFileHeader's fields n_qubits, povm,
+            frame and seed, then `batch`, a format constant written as 1
+            and read as any integer >= 1
     body:   SIC `d1d2...dN` with digits 0-3; Pauli `XYZ... b1b2...` with a
             single space between setting letters and outcome bits.
 
@@ -40,7 +42,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -69,7 +71,6 @@ class ShotFileHeader:
     povm: str = "sic"
     frame: str = "standard"
     seed: int = 0
-    batch: int = 1
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -80,13 +81,9 @@ class ShotFileHeader:
             raise ValueError("frame must be 'standard' or 'rotated'")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
-        if self.batch < 1:
-            raise ValueError("batch hint must be >= 1")
 
     def to_json(self):
-        return json.dumps({"n_qubits": self.n_qubits, "povm": self.povm,
-                           "frame": self.frame, "seed": int(self.seed),
-                           "batch": self.batch}, separators=(",", ":"))
+        return json.dumps({**asdict(self), "batch": 1}, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line):
@@ -96,7 +93,8 @@ class ShotFileHeader:
             raise ShotFileError(f"header is not valid JSON: {exc}", line=2)
         if not isinstance(d, dict):
             raise ShotFileError("header must be a JSON object", line=2)
-        missing = {"n_qubits", "povm", "frame", "seed", "batch"} - set(d)
+        names = [f.name for f in fields(cls)]
+        missing = {*names, "batch"} - set(d)
         if missing:
             raise ShotFileError(f"header missing keys: {sorted(missing)}", line=2)
         for key in ("n_qubits", "seed", "batch"):
@@ -104,10 +102,12 @@ class ShotFileHeader:
                 raise ShotFileError(f"header {key} must be an integer, not "
                                     f"{d[key]!r}", line=2)
         try:
-            return cls(n_qubits=d["n_qubits"], povm=d["povm"],
-                       frame=d["frame"], seed=d["seed"], batch=d["batch"])
+            header = cls(**{name: d[name] for name in names})
         except (ValueError, TypeError) as exc:
             raise ShotFileError(str(exc), line=2)
+        if d["batch"] < 1:
+            raise ShotFileError("batch hint must be >= 1", line=2)
+        return header
 
 
 # Record formats. A record line is runs of N columns, one alphabet per run,
@@ -467,7 +467,7 @@ class Game:
         s1 = np.zeros(16)          # per-candidate running value sums
         s2 = np.zeros((16, 16))    # running pairwise product sums
         seen, run, prev = 0, 0, -1
-        while seen < shot_cap:
+        while seen < shot_cap and run < gap_window:
             block = min(256, shot_cap - seen)
             codes = rng.choice(n_codes, size=block, p=self.probs[secret])
             for code in codes:
@@ -491,16 +491,11 @@ class Game:
                 else:
                     run, prev = 0, -1
                 if run >= gap_window:
-                    return top, seen, {
-                        "secret": secret, "winner": top,
-                        "correct": top == secret, "shots": seen,
-                        "declared": True, "gap_window": gap_window,
-                        "final_gap": float(gap), "seed": int(seed),
-                        "trial": int(trial)}
-        # cap reached without a persistent gap; report best guess undeclared
-        winner = int(np.argmax(s1))
-        return winner, shot_cap, {
-            "secret": secret, "winner": winner, "correct": winner == secret,
-            "shots": shot_cap, "declared": False, "gap_window": gap_window,
-            "final_gap": 0.0, "seed": int(seed), "trial": int(trial)}
-
+                    break
+        declared = run >= gap_window
+        if not declared:  # cap reached without a persistent gap: best guess
+            top, gap = int(np.argmax(s1)), 0.0
+        return top, seen, {
+            "secret": secret, "winner": top, "correct": top == secret,
+            "shots": seen, "declared": declared, "gap_window": gap_window,
+            "final_gap": float(gap), "seed": int(seed), "trial": int(trial)}

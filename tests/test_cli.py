@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sictomo.cli import GAME_CSV_HEADER, build_parser, main, parse_state
-from sictomo.estimators import CSV_HEADER
+from sictomo.estimators import CSV_HEADER, EstimateReport
 from sictomo.povm import FrameSuperoperator, digits_from_indices, sic_frame
 from sictomo.qstate import (DensityOperator, PureState, random_pure,
                             save_state, state_to_json_dict)
@@ -113,10 +113,28 @@ def test_simulate_bit_reproducible(tmp_path, capsys):
     assert header.n_qubits == 2 and header.seed == 9
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--state", "ghz:2", "--shots", "10"),
+    ("reconstruct", "--file", "shots.sic", "--method", "lininv")])
+def test_file_commands_refuse_stdout(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--out", "-") == 3
+    assert "argument --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rotated_ghz_refuses_a_trailing_field(tmp_path, capsys):
+    out = tmp_path / "shots.sic"
+    assert run("simulate", "--state", "rotated-ghz:3:0.5:junk", "--shots",
+               "10", "--out", str(out)) == 3
+    assert ("unknown state spec 'rotated-ghz:3:0.5:junk'"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_writes_batch_one(tmp_path):
     out = simulate(tmp_path, seed=3)
     assert out.read_text().split("\n")[1].endswith(',"batch":1}')
-    assert read_header(out).batch == 1
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -327,6 +345,19 @@ def test_estimate_jsonl(tmp_path):
     assert purity[0]["value"] is None and purity[0]["stderr"] is None
     assert purity[1]["value"] is not None and purity[1]["stderr"] is None
     assert None not in (purity[2]["value"], purity[2]["stderr"])
+    # the same run as CSV: each JSONL row has the header's keys in order, and
+    # its values print as the CSV row does, null as nan (wall_ms is a timing)
+    csv = tmp_path / "r.csv"
+    assert run("estimate", "--file", str(shots), "--purity", "full",
+               "--renyi", "all:1", "--interval", "1", "--no-stopping",
+               "--out", str(csv)) == 0
+    header, *csv_rows = csv.read_text().strip().split("\n")
+    assert header == CSV_HEADER and len(csv_rows) == len(rows)
+    for row, csv_row in zip(rows, csv_rows):
+        assert list(row) == header.split(",")
+        printed = EstimateReport(**{key: math.nan if v is None else v
+                                    for key, v in row.items()}).to_csv_row()
+        assert printed.split(",")[:-1] == csv_row.split(",")[:-1]
 
 
 def test_estimate_rejects_pauli_file(tmp_path, capsys):

@@ -55,6 +55,11 @@ the same arrays or raise the same ShotFileError text, line number included.
 The reconstruct JSON reference is one json.dumps of the estimate's whole
 dict; the writer that turns a block of values into text at a time must
 write the same bytes.
+
+The game reference is Game.play as it was written with two transcripts, one
+returned where the leader is declared and one at the shot cap; the one
+transcript Game.play now builds must equal it, on the declared and on the
+capped path.
 """
 
 import functools
@@ -86,7 +91,7 @@ from sictomo.reconstruct import (MLE_MAX_ITER, MLE_TOL, FrequencyVector,
                                  mle, pls_from_freqs)
 from sictomo.shadows import (ShadowAccumulator, apply_pair_trace,
                              pair_trace, pattern_codes, shadow_expand)
-from sictomo.stream import (OnlineEngine, ShotFileError, TrackerConfig,
+from sictomo.stream import (Game, OnlineEngine, ShotFileError, TrackerConfig,
                             _iter_records, _read_header_lines,
                             iter_sic_chunks, read_pauli_shots)
 
@@ -1063,3 +1068,75 @@ def test_blocked_json_memory_is_bounded(tmp_path, hwm_growth):
         f"fh = open({str(tmp_path / 'rho.json')!r}, 'w', encoding='ascii')",
         "res.write_json(fh, 1000)\nfh.close()")
     assert grew <= 4 * 2**20
+
+
+# --- state-identification game ------------------------------------------------
+
+
+def reference_play(game, seed, trial, gap_window, shot_cap):
+    """Game.play with a transcript written out on each of its two paths."""
+    secret = int(derive_rng(seed, "game-secret", trial).integers(16))
+    rng = derive_rng(seed, "game-shots", trial)
+    n_codes = game.probs.shape[1]
+    s1 = np.zeros(16)
+    s2 = np.zeros((16, 16))
+    seen, run, prev = 0, 0, -1
+    while seen < shot_cap:
+        block = min(256, shot_cap - seen)
+        codes = rng.choice(n_codes, size=block, p=game.probs[secret])
+        for code in codes:
+            v = game.luts[:, code]
+            s1 += v
+            s2 += np.outer(v, v)
+            seen += 1
+            means = s1 / seen
+            order = np.argsort(means)
+            top, sec = int(order[-1]), int(order[-2])
+            gap = means[top] - means[sec]
+            if seen >= 2:
+                ssq = s2[top, top] + s2[sec, sec] - 2 * s2[top, sec]
+                var = max(ssq - seen * gap * gap, 0.0) / (seen - 1)
+                threshold = math.sqrt(var / seen)
+            else:
+                threshold = 0.0
+            if gap > threshold:
+                run = run + 1 if top == prev else 1
+                prev = top
+            else:
+                run, prev = 0, -1
+            if run >= gap_window:
+                return top, seen, {
+                    "secret": secret, "winner": top,
+                    "correct": top == secret, "shots": seen,
+                    "declared": True, "gap_window": gap_window,
+                    "final_gap": float(gap), "seed": int(seed),
+                    "trial": int(trial)}
+    winner = int(np.argmax(s1))
+    return winner, shot_cap, {
+        "secret": secret, "winner": winner, "correct": winner == secret,
+        "shots": shot_cap, "declared": False, "gap_window": gap_window,
+        "final_gap": 0.0, "seed": int(seed), "trial": int(trial)}
+
+
+@pytest.fixture(scope="module")
+def game():
+    return Game(FRAME)
+
+
+@pytest.mark.parametrize("shot_cap", [1, 30, 10_000])
+@pytest.mark.parametrize("gap_window", [1, 5, 10**9])
+def test_game_transcript_matches_two_path_reference(game, gap_window,
+                                                    shot_cap):
+    paths = set()
+    for seed, trial in itertools.product((0, 3), (0, 1)):
+        got = game.play(seed, trial=trial, gap_window=gap_window,
+                        shot_cap=shot_cap)
+        want = reference_play(game, seed, trial, gap_window, shot_cap)
+        assert got == want
+        assert [type(x) for x in got[2].values()] == [
+            type(x) for x in want[2].values()]
+        paths.add(got[2]["declared"])
+    if gap_window == 10**9:
+        assert paths == {False}  # never met: every trial takes the cap path
+    if (gap_window, shot_cap) == (5, 10_000):
+        assert paths == {True}  # met well within the cap: the declared path

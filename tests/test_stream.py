@@ -1,7 +1,10 @@
 """Shot files, the online engine and the identification game."""
 
+import dataclasses
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,11 +49,25 @@ def sic_file(tmp_path, digits, name="shots.sic", **hdr):
 
 
 def test_header_json_round_trip():
-    h = ShotFileHeader(n_qubits=3, povm="sic", frame="rotated", seed=9, batch=2)
+    h = ShotFileHeader(n_qubits=3, povm="sic", frame="rotated", seed=9)
     line = h.to_json()
     assert line == ('{"n_qubits":3,"povm":"sic","frame":"rotated",'
-                    '"seed":9,"batch":2}')
+                    '"seed":9,"batch":1}')
     assert ShotFileHeader.from_json(line) == h
+
+
+def test_header_keys_are_the_fields_then_batch():
+    h = ShotFileHeader(n_qubits=2, povm="pauli", seed=4)
+    d = json.loads(h.to_json())
+    assert list(d) == [f.name for f in dataclasses.fields(h)] + ["batch"]
+    assert d["batch"] == 1
+    for key in d:
+        rest = {k: v for k, v in d.items() if k != key}
+        with pytest.raises(ShotFileError,
+                           match=re.escape(f"missing keys: [{key!r}]")):
+            ShotFileHeader.from_json(json.dumps(rest))
+    # any integer batch hint >= 1 is read; the header does not keep it
+    assert ShotFileHeader.from_json(json.dumps(d | {"batch": 7})) == h
 
 
 def test_header_validation():
@@ -60,8 +77,9 @@ def test_header_validation():
         ShotFileHeader(n_qubits=1, povm="homodyne")
     with pytest.raises(ValueError):
         ShotFileHeader(n_qubits=1, frame="other")
-    with pytest.raises(ValueError):
-        ShotFileHeader(n_qubits=1, batch=0)
+    with pytest.raises(ShotFileError, match="line 2: batch hint must be >= 1"):
+        ShotFileHeader.from_json('{"n_qubits":1,"povm":"sic",'
+                                 '"frame":"standard","seed":0,"batch":0}')
     with pytest.raises(ShotFileError, match="line 2"):
         ShotFileHeader.from_json("{not json")
     with pytest.raises(ShotFileError, match="missing"):
